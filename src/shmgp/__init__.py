@@ -11,7 +11,7 @@ kernels and means (:mod:`shmgp.physics`), dynamic GP-NARX models
 
 from .gp import Dataset, TrainedGp, fit_exact, log_marginal_likelihood, predict
 from .kernels import Matern12, Matern32, SquaredExponential, build_gram, kernel_eval
-from .means import ExternalMean, LinearMean, ZeroMean
+from .means import LinearMean, ZeroMean
 from .metrics import nmse
 from .physics import (
     MorisonParams,
@@ -36,7 +36,6 @@ __all__ = [
     "build_gram",
     "ZeroMean",
     "LinearMean",
-    "ExternalMean",
     "SdofKernel",
     "SdofKernelParams",
     "sdof_kernel_eval",

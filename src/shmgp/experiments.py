@@ -35,7 +35,7 @@ from .generators import (
     simulate_sdof,
 )
 from .gp import Dataset
-from .kernels import SquaredExponential
+from .kernels import FAMILIES, Kernel, kernel_from_dict
 from .means import ZeroMean
 from .metrics import MetricsReport, nmse
 from .narx import (
@@ -57,6 +57,7 @@ from .statespace import StructuralModel, estimate_force
 from .tuning import gls_linear_mean, tune_exact_gp
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
+DEFAULT_FAMILY = "squared_exponential"  # when model.kernel names no family
 
 
 def resolve_output_dir(config: ExperimentConfig, override=None, default_name="experiment"):
@@ -236,15 +237,26 @@ def _named_bounds(optimizer_cfg: dict | None) -> dict:
 # task runners
 
 
+def _config_kernel(kernel_cfg: dict) -> Kernel:
+    """A fixed kernel from ``model.kernel``; a bad entry is a ConfigError."""
+    try:
+        return kernel_from_dict({"family": DEFAULT_FAMILY, **kernel_cfg})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.kernel: {exc}") from exc
+
+
 def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profile_mean=False):
     model_cfg = config.model
-    kernel_cfg = dict(model_cfg.get("kernel", {"family": "squared_exponential"}))
-    family = kernel_cfg.pop("family", "squared_exponential")
+    kernel_cfg = dict(model_cfg.get("kernel", {}))
     optimize = kernel_cfg.pop("optimize", False)
     ard = kernel_cfg.pop("ard", False)
     noise_var = model_cfg.get("noise_var", 0.0)
 
     if optimize:
+        family = kernel_cfg.pop("family", DEFAULT_FAMILY)
+        if family not in FAMILIES or kernel_cfg:
+            raise ConfigError(f"model.kernel to optimize takes a family out of {sorted(FAMILIES)} "
+                              f"and 'ard' only, got {model_cfg['kernel']}")
         result = tune_exact_gp(
             train,
             family,
@@ -257,7 +269,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
             **_pso_settings(config.optimizer, config.seed),
         )
         return result.model, result.params
-    kernel = model_io.kernel_from_dict({"family": family, **kernel_cfg})
+    kernel = _config_kernel(kernel_cfg)
     if noise_var in ("optimize", None):
         raise ConfigError("noise_var can only be optimised together with the kernel")
     if profile_mean:
@@ -402,7 +414,7 @@ def _run_reduced_rank(config: ExperimentConfig):
         basis_counts=domain_cfg.get("basis_counts", 32),
         max_total=domain_cfg.get("max_total"),
     )
-    kernel = model_io.kernel_from_dict(model_cfg.get("kernel", {"family": "squared_exponential"}))
+    kernel = _config_kernel(model_cfg.get("kernel", {}))
     noise_var = float(model_cfg.get("noise_var", 1e-4))
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)

@@ -1,9 +1,11 @@
 """Stationary covariance functions.
 
 Each kernel is a small frozen dataclass carrying its hyperparameters and
-knowing how to evaluate its own Gram matrix.  The module-level helpers
-:func:`kernel_eval` and :func:`build_gram` are the entry points used by the
-regression code; they normalise input shapes and enforce dimension checks.
+knowing how to evaluate its own Gram matrix.  A kernel family is one class
+registered in :data:`FAMILIES` (the oscillator family lives in
+:mod:`shmgp.physics`).  The module-level helpers :func:`kernel_eval` and
+:func:`build_gram` are the entry points used by the regression code; they
+normalise input shapes and enforce dimension checks.
 
 Gram matrices are computed from explicit pairwise differences so that the
 square case is exactly symmetric and results do not depend on BLAS
@@ -13,6 +15,7 @@ parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma as gamma_fn
 
 import numpy as np
 
@@ -34,8 +37,27 @@ def _require_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
 
+# family name -> class; each family's declaration adds it, and importing the
+# package imports every module that declares one
+FAMILIES: dict[str, type["Kernel"]] = {}
+
+
 class Kernel:
-    """Interface shared by all covariance functions."""
+    """Interface shared by all covariance functions.
+
+    A kernel family is one subclass declared with ``family="name"``; it owns
+    its JSON form (``keys`` lists the entries besides ``family``), spectral
+    density, tuned hyperparameters and their default box.
+    """
+
+    family = None
+    keys = ()
+
+    def __init_subclass__(cls, family: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if family is not None:
+            cls.family = family
+            FAMILIES[family] = cls
 
     def gram(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """Covariance matrix between the rows of X (n, d) and X2 (m, d)."""
@@ -48,9 +70,44 @@ class Kernel:
     def check_input_dim(self, d: int) -> None:
         """Raise if the kernel cannot act on d-dimensional inputs."""
 
+    def to_dict(self) -> dict:
+        """JSON form: the family name plus one plain value per key."""
+        return {"family": self.family,
+                **{k: np.asarray(getattr(self, k), dtype=float).tolist() for k in self.keys}}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Kernel":
+        """Inverse of :meth:`to_dict`; accepts exactly the keys it writes."""
+        if doc.get("family") != cls.family or set(doc) != {"family", *cls.keys}:
+            raise ValueError(f"a {cls.family!r} kernel takes exactly the keys "
+                             f"{['family', *cls.keys]}, got {sorted(doc)}")
+        # the values in key order, flattened, are the from_vector layout
+        return cls.from_vector(np.hstack([doc[k] for k in cls.keys]).astype(float))
+
+    def spectral_density(self, lam: np.ndarray) -> np.ndarray:
+        """Spectral density at squared per-dimension frequencies ``lam`` (m, d),
+        normalised to integrate to (2 pi)^d k(0)."""
+        raise ValueError(f"no spectral density available for kernel {type(self).__name__}")
+
+    @classmethod
+    def tuning_names(cls, d: int, ard: bool) -> list[str]:
+        """Names of the tuned hyperparameters for d-dimensional inputs."""
+        return list(cls.keys)
+
+    @classmethod
+    def from_vector(cls, v: np.ndarray) -> "Kernel":
+        """Kernel from values in :meth:`tuning_names` order."""
+        return cls(*v)
+
+    @staticmethod
+    def default_bounds(X: np.ndarray, y_var: float, ard: bool, dt: float | None) -> dict:
+        """Likely ranges of the tuned hyperparameters, from inputs and target
+        variance; an ARD ``lengthscale_k`` reads ``lengthscales[k]``."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class SquaredExponential(Kernel):
+class SquaredExponential(Kernel, family="squared_exponential"):
     """k(x, x') = signal_scale^2 exp(-1/2 sum_k ((x_k - x'_k)/l_k)^2).
 
     ``lengthscales`` may be a scalar (isotropic) or a length-d vector (one
@@ -60,6 +117,7 @@ class SquaredExponential(Kernel):
 
     signal_scale: float = 1.0
     lengthscales: float | np.ndarray = 1.0
+    keys = ("signal_scale", "lengthscales")
 
     def __post_init__(self):
         object.__setattr__(
@@ -82,43 +140,84 @@ class SquaredExponential(Kernel):
     def diag(self, X):
         return np.full(X.shape[0], self.signal_scale**2)
 
+    def spectral_density(self, lam):
+        # exact product form over dimensions, so per-dimension lengthscales work
+        d = lam.shape[1]
+        ell = np.broadcast_to(self.lengthscales, (d,))
+        return (self.signal_scale**2 * (2.0 * np.pi) ** (d / 2.0) * np.prod(ell)
+                * np.exp(-0.5 * lam @ (ell**2)))
+
+    @staticmethod
+    def tuning_names(d, ard):
+        if ard:
+            return ["signal_scale"] + [f"lengthscale_{k}" for k in range(d)]
+        return ["signal_scale", "lengthscale"]
+
+    @classmethod
+    def from_vector(cls, v):
+        return cls(v[0], v[1:])
+
+    @staticmethod
+    def default_bounds(X, y_var, ard, dt):
+        ranges = X.max(axis=0) - X.min(axis=0)
+        ranges = np.where(ranges > 0.0, ranges, 1.0)
+        y_std = np.sqrt(y_var)
+        box = {"signal_scale": (1e-2 * y_std, 1e2 * y_std)}
+        if ard:
+            box["lengthscales"] = [(1e-2 * r, 1e1 * r) for r in ranges]
+        else:
+            r = float(np.max(ranges))
+            box["lengthscale"] = (1e-2 * r, 1e1 * r)
+        return box
+
 
 @dataclass(frozen=True)
-class Matern12(Kernel):
-    """Exponential kernel k(r) = signal_scale^2 exp(-r/lengthscale)."""
+class _Matern(Kernel):
+    """Matern kernel on Euclidean distance; subclasses set the half-integer
+    smoothness ``nu`` and the Gram matrix."""
 
     signal_scale: float = 1.0
     lengthscale: float = 1.0
+    keys = ("signal_scale", "lengthscale")
 
     def __post_init__(self):
         _require_positive(self.signal_scale, "signal_scale")
         _require_positive(self.lengthscale, "lengthscale")
+
+    def diag(self, X):
+        return np.full(X.shape[0], self.signal_scale**2)
+
+    def spectral_density(self, lam):
+        # isotropic: a function of |omega|^2 only
+        nu, ell, d = self.nu, self.lengthscale, lam.shape[1]
+        const = (self.signal_scale**2 * 2.0**d * np.pi ** (d / 2.0) * gamma_fn(nu + d / 2.0)
+                 * (2.0 * nu) ** nu / (gamma_fn(nu) * ell ** (2.0 * nu)))
+        return const * (2.0 * nu / ell**2 + lam.sum(axis=1)) ** -(nu + d / 2.0)
+
+    @staticmethod
+    def default_bounds(X, y_var, ard, dt):
+        # the box of an isotropic squared exponential: same parameters, same scales
+        return SquaredExponential.default_bounds(X, y_var, False, dt)
+
+
+class Matern12(_Matern, family="matern12"):
+    """Exponential kernel k(r) = signal_scale^2 exp(-r/lengthscale)."""
+
+    nu = 0.5
 
     def gram(self, X, X2):
         r = _pairwise_dist(X, X2)
         return self.signal_scale**2 * np.exp(-r / self.lengthscale)
 
-    def diag(self, X):
-        return np.full(X.shape[0], self.signal_scale**2)
 
-
-@dataclass(frozen=True)
-class Matern32(Kernel):
+class Matern32(_Matern, family="matern32"):
     """k(r) = signal_scale^2 (1 + sqrt(3) r/l) exp(-sqrt(3) r/l)."""
 
-    signal_scale: float = 1.0
-    lengthscale: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(self.signal_scale, "signal_scale")
-        _require_positive(self.lengthscale, "lengthscale")
+    nu = 1.5
 
     def gram(self, X, X2):
         s = np.sqrt(3.0) * _pairwise_dist(X, X2) / self.lengthscale
         return self.signal_scale**2 * (1.0 + s) * np.exp(-s)
-
-    def diag(self, X):
-        return np.full(X.shape[0], self.signal_scale**2)
 
 
 def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -138,6 +237,21 @@ def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray
 
 def _pairwise_dist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return np.sqrt(_scaled_sqdist(X, X2, np.ones(X.shape[1])))
+
+
+def family_class(name: str) -> type[Kernel]:
+    """The kernel class registered under ``name``; ValueError if none is."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown kernel family {name!r}; expected one of {sorted(FAMILIES)}")
+    return FAMILIES[name]
+
+
+def kernel_from_dict(doc: dict) -> Kernel:
+    """Rebuild a kernel from its :meth:`Kernel.to_dict` form; ValueError if
+    the family is unknown or the keys are not exactly the family's."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a kernel is a JSON object, got {doc!r}")
+    return family_class(doc.get("family")).from_dict(doc)
 
 
 def kernel_eval(spec: Kernel, x, x_prime) -> float:

@@ -7,8 +7,7 @@ subtraction, so every mean here only needs to be evaluable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,25 +45,3 @@ class LinearMean(MeanFunction):
                 f"input dimension {X.shape[1]} does not match slope dimension {self.slope.shape[0]}"
             )
         return self.intercept + X @ self.slope
-
-
-@dataclass(frozen=True)
-class ExternalMean(MeanFunction):
-    """Named wrapper around an externally supplied mean function.
-
-    ``fn`` receives the full (n, d) input matrix and must return an
-    n-vector.  The name identifies the physics model for reporting and
-    serialization; ``params`` carries whatever that model needs to be
-    reconstructed.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.asarray(self.fn(X), dtype=float)
-        if out.shape != (X.shape[0],):
-            raise ValueError(f"external mean '{self.name}' returned shape {out.shape}")
-        return out

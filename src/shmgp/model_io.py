@@ -8,22 +8,27 @@ name and renamed into place, so a crash never leaves partial artifacts.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .gp import TrainedGp
-from .kernels import Kernel, Matern12, Matern32, SquaredExponential
+from .kernels import kernel_from_dict
 from .means import LinearMean, MeanFunction, ZeroMean
 from .narx import BlackBox, InputAugmentation, NarxConfig, NarxModel, ResidualMean
-from .physics import MorisonMean, MorisonParams, SdofKernel, SdofKernelParams
+from .physics import MorisonMean, MorisonParams
 from .reduced_rank import DomainSpec, ReducedRankGp, eigenpairs, spectral_weights
 
 MODEL_JSON = "model.json"
 MODEL_NPZ = "model.npz"
+# arrays saved per model kind, with symbolic shapes checked on load
+GP_ARRAYS = {"X": ("n", "d"), "y": ("n",), "residual": ("n",), "chol": ("n", "n"), "alpha": ("n",)}
+REDUCED_RANK_ARRAYS = {"weight_mean": ("M",), "weight_cov": ("M", "M")}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -68,46 +73,6 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def kernel_to_dict(kernel: Kernel) -> dict:
-    if isinstance(kernel, SquaredExponential):
-        return {
-            "family": "squared_exponential",
-            "signal_scale": float(kernel.signal_scale),
-            "lengthscales": np.asarray(kernel.lengthscales).tolist(),
-        }
-    if isinstance(kernel, (Matern12, Matern32)):
-        family = "matern12" if isinstance(kernel, Matern12) else "matern32"
-        return {
-            "family": family,
-            "signal_scale": float(kernel.signal_scale),
-            "lengthscale": float(kernel.lengthscale),
-        }
-    if isinstance(kernel, SdofKernel):
-        return {
-            "family": "sdof",
-            "zeta": float(kernel.params.zeta),
-            "omega_n": float(kernel.params.omega_n),
-            "sigma2": float(kernel.params.sigma2),
-        }
-    raise ValueError(f"cannot serialise kernel {type(kernel).__name__}")
-
-
-def kernel_from_dict(doc: dict) -> Kernel:
-    family = doc.get("family")
-    if family == "squared_exponential":
-        return SquaredExponential(
-            signal_scale=doc["signal_scale"], lengthscales=doc["lengthscales"]
-        )
-    if family in ("matern12", "matern32"):
-        cls = Matern12 if family == "matern12" else Matern32
-        return cls(signal_scale=doc["signal_scale"], lengthscale=doc["lengthscale"])
-    if family == "sdof":
-        return SdofKernel(
-            SdofKernelParams(zeta=doc["zeta"], omega_n=doc["omega_n"], sigma2=doc["sigma2"])
-        )
-    raise DataError(f"unknown kernel family {family!r}")
-
-
 def mean_to_dict(mean: MeanFunction) -> dict:
     if isinstance(mean, ZeroMean):
         return {"form": "zero"}
@@ -138,25 +103,10 @@ def mean_from_dict(doc: dict) -> MeanFunction:
 
 
 def save_exact_gp(directory, model: TrainedGp, input_columns: list[str], target: str) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "type": "exact_gp",
-        "kernel": kernel_to_dict(model.kernel),
-        "mean": mean_to_dict(model.mean),
-        "noise_var": model.noise_var,
-        "jitter": model.jitter,
-        "lml": model.lml,
-        "input_columns": list(input_columns),
-        "target": target,
-    }
-    _save(directory, doc, X=model.X, y=model.y, residual=model.residual,
-          chol=model.chol, alpha=model.alpha)
+    _save(directory, "exact_gp", model, input_columns, target, GP_ARRAYS, **_gp_fields(model))
 
 
 def save_narx(directory, model: NarxModel, input_columns: list[str], target: str) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     cfg = model.config
     if isinstance(cfg.mode, ResidualMean):
         mode = {"name": "residual_morison", "drag": cfg.mode.morison.drag,
@@ -166,76 +116,87 @@ def save_narx(directory, model: NarxModel, input_columns: list[str], target: str
                 "inertia": cfg.mode.morison.inertia}
     else:
         mode = {"name": "blackbox"}
-    doc = {
-        "type": "narx",
-        "kernel": kernel_to_dict(model.gp.kernel),
-        "mean": mean_to_dict(model.gp.mean),
-        "noise_var": model.gp.noise_var,
-        "jitter": model.gp.jitter,
-        "lml": model.gp.lml,
-        "narx": {"exog_lags": cfg.exog_lags, "auto_lags": cfg.auto_lags, "mode": mode,
-                 "n_channels": model.n_channels},
-        "input_columns": list(input_columns),
-        "target": target,
-    }
-    _save(directory, doc, X=model.gp.X, y=model.gp.y, residual=model.gp.residual,
-          chol=model.gp.chol, alpha=model.gp.alpha)
+    narx = {"exog_lags": cfg.exog_lags, "auto_lags": cfg.auto_lags, "mode": mode,
+            "n_channels": model.n_channels}
+    _save(directory, "narx", model.gp, input_columns, target, GP_ARRAYS,
+          **_gp_fields(model.gp), narx=narx)
 
 
 def save_reduced_rank(directory, model: ReducedRankGp, input_columns: list[str], target: str) -> None:
+    domain = model.basis.domain
+    _save(directory, "reduced_rank", model, input_columns, target, REDUCED_RANK_ARRAYS, domain={
+        "half_widths": domain.half_widths.tolist(),
+        "boundary": domain.boundary,
+        "basis_counts": domain.basis_counts.tolist(),
+        "max_total": domain.max_total,
+    })
+
+
+def _gp_fields(model: TrainedGp) -> dict:
+    return {"mean": mean_to_dict(model.mean), "jitter": model.jitter, "lml": model.lml}
+
+
+def _save(directory, kind: str, model, input_columns, target: str, arrays: dict, **fields):
+    """Write model.npz (the model's attributes named in ``arrays``), then
+    model.json: type, kernel, noise, ``fields``, input columns and target."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    domain = model.basis.domain
-    doc = {
-        "type": "reduced_rank",
-        "kernel": kernel_to_dict(model.kernel),
-        "noise_var": model.noise_var,
-        "domain": {
-            "half_widths": domain.half_widths.tolist(),
-            "boundary": domain.boundary,
-            "basis_counts": domain.basis_counts.tolist(),
-            "max_total": domain.max_total,
-        },
-        "input_columns": list(input_columns),
-        "target": target,
-    }
-    _save(directory, doc, weight_mean=model.weight_mean, weight_cov=model.weight_cov)
-
-
-def _save(directory: Path, doc: dict, **arrays) -> None:
-    import io
-
+    doc = {"type": kind, "kernel": model.kernel.to_dict(), "noise_var": model.noise_var,
+           **fields, "input_columns": list(input_columns), "target": target}
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    np.savez(buf, **{name: getattr(model, name) for name in arrays})
     atomic_write_bytes(directory / MODEL_NPZ, buf.getvalue())
     atomic_write_text(directory / MODEL_JSON, json.dumps(doc, indent=2) + "\n")
 
 
+def _checked(arrays: dict, shapes: dict, sizes: dict) -> dict:
+    """The named arrays, each checked to have the shape given by its symbolic
+    dims; ``sizes`` holds known dims, and a dim seen first fixes the rest."""
+    for name, dims in shapes.items():
+        if name not in arrays:
+            raise DataError(f"{MODEL_NPZ} lacks array {name!r}")
+        shape = arrays[name].shape
+        if len(shape) != len(dims) or any(
+            sizes.setdefault(dim, size) != size for dim, size in zip(dims, shape)
+        ):
+            raise DataError(f"array {name!r} in {MODEL_NPZ} has shape {shape}, expected {dims}")
+    return {name: arrays[name] for name in shapes}
+
+
 def load_model(directory):
-    """Rebuild a saved model; returns (doc, model) with model matching doc['type']."""
+    """Rebuild a saved model; returns (doc, model) with model matching doc['type'].
+
+    A missing or malformed entry, or an array shape that disagrees with the
+    others or with model.json, raises DataError.
+    """
     directory = Path(directory)
     try:
         doc = json.loads((directory / MODEL_JSON).read_text())
-        arrays = np.load(directory / MODEL_NPZ)
-    except (OSError, json.JSONDecodeError) as exc:
+        with np.load(directory / MODEL_NPZ) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot load model from {directory}: {exc}") from exc
+    try:
+        return doc, _build_model(doc, arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"corrupt model in {directory}: {exc!r}") from exc
 
-    kind = doc.get("type")
+
+def _build_model(doc: dict, arrays: dict):
+    kind = doc["type"]
+    kernel = kernel_from_dict(doc["kernel"])
     if kind in ("exact_gp", "narx"):
+        sizes = {"d": len(doc["input_columns"])} if kind == "exact_gp" else {}
         gp_model = TrainedGp(
-            kernel=kernel_from_dict(doc["kernel"]),
+            kernel=kernel,
             mean=mean_from_dict(doc["mean"]),
             noise_var=doc["noise_var"],
-            X=arrays["X"],
-            y=arrays["y"],
-            residual=arrays["residual"],
-            chol=arrays["chol"],
-            alpha=arrays["alpha"],
             jitter=doc["jitter"],
             lml=doc["lml"],
+            **_checked(arrays, GP_ARRAYS, sizes),
         )
         if kind == "exact_gp":
-            return doc, gp_model
+            return gp_model
         spec = doc["narx"]
         mode_doc = spec["mode"]
         if mode_doc["name"] == "blackbox":
@@ -245,19 +206,13 @@ def load_model(directory):
             mode = (ResidualMean(params) if mode_doc["name"] == "residual_morison"
                     else InputAugmentation(params))
         cfg = NarxConfig(exog_lags=spec["exog_lags"], auto_lags=spec["auto_lags"], mode=mode)
-        return doc, NarxModel(gp=gp_model, config=cfg, n_channels=spec["n_channels"])
+        return NarxModel(gp=gp_model, config=cfg, n_channels=spec["n_channels"])
     if kind == "reduced_rank":
-        d = doc["domain"]
-        domain = DomainSpec(half_widths=d["half_widths"], boundary=d["boundary"],
-                            basis_counts=d["basis_counts"], max_total=d["max_total"])
-        kernel = kernel_from_dict(doc["kernel"])
-        basis = spectral_weights(eigenpairs(domain), kernel)
-        model = ReducedRankGp(
+        basis = spectral_weights(eigenpairs(DomainSpec(**doc["domain"])), kernel)
+        return ReducedRankGp(
             basis=basis,
             kernel=kernel,
             noise_var=doc["noise_var"],
-            weight_mean=arrays["weight_mean"],
-            weight_cov=arrays["weight_cov"],
+            **_checked(arrays, REDUCED_RANK_ARRAYS, {"M": basis.size}),
         )
-        return doc, model
-    raise DataError(f"unknown model type {kind!r} in {directory}")
+    raise DataError(f"unknown model type {kind!r}")

@@ -4,8 +4,8 @@ The covariance of a single-degree-of-freedom (SDOF) linear oscillator under
 Gaussian white-noise forcing has a closed form, which makes an expressive
 kernel for responses dominated by one vibration mode.  Morison's equation
 (drag + inertia wave loading) serves as a prior mean for loads monitoring.
-Kernel spectral densities live here too, shared by the reduced-rank and
-state-space modules.
+The 1-D kernel spectral density is here too; each kernel family owns its
+d-dimensional density.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, Matern12, Matern32, SquaredExponential
+from .kernels import Kernel
 from .means import MeanFunction
 
 
@@ -64,10 +64,29 @@ def sdof_kernel_eval(params: SdofKernelParams, tau) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
-class SdofKernel(Kernel):
+class SdofKernel(Kernel, family="sdof"):
     """Oscillator-response covariance as a 1-D (time-input) GP kernel."""
 
     params: SdofKernelParams
+    keys = ("zeta", "omega_n", "sigma2")
+
+    def to_dict(self) -> dict:
+        return {"family": self.family, **{k: float(getattr(self.params, k)) for k in self.keys}}
+
+    @classmethod
+    def from_vector(cls, v):
+        return cls(SdofKernelParams(*v))
+
+    @staticmethod
+    def default_bounds(X, y_var, ard, dt):
+        # natural frequency up to the sampling Nyquist
+        if dt is None:
+            dt = float(np.median(np.diff(np.sort(X[:, 0])))) if X.shape[0] > 1 else 1.0
+        return {
+            "zeta": (1e-3, 0.5),
+            "omega_n": (0.1, np.pi / dt),
+            "sigma2": (1e-8 * y_var, 1e4 * y_var),
+        }
 
     def check_input_dim(self, d: int) -> None:
         if d != 1:
@@ -125,26 +144,13 @@ def linear_mean(theta0: float, theta, x) -> float:
 
 
 def spectral_density(spec: Kernel, omega) -> float | np.ndarray:
-    """Spectral density S(omega) of a stationary 1-D kernel.
+    """Spectral density S(omega) of a stationary 1-D kernel: the d = 1 case of
+    :meth:`Kernel.spectral_density`.
 
     Normalisation follows k(tau) = (1/2pi) int S(w) exp(i w tau) dw, so the
-    density integrates to 2 pi k(0).  Supported families: squared
-    exponential and Matern-1/2, -3/2; anything else (including the SDOF
-    kernel, whose density is never needed) raises ValueError.
+    density integrates to 2 pi k(0).  Kernels without one (such as the SDOF
+    kernel) raise ValueError.
     """
     w = np.asarray(omega, dtype=float)
-    if isinstance(spec, SquaredExponential):
-        ell = spec.lengthscales
-        if ell.shape[0] != 1:
-            raise ValueError("spectral_density is 1-D; kernel has per-dimension lengthscales")
-        ell = float(ell[0])
-        out = spec.signal_scale**2 * np.sqrt(2.0 * np.pi) * ell * np.exp(-0.5 * (w * ell) ** 2)
-    elif isinstance(spec, (Matern12, Matern32)):
-        nu = 0.5 if isinstance(spec, Matern12) else 1.5
-        lam = np.sqrt(2.0 * nu) / spec.lengthscale
-        # 2 sqrt(pi) Gamma(nu + 1/2) / Gamma(nu): 2 for nu=1/2, 4 for nu=3/2
-        const = 2.0 if nu == 0.5 else 4.0
-        out = spec.signal_scale**2 * const * lam ** (2.0 * nu) * (lam**2 + w**2) ** -(nu + 0.5)
-    else:
-        raise ValueError(f"no spectral density available for kernel {type(spec).__name__}")
+    out = spec.spectral_density(np.reshape(w**2, (-1, 1))).reshape(w.shape)
     return out if out.ndim else float(out)

@@ -14,16 +14,16 @@ of the training size.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from math import gamma as gamma_fn
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DomainError
 from .gp import Dataset, chol_with_jitter
-from .kernels import Kernel, Matern12, Matern32, SquaredExponential, _as_matrix
+from .kernels import Kernel, _as_matrix
 
 
 @dataclass(frozen=True)
@@ -129,40 +129,10 @@ def eigenpairs(domain: DomainSpec) -> ReducedRankBasis:
 
 
 def spectral_weights(basis: ReducedRankBasis, spec: Kernel) -> ReducedRankBasis:
-    """Bind a kernel: attach S(sqrt(lambda_j)) for every mode.
-
-    The d-dimensional spectral density is evaluated at the eigenvalue norm;
-    for the squared exponential with per-dimension lengthscales the exact
-    product form over per-dimension frequencies is used (the two coincide in
-    the isotropic case).
-    """
-    d = basis.domain.dim
+    """Bind a kernel: attach its spectral density at every mode's
+    per-dimension frequencies."""
     lam_per_dim = (np.pi * basis.indices / (2.0 * basis.domain.half_widths)) ** 2
-    if isinstance(spec, SquaredExponential):
-        ell = np.broadcast_to(spec.lengthscales, (d,))
-        S = (
-            spec.signal_scale**2
-            * (2.0 * np.pi) ** (d / 2.0)
-            * np.prod(ell)
-            * np.exp(-0.5 * lam_per_dim @ (ell**2))
-        )
-    elif isinstance(spec, (Matern12, Matern32)):
-        nu = 0.5 if isinstance(spec, Matern12) else 1.5
-        ell = spec.lengthscale
-        const = (
-            spec.signal_scale**2
-            * 2.0**d
-            * np.pi ** (d / 2.0)
-            * gamma_fn(nu + d / 2.0)
-            * (2.0 * nu) ** nu
-            / (gamma_fn(nu) * ell ** (2.0 * nu))
-        )
-        S = const * (2.0 * nu / ell**2 + basis.eigenvalues) ** -(nu + d / 2.0)
-    else:
-        raise ValueError(f"no spectral density available for kernel {type(spec).__name__}")
-    return ReducedRankBasis(
-        domain=basis.domain, indices=basis.indices, eigenvalues=basis.eigenvalues, weights=S
-    )
+    return dataclasses.replace(basis, weights=spec.spectral_density(lam_per_dim))
 
 
 def approx_kernel(basis: ReducedRankBasis, spec: Kernel, x, x_prime) -> float:
@@ -242,8 +212,15 @@ def fit_reduced(
     if noise_var > 0.0:
         inv_Z = cho_solve((L, True), np.eye(basis.size))
         weight_cov = noise_var * (root_S[:, None] * inv_Z * root_S[None, :])
+    elif len(data) < basis.size:
+        # noise-free with fewer points than modes: the data pin only the row
+        # space of B, so the whitened covariance is the projector onto its
+        # complement, I - B'(BB')^-1 B
+        L_rows, _ = chol_with_jitter(B @ B.T)
+        projector = np.eye(basis.size) - B.T @ cho_solve((L_rows, True), B)
+        weight_cov = root_S[:, None] * projector * root_S[None, :]
     else:
-        # noise-free limit: coefficients are pinned, no posterior spread
+        # noise-free with at least as many points as modes: coefficients are pinned
         weight_cov = np.zeros((basis.size, basis.size))
     return ReducedRankGp(
         basis=basis,

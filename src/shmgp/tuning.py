@@ -17,12 +17,9 @@ from scipy.linalg import cho_solve
 
 from . import gp
 from .errors import NumericalError
-from .kernels import Kernel, Matern12, Matern32, SquaredExponential, build_gram
+from .kernels import Kernel, build_gram, family_class
 from .means import LinearMean, MeanFunction
-from .physics import SdofKernel, SdofKernelParams
 from .pso import PsoConfig, PsoResult, pso_minimize
-
-FAMILIES = ("squared_exponential", "matern12", "matern32", "sdof")
 
 
 @dataclass
@@ -54,51 +51,9 @@ def default_bounds(
 ) -> dict:
     """Likely hyperparameter ranges for a family, derived from the data."""
     y_var = max(float(np.var(data.outputs)), 1e-12)
-    y_std = np.sqrt(y_var)
-    if family == "sdof":
-        if dt is None:
-            t = data.inputs[:, 0]
-            dt = float(np.median(np.diff(np.sort(t)))) if len(data) > 1 else 1.0
-        nyquist = np.pi / dt
-        return {
-            "zeta": (1e-3, 0.5),
-            "omega_n": (0.1, nyquist),
-            "sigma2": (1e-8 * y_var, 1e4 * y_var),
-            "noise_var": (1e-8 * y_var, y_var),
-        }
-    ranges = data.inputs.max(axis=0) - data.inputs.min(axis=0)
-    ranges = np.where(ranges > 0.0, ranges, 1.0)
-    bounds = {
-        "signal_scale": (1e-2 * y_std, 1e2 * y_std),
-        "noise_var": (1e-8 * y_var, y_var),
-    }
-    if family == "squared_exponential" and ard:
-        bounds["lengthscales"] = [(1e-2 * r, 1e1 * r) for r in ranges]
-    else:
-        r = float(np.max(ranges))
-        bounds["lengthscale"] = (1e-2 * r, 1e1 * r)
-    return bounds
-
-
-def _kernel_builder(family: str, d: int, ard: bool):
-    """Map a natural-unit parameter vector to a kernel; returns (names, build)."""
-    if family == "squared_exponential":
-        if ard:
-            names = ["signal_scale"] + [f"lengthscale_{k}" for k in range(d)]
-            build = lambda v: SquaredExponential(signal_scale=v[0], lengthscales=v[1 : 1 + d])
-        else:
-            names = ["signal_scale", "lengthscale"]
-            build = lambda v: SquaredExponential(signal_scale=v[0], lengthscales=v[1])
-    elif family in ("matern12", "matern32"):
-        cls = Matern12 if family == "matern12" else Matern32
-        names = ["signal_scale", "lengthscale"]
-        build = lambda v: cls(signal_scale=v[0], lengthscale=v[1])
-    elif family == "sdof":
-        names = ["zeta", "omega_n", "sigma2"]
-        build = lambda v: SdofKernel(SdofKernelParams(zeta=v[0], omega_n=v[1], sigma2=v[2]))
-    else:
-        raise ValueError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
-    return names, build
+    box = family_class(family).default_bounds(data.inputs, y_var, ard, dt)
+    box["noise_var"] = (1e-8 * y_var, y_var)
+    return box
 
 
 def tune_exact_gp(
@@ -126,8 +81,9 @@ def tune_exact_gp(
     prior-mean coefficients are profiled out by GLS at every objective
     evaluation instead of being supplied through ``mean``.
     """
-    d = data.inputs.shape[1]
-    names, build = _kernel_builder(family, d, ard)
+    cls = family_class(family)
+    names = cls.tuning_names(data.inputs.shape[1], ard)
+    n_kernel = len(names)
     box = default_bounds(family, data, ard=ard, dt=dt)
     if bounds:
         box.update(bounds)
@@ -157,7 +113,7 @@ def tune_exact_gp(
 
     def fit_at(v: np.ndarray) -> gp.TrainedGp:
         sigma_n2 = float(v[-1]) if noise_var is None else float(noise_var)
-        kernel = build(v)
+        kernel = cls.from_vector(v[:n_kernel])
         mean_fn = gls_linear_mean(data, kernel, sigma_n2) if profile_linear_mean else mean
         return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2)
 

@@ -91,6 +91,20 @@ class TestFit:
         cfg = _write_config(tmp_path, doc)
         assert main(["fit", str(cfg), "-o", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("kernel", [
+        {"family": "squared_exponential", "signal_scale": 1.0},  # missing key
+        {"family": "squared_exponential", "signal_scale": 1.0, "lengthscales": 2.0,
+         "lengthscale": 2.0},  # extra key
+        {"family": "gaussian", "signal_scale": 1.0, "lengthscales": 2.0},  # unknown family
+        {"family": "gaussian", "optimize": True},
+        {"family": "matern32", "optimize": True, "lengthscale": 2.0},
+    ])
+    def test_bad_config_kernel_exits_2(self, tmp_path, kernel):
+        doc = dict(FAST_CONFIG, model={**FAST_CONFIG["model"], "kernel": kernel})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # duplicated noise-free observation channel makes the innovation
         # covariance singular
@@ -149,6 +163,57 @@ class TestPredictAndEval:
 
         write_csv(tmp_path / "d.csv", ["time", "y"], [np.arange(3.0), np.ones(3)])
         assert main(["predict", str(tmp_path / "novel"), str(tmp_path / "d.csv")]) == 3
+
+
+class TestCorruptModel:
+    @pytest.fixture
+    def fitted(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["fit", str(_write_config(tmp_path, FAST_CONFIG)), "-o", str(run_dir)]) == 0
+        capsys.readouterr()
+        return run_dir
+
+    def _predict(self, run_dir):
+        from shmgp.model_io import write_csv
+
+        data = run_dir / "new.csv"
+        write_csv(data, ["time", "temperature"], [np.arange(4.0), np.linspace(5.0, 8.0, 4)])
+        return main(["predict", str(run_dir), str(data), "-o", str(run_dir / "new_pred.csv")])
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "squared_exponential", "signal_scale": 3.0},
+        {"family": "gaussian", "signal_scale": 3.0, "lengthscales": [2.0]},
+    ])
+    def test_bad_saved_kernel_exits_3(self, fitted, kernel):
+        doc = json.loads((fitted / "model.json").read_text())
+        doc["kernel"] = kernel
+        (fitted / "model.json").write_text(json.dumps(doc))
+        assert self._predict(fitted) == 3
+
+    @pytest.mark.parametrize("name, change", [
+        ("alpha", None),
+        ("alpha", lambda a: a[:-1]),
+        ("chol", lambda a: a[:, :-1]),
+        ("X", lambda a: np.column_stack([a, a])),
+        ("residual", lambda a: a[:, None]),
+    ])
+    def test_missing_or_misshapen_array_exits_3(self, fitted, name, change):
+        with np.load(fitted / "model.npz") as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        if change is None:
+            del arrays[name]
+        else:
+            arrays[name] = change(arrays[name])
+        np.savez(fitted / "model.npz", **arrays)
+        assert self._predict(fitted) == 3
+
+    @pytest.mark.parametrize("payload", [b"", b"PK\x03\x04truncated"])
+    def test_unreadable_archive_exits_3(self, fitted, payload):
+        (fitted / "model.npz").write_bytes(payload)
+        assert self._predict(fitted) == 3
+
+    def test_intact_model_predicts(self, fitted):
+        assert self._predict(fitted) == 0
 
 
 class TestPredictNarx:

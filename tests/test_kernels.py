@@ -1,10 +1,21 @@
-"""Covariance function contracts: closed forms, symmetry, Gram consistency."""
+"""Covariance function contracts: closed forms, symmetry, Gram consistency,
+and the facts each kernel family owns."""
+
+import json
 
 import numpy as np
 import pytest
 
-from shmgp.kernels import Matern12, Matern32, SquaredExponential, build_gram, kernel_eval
-from shmgp.physics import SdofKernel, SdofKernelParams
+from shmgp.kernels import (
+    FAMILIES,
+    Matern12,
+    Matern32,
+    SquaredExponential,
+    build_gram,
+    kernel_eval,
+    kernel_from_dict,
+)
+from shmgp.physics import SdofKernel, SdofKernelParams, spectral_density
 
 SPECS = [
     SquaredExponential(signal_scale=1.3, lengthscales=0.7),
@@ -99,3 +110,58 @@ def test_diag_matches_zero_lag():
     X = np.linspace(0, 3, 7).reshape(-1, 1)
     for spec in SPECS:
         np.testing.assert_allclose(spec.diag(X), np.diag(build_gram(spec, X)), rtol=1e-14)
+
+
+# kernel keys of model.json as written before the families owned their JSON
+# form; saved models must keep loading
+SAVED_KEYS = {
+    "squared_exponential": {"family", "signal_scale", "lengthscales"},
+    "matern12": {"family", "signal_scale", "lengthscale"},
+    "matern32": {"family", "signal_scale", "lengthscale"},
+    "sdof": {"family", "zeta", "omega_n", "sigma2"},
+}
+
+
+def _tuned_example(family, d, ard):
+    """A kernel built the way the tuner builds one: from tuning_names, at the
+    geometric middle of the family's default box."""
+    cls = FAMILIES[family]
+    X = np.linspace(0.0, 4.0, 17)[:, None] * np.arange(1, d + 1)
+    box = cls.default_bounds(X, 2.0, ard, None)
+    names = cls.tuning_names(d, ard)
+    pairs = [box["lengthscales"][int(name.split("_")[1])] if name.startswith("lengthscale_")
+             else box[name] for name in names]
+    return X, cls.from_vector(np.sqrt(np.prod(pairs, axis=1)))
+
+
+def test_families_are_exactly_the_four():
+    assert set(FAMILIES) == set(SAVED_KEYS)
+
+
+@pytest.mark.parametrize("ard", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_contract(family, ard):
+    d = 1 if family == "sdof" else 3
+    X, kernel = _tuned_example(family, d, ard)
+    assert type(kernel) is FAMILIES[family]
+    doc = json.loads(json.dumps(kernel.to_dict()))
+    assert set(doc) == SAVED_KEYS[family] and doc["family"] == family
+    again = kernel_from_dict(doc)
+    np.testing.assert_array_equal(build_gram(again, X), build_gram(kernel, X))
+    for broken in ({**doc, "extra": 1.0}, {k: v for k, v in doc.items() if k != "family"},
+                   {k: v for k, v in list(doc.items())[:-1]}):
+        with pytest.raises(ValueError):
+            kernel_from_dict(broken)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_1d_density_is_the_d1_case(family):
+    _, kernel = _tuned_example(family, 1, False)
+    w = np.linspace(-5.0, 5.0, 11)
+    if family == "sdof":
+        with pytest.raises(ValueError):
+            spectral_density(kernel, w)
+        return
+    np.testing.assert_array_equal(spectral_density(kernel, w),
+                                  kernel.spectral_density((w**2)[:, None]))
+    assert spectral_density(kernel, 1.5) == kernel.spectral_density(np.array([[2.25]]))[0]

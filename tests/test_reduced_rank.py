@@ -204,6 +204,22 @@ class TestFitPredict:
         assert np.linalg.eigvalsh(C).min() >= -1e-10
 
 
+def test_zero_noise_variance_matches_exact_gp_with_fewer_points_than_modes():
+    # n = 3 < M = 64: the data pin only a 3-D subspace of the coefficients,
+    # so the posterior keeps the prior spread elsewhere
+    X = np.array([[-1.0], [0.0], [1.0]])
+    data = Dataset(X, np.array([0.3, -0.2, 0.5]))
+    domain = DomainSpec([3.0], basis_counts=64)
+    spec = SE(1.0, 0.5)
+    reduced = fit_reduced(data, domain, spec, noise_var=0.0)
+    exact = gp.fit_exact(data, BasisKernel(spectral_weights(eigenpairs(domain), spec)),
+                         noise_var=0.0)
+    X_star = np.array([[1.5], [-2.2], [0.0]])
+    _, var = predict_reduced(reduced, X_star)
+    assert var[0] > 0.5
+    np.testing.assert_allclose(var, gp.predict(exact, X_star).var, rtol=1e-6, atol=1e-9)
+
+
 def test_spectral_weights_match_1d_density():
     from shmgp.physics import spectral_density
 
