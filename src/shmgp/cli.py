@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,18 +24,12 @@ import numpy as np
 from . import model_io
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError, NumericalError
-from .experiments import OUTPUT_ROOT_ENV, _generated_frame, run_experiment
+from .experiments import _generated_frame, resolve_output_dir, run_experiment
 from .metrics import nmse
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _out_dir(arg, name: str) -> Path:
-    if arg is not None:
-        return Path(arg)
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / name
 
 
 def cmd_generate(args) -> int:
@@ -50,7 +43,7 @@ def cmd_generate(args) -> int:
         raise ConfigError("generator spec must be an object with a 'generator' key")
 
     frame = _generated_frame(spec)
-    out = _out_dir(args.output, f"{spec['generator']}-data")
+    out = resolve_output_dir(None, args.output, f"{spec['generator']}-data")
     out.mkdir(parents=True, exist_ok=True)
 
     if "columns" in frame:
@@ -77,16 +70,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    """``fit``, and ``latent-force``, which runs only latent_force configs."""
+    if args.command == "latent-force":
+        task = ExperimentConfig.from_json(args.config).task
+        if task != "latent_force":
+            raise ConfigError(f"latent-force subcommand requires task 'latent_force', got {task!r}")
     report = run_experiment(args.config, output_dir=args.output)
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return 0
-
-
-def cmd_latent_force(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    if config.task != "latent_force":
-        raise ConfigError(f"latent-force subcommand requires task 'latent_force', got {config.task!r}")
-    report = run_experiment(config, output_dir=args.output)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
@@ -95,44 +84,36 @@ def cmd_predict(args) -> int:
     doc, model = model_io.load_model(args.model_dir)
     header, data = model_io.read_csv(args.data)
 
-    kind = doc["type"]
-    if kind in ("exact_gp", "reduced_rank"):
-        try:
-            X = np.column_stack([data[:, header.index(c)] for c in doc["input_columns"]])
-        except ValueError as exc:
-            raise DataError(f"input column missing from {args.data}: {exc}") from exc
-        if kind == "exact_gp":
-            from .gp import predict
+    def column(name):
+        if name not in header:
+            raise DataError(f"column {name!r} missing from {args.data}")
+        return data[:, header.index(name)]
 
-            pred = predict(model, X)
-            mean, var = pred.mean, pred.var
-        else:
-            from .reduced_rank import predict_reduced
+    kind, target = doc["type"], doc.get("target")
+    inputs = np.column_stack([column(c) for c in doc["input_columns"]])
+    index = data[:, 0]
+    if kind == "exact_gp":
+        from .gp import predict
 
-            mean, var = predict_reduced(model, X)
-        index = data[:, 0]
+        pred = predict(model, inputs)
+        mean, var = pred.mean, pred.var
+    elif kind == "reduced_rank":
+        from .reduced_rank import predict_reduced
+
+        mean, var = predict_reduced(model, inputs)
     else:  # narx: one-step-ahead over a sequence file
         from .narx import SequenceData, predict_osa
 
-        try:
-            u = np.column_stack([data[:, header.index(c)] for c in doc["input_columns"]])
-            y = data[:, header.index(doc["target"])]
-        except ValueError as exc:
-            raise DataError(f"column missing from {args.data}: {exc}") from exc
-        t = data[:, 0]
-        dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
-        if len(t) > 1 and np.abs(np.diff(t) - dt).max() > 1e-6 * abs(dt):
+        dt = float(np.median(np.diff(index))) if len(index) > 1 else 1.0
+        if len(index) > 1 and np.abs(np.diff(index) - dt).max() > 1e-6 * abs(dt):
             raise DataError(f"{args.data}: lagged models need uniformly sampled time")
-        seq = SequenceData(u=u, y=y, dt=dt)
-        mean, var = predict_osa(model, seq)
-        index = t[model.config.first_index :]
+        mean, var = predict_osa(model, SequenceData(u=inputs, y=column(target), dt=dt))
+        index = index[model.config.first_index :]
 
-    columns = [index, mean, var]
-    header_out = ["time", "y_mean", "y_var"]
-    target = doc.get("target")
+    header_out, columns = ["time", "y_mean", "y_var"], [index, mean, var]
     if kind != "narx" and target in header:
         header_out = ["time", "y_true", "y_mean", "y_var"]
-        columns = [index, data[:, header.index(target)], mean, var]
+        columns = [index, column(target), mean, var]
 
     out = Path(args.output) if args.output else Path(args.model_dir) / "predictions.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -191,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("latent-force", help="run a latent force experiment")
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("-o", "--output", help="output directory override")
-    p.set_defaults(func=cmd_latent_force)
+    p.set_defaults(func=cmd_fit)
 
     return parser
 

@@ -35,22 +35,20 @@ from .generators import (
     simulate_sdof,
 )
 from .gp import Dataset
-from .kernels import FAMILIES, Kernel, kernel_from_dict
-from .means import ZeroMean
+from .kernels import FAMILIES, Kernel
+from .means import MeanFunction
 from .metrics import MetricsReport, nmse
 from .narx import (
-    BlackBox,
-    InputAugmentation,
     NarxConfig,
+    NarxMode,
     NarxModel,
-    ResidualMean,
     SequenceData,
     build_lag_matrix,
     coverage_metric,
     predict_osa,
     simulate_free_run,
+    training_data,
 )
-from .physics import MorisonMean, MorisonParams
 from .pso import PsoConfig
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
 from .statespace import StructuralModel, estimate_force
@@ -60,12 +58,12 @@ OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
 DEFAULT_FAMILY = "squared_exponential"  # when model.kernel names no family
 
 
-def resolve_output_dir(config: ExperimentConfig, override=None, default_name="experiment"):
-    """Output directory: explicit override > config > $SHMGP_OUTPUT_ROOT/<name>."""
+def resolve_output_dir(configured, override=None, default_name="experiment"):
+    """Output directory: override > configured output_dir > $SHMGP_OUTPUT_ROOT/<name>."""
     if override is not None:
         return Path(override)
-    if config.output_dir:
-        return Path(config.output_dir)
+    if configured:
+        return Path(configured)
     root = os.environ.get(OUTPUT_ROOT_ENV, ".")
     return Path(root) / default_name
 
@@ -81,7 +79,7 @@ def run_experiment(config, output_dir=None) -> MetricsReport:
     if not isinstance(config, ExperimentConfig):
         default_name = Path(config).stem
         config = ExperimentConfig.from_json(config)
-    out = resolve_output_dir(config, output_dir, default_name)
+    out = resolve_output_dir(config.output_dir, output_dir, default_name)
 
     runner = {
         "exact_gp": _run_exact_gp,
@@ -237,12 +235,13 @@ def _named_bounds(optimizer_cfg: dict | None) -> dict:
 # task runners
 
 
-def _config_kernel(kernel_cfg: dict) -> Kernel:
-    """A fixed kernel from ``model.kernel``; a bad entry is a ConfigError."""
+def _config_entry(group, where: str, name: str, entry: dict):
+    """The kernel family, mean form or NARX mode (``group``) given by config
+    ``entry``, tagged ``name`` unless it names one; a bad entry is a ConfigError."""
     try:
-        return kernel_from_dict({"family": DEFAULT_FAMILY, **kernel_cfg})
+        return group.from_dict({group.tag: name, **entry})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.kernel: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profile_mean=False):
@@ -269,7 +268,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
             **_pso_settings(config.optimizer, config.seed),
         )
         return result.model, result.params
-    kernel = _config_kernel(kernel_cfg)
+    kernel = _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, kernel_cfg)
     if noise_var in ("optimize", None):
         raise ConfigError("noise_var can only be optimised together with the kernel")
     if profile_mean:
@@ -280,11 +279,10 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
 
 def _build_mean(model_cfg: dict):
     """Mean function from config; 'linear_fit' asks for GLS-profiled coefficients."""
-    mean_cfg = dict(model_cfg.get("mean", {"form": "zero"}))
-    form = mean_cfg.get("form", "zero")
-    if form == "linear_fit":
+    mean_cfg = model_cfg.get("mean", {})
+    if mean_cfg == {"form": "linear_fit"}:
         return None, True
-    return model_io.mean_from_dict(mean_cfg), False
+    return _config_entry(MeanFunction, "model.mean", "zero", mean_cfg), False
 
 
 def _run_exact_gp(config: ExperimentConfig):
@@ -317,21 +315,6 @@ def _run_exact_gp(config: ExperimentConfig):
     return report, artifacts
 
 
-def _narx_mode(model_cfg: dict):
-    name = model_cfg.get("mode", "blackbox")
-    if name == "blackbox":
-        return BlackBox()
-    morison = model_cfg.get("morison")
-    if not morison:
-        raise ConfigError(f"mode {name!r} requires a 'morison' section with drag/inertia")
-    params = MorisonParams(drag=float(morison["drag"]), inertia=float(morison["inertia"]))
-    if name == "residual_morison":
-        return ResidualMean(params)
-    if name == "augmented_morison":
-        return InputAugmentation(params)
-    raise ConfigError(f"unknown NARX mode {name!r}")
-
-
 def _run_narx(config: ExperimentConfig):
     data_cfg = config.data
     if data_cfg.get("generator") != "wave":
@@ -349,12 +332,13 @@ def _run_narx(config: ExperimentConfig):
 
     model_cfg = config.model
     lags = model_cfg.get("lags", [4, 4])
-    cfg = NarxConfig(exog_lags=int(lags[0]), auto_lags=int(lags[1]), mode=_narx_mode(model_cfg))
+    # model.morison holds the drag/inertia coefficients, which only Morison modes take
+    mode = _config_entry(NarxMode, "model.mode/model.morison", model_cfg.get("mode", "blackbox"),
+                         model_cfg.get("morison", {}))
+    cfg = NarxConfig(exog_lags=int(lags[0]), auto_lags=int(lags[1]), mode=mode)
 
-    X_train, targets = build_lag_matrix(train_seq, cfg)
-    mean = MorisonMean(cfg.mode.morison) if isinstance(cfg.mode, ResidualMean) else ZeroMean()
-    narx_as_dataset = Dataset(X_train, targets)
-    gp_model, params = _fit_gp_model(config, narx_as_dataset, mean, dt=seq.dt)
+    train, mean = training_data(train_seq, cfg)
+    gp_model, params = _fit_gp_model(config, train, mean, dt=seq.dt)
     model = NarxModel(gp=gp_model, config=cfg, n_channels=seq.u.shape[1])
 
     evaluation = model_cfg.get("evaluation", "free_run")
@@ -375,7 +359,7 @@ def _run_narx(config: ExperimentConfig):
     report = MetricsReport(
         nmse_percent=nmse(test_targets, mean_pred),
         log_marginal_likelihood=gp_model.lml,
-        coverage_percent=coverage_metric(narx_as_dataset, Dataset(X_test, test_targets)),
+        coverage_percent=coverage_metric(train, Dataset(X_test, test_targets)),
         squared_errors=(test_targets - mean_pred) ** 2,
         extras={"task": "narx", "evaluation": evaluation, "level": level},
     )
@@ -414,7 +398,7 @@ def _run_reduced_rank(config: ExperimentConfig):
         basis_counts=domain_cfg.get("basis_counts", 32),
         max_total=domain_cfg.get("max_total"),
     )
-    kernel = _config_kernel(model_cfg.get("kernel", {}))
+    kernel = _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, model_cfg.get("kernel", {}))
     noise_var = float(model_cfg.get("noise_var", 1e-4))
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)

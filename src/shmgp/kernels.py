@@ -19,6 +19,8 @@ from math import gamma as gamma_fn
 
 import numpy as np
 
+from .registry import Registered
+
 
 def _as_matrix(X) -> np.ndarray:
     """Coerce to an (n, d) float matrix; 1-D input is read as n points in 1-D."""
@@ -37,12 +39,7 @@ def _require_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
 
-# family name -> class; each family's declaration adds it, and importing the
-# package imports every module that declares one
-FAMILIES: dict[str, type["Kernel"]] = {}
-
-
-class Kernel:
+class Kernel(Registered):
     """Interface shared by all covariance functions.
 
     A kernel family is one subclass declared with ``family="name"``; it owns
@@ -50,14 +47,7 @@ class Kernel:
     density, tuned hyperparameters and their default box.
     """
 
-    family = None
-    keys = ()
-
-    def __init_subclass__(cls, family: str | None = None, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if family is not None:
-            cls.family = family
-            FAMILIES[family] = cls
+    tag = "family"
 
     def gram(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """Covariance matrix between the rows of X (n, d) and X2 (m, d)."""
@@ -70,19 +60,10 @@ class Kernel:
     def check_input_dim(self, d: int) -> None:
         """Raise if the kernel cannot act on d-dimensional inputs."""
 
-    def to_dict(self) -> dict:
-        """JSON form: the family name plus one plain value per key."""
-        return {"family": self.family,
-                **{k: np.asarray(getattr(self, k), dtype=float).tolist() for k in self.keys}}
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "Kernel":
-        """Inverse of :meth:`to_dict`; accepts exactly the keys it writes."""
-        if doc.get("family") != cls.family or set(doc) != {"family", *cls.keys}:
-            raise ValueError(f"a {cls.family!r} kernel takes exactly the keys "
-                             f"{['family', *cls.keys]}, got {sorted(doc)}")
+    def from_values(cls, *values):
         # the values in key order, flattened, are the from_vector layout
-        return cls.from_vector(np.hstack([doc[k] for k in cls.keys]).astype(float))
+        return cls.from_vector(np.hstack(values).astype(float))
 
     def spectral_density(self, lam: np.ndarray) -> np.ndarray:
         """Spectral density at squared per-dimension frequencies ``lam`` (m, d),
@@ -239,19 +220,11 @@ def _pairwise_dist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return np.sqrt(_scaled_sqdist(X, X2, np.ones(X.shape[1])))
 
 
-def family_class(name: str) -> type[Kernel]:
-    """The kernel class registered under ``name``; ValueError if none is."""
-    if name not in FAMILIES:
-        raise ValueError(f"unknown kernel family {name!r}; expected one of {sorted(FAMILIES)}")
-    return FAMILIES[name]
-
-
-def kernel_from_dict(doc: dict) -> Kernel:
-    """Rebuild a kernel from its :meth:`Kernel.to_dict` form; ValueError if
-    the family is unknown or the keys are not exactly the family's."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a kernel is a JSON object, got {doc!r}")
-    return family_class(doc.get("family")).from_dict(doc)
+# family name -> class; importing the package imports every module that
+# declares a family.  The JSON form's reader raises ValueError on an unknown
+# family or a wrong set of keys.
+FAMILIES = Kernel.registry
+kernel_from_dict = Kernel.from_dict
 
 
 def kernel_eval(spec: Kernel, x, x_prime) -> float:

@@ -2,7 +2,8 @@
 
 A mean function maps an (n, d) input matrix to an n-vector of prior mean
 values.  Nonzero means are handled by the fitting routines through residual
-subtraction, so every mean here only needs to be evaluable.
+subtraction, so every mean here only needs to be evaluable.  The Morison
+mean lives in :mod:`shmgp.physics`.
 """
 
 from __future__ import annotations
@@ -11,16 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .registry import Registered
 
-class MeanFunction:
-    """Interface: calling with an (n, d) matrix returns an n-vector."""
+
+class MeanFunction(Registered):
+    """Interface: calling with an (n, d) matrix returns an n-vector.
+
+    A mean form is one subclass declared with ``form="name"``; it owns its
+    JSON form (``keys`` lists the entries besides ``form``).
+    """
+
+    tag = "form"
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class ZeroMean(MeanFunction):
+class ZeroMean(MeanFunction, form="zero"):
     """Identically-zero prior mean (the standard uninformed choice)."""
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
@@ -29,11 +38,12 @@ class ZeroMean(MeanFunction):
 
 
 @dataclass(frozen=True)
-class LinearMean(MeanFunction):
+class LinearMean(MeanFunction, form="linear"):
     """Affine prior mean m(x) = intercept + slope . x."""
 
     intercept: float
     slope: np.ndarray
+    keys = ("intercept", "slope")
 
     def __post_init__(self):
         object.__setattr__(self, "slope", np.atleast_1d(np.asarray(self.slope, dtype=float)))

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DataError
 from .gp import TrainedGp
 from .kernels import kernel_from_dict
-from .means import LinearMean, MeanFunction, ZeroMean
-from .narx import BlackBox, InputAugmentation, NarxConfig, NarxModel, ResidualMean
-from .physics import MorisonMean, MorisonParams
+from .means import MeanFunction
+from .narx import NarxConfig, NarxMode, NarxModel
 from .reduced_rank import DomainSpec, ReducedRankGp, eigenpairs, spectral_weights
 
 MODEL_JSON = "model.json"
@@ -73,50 +72,13 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def mean_to_dict(mean: MeanFunction) -> dict:
-    if isinstance(mean, ZeroMean):
-        return {"form": "zero"}
-    if isinstance(mean, LinearMean):
-        return {
-            "form": "linear",
-            "intercept": float(mean.intercept),
-            "slope": np.asarray(mean.slope).tolist(),
-        }
-    if isinstance(mean, MorisonMean):
-        return {
-            "form": "morison",
-            "drag": float(mean.params.drag),
-            "inertia": float(mean.params.inertia),
-        }
-    raise ValueError(f"cannot serialise mean {type(mean).__name__}")
-
-
-def mean_from_dict(doc: dict) -> MeanFunction:
-    form = doc.get("form", "zero")
-    if form == "zero":
-        return ZeroMean()
-    if form == "linear":
-        return LinearMean(intercept=doc["intercept"], slope=doc["slope"])
-    if form == "morison":
-        return MorisonMean(MorisonParams(drag=doc["drag"], inertia=doc["inertia"]))
-    raise DataError(f"unknown mean form {form!r}")
-
-
 def save_exact_gp(directory, model: TrainedGp, input_columns: list[str], target: str) -> None:
     _save(directory, "exact_gp", model, input_columns, target, GP_ARRAYS, **_gp_fields(model))
 
 
 def save_narx(directory, model: NarxModel, input_columns: list[str], target: str) -> None:
     cfg = model.config
-    if isinstance(cfg.mode, ResidualMean):
-        mode = {"name": "residual_morison", "drag": cfg.mode.morison.drag,
-                "inertia": cfg.mode.morison.inertia}
-    elif isinstance(cfg.mode, InputAugmentation):
-        mode = {"name": "augmented_morison", "drag": cfg.mode.morison.drag,
-                "inertia": cfg.mode.morison.inertia}
-    else:
-        mode = {"name": "blackbox"}
-    narx = {"exog_lags": cfg.exog_lags, "auto_lags": cfg.auto_lags, "mode": mode,
+    narx = {"exog_lags": cfg.exog_lags, "auto_lags": cfg.auto_lags, "mode": cfg.mode.to_dict(),
             "n_channels": model.n_channels}
     _save(directory, "narx", model.gp, input_columns, target, GP_ARRAYS,
           **_gp_fields(model.gp), narx=narx)
@@ -133,7 +95,7 @@ def save_reduced_rank(directory, model: ReducedRankGp, input_columns: list[str],
 
 
 def _gp_fields(model: TrainedGp) -> dict:
-    return {"mean": mean_to_dict(model.mean), "jitter": model.jitter, "lml": model.lml}
+    return {"mean": model.mean.to_dict(), "jitter": model.jitter, "lml": model.lml}
 
 
 def _save(directory, kind: str, model, input_columns, target: str, arrays: dict, **fields):
@@ -189,7 +151,7 @@ def _build_model(doc: dict, arrays: dict):
         sizes = {"d": len(doc["input_columns"])} if kind == "exact_gp" else {}
         gp_model = TrainedGp(
             kernel=kernel,
-            mean=mean_from_dict(doc["mean"]),
+            mean=MeanFunction.from_dict(doc["mean"]),
             noise_var=doc["noise_var"],
             jitter=doc["jitter"],
             lml=doc["lml"],
@@ -198,14 +160,8 @@ def _build_model(doc: dict, arrays: dict):
         if kind == "exact_gp":
             return gp_model
         spec = doc["narx"]
-        mode_doc = spec["mode"]
-        if mode_doc["name"] == "blackbox":
-            mode = BlackBox()
-        else:
-            params = MorisonParams(drag=mode_doc["drag"], inertia=mode_doc["inertia"])
-            mode = (ResidualMean(params) if mode_doc["name"] == "residual_morison"
-                    else InputAugmentation(params))
-        cfg = NarxConfig(exog_lags=spec["exog_lags"], auto_lags=spec["auto_lags"], mode=mode)
+        cfg = NarxConfig(exog_lags=spec["exog_lags"], auto_lags=spec["auto_lags"],
+                         mode=NarxMode.from_dict(spec["mode"]))
         return NarxModel(gp=gp_model, config=cfg, n_channels=spec["n_channels"])
     if kind == "reduced_rank":
         basis = spectral_weights(eigenpairs(DomainSpec(**doc["domain"])), kernel)

@@ -1,12 +1,9 @@
 """Dynamic GP regression in NARX form.
 
 A NARX regressor maps lagged exogenous inputs u_t ... u_{t-l_u} and lagged
-outputs y_{t-1} ... y_{t-l_y} to y_t.  Three grey-box modes are supported:
-
-* black box        -- GP on the lag vector alone;
-* residual mean    -- Morison's equation as prior mean over the current
-                      velocity/acceleration columns, GP models the residual;
-* input augmentation -- Morison output appended as an extra regressor.
+outputs y_{t-1} ... y_{t-l_y} to y_t.  A grey-box mode (:class:`NarxMode`)
+sets how physics enters: not at all (black box), as the prior mean
+(residual mean) or as an extra regressor (input augmentation).
 
 ``predict_osa`` uses measured output lags (one step ahead);
 ``simulate_free_run`` feeds posterior means back in place of measurements.
@@ -14,33 +11,76 @@ outputs y_{t-1} ... y_{t-l_y} to y_t.  Three grey-box modes are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import gp
 from .gp import Dataset, TrainedGp
 from .kernels import Kernel
-from .means import ZeroMean
+from .means import MeanFunction, ZeroMean
 from .physics import MorisonMean, MorisonParams, morison_force
+from .registry import Registered
+
+
+class NarxMode(Registered):
+    """How physics enters the model: a subclass declared with ``name="..."``
+    owns its JSON form, its prior mean, the ``n_extra`` regressor columns it
+    appends after the lags and the exogenous channels it needs."""
+
+    tag = "name"
+    n_extra = 0
+
+    @property
+    def mean(self) -> MeanFunction:
+        return ZeroMean()
+
+    def check_channels(self, c: int) -> None:
+        """Raise if the mode cannot work with c exogenous channels."""
+
+    def extra_columns(self, u: np.ndarray) -> np.ndarray:
+        """Appended columns for the rows whose current exogenous values are ``u`` (n, c)."""
+        return np.empty((u.shape[0], 0))
 
 
 @dataclass(frozen=True)
-class BlackBox:
-    pass
+class BlackBox(NarxMode, name="blackbox"):
+    """GP on the lag vector alone."""
 
 
 @dataclass(frozen=True)
-class ResidualMean:
+class _MorisonMode(NarxMode):
     morison: MorisonParams
+    keys = MorisonMean.keys
+
+    def check_channels(self, c):
+        if c != 2:
+            raise ValueError("Morison modes need exactly two exogenous channels "
+                             f"(velocity, acceleration), got {c}")
+
+    def values(self):
+        return astuple(self.morison)
+
+    @classmethod
+    def from_values(cls, drag, inertia):
+        return cls(MorisonParams(drag, inertia))
 
 
-@dataclass(frozen=True)
-class InputAugmentation:
-    morison: MorisonParams
+class ResidualMean(_MorisonMode, name="residual_morison"):
+    """Morison's equation as prior mean; the GP models the residual."""
+
+    @property
+    def mean(self):
+        return MorisonMean(self.morison)
 
 
-NarxMode = BlackBox | ResidualMean | InputAugmentation
+class InputAugmentation(_MorisonMode, name="augmented_morison"):
+    """Morison output appended as an extra regressor."""
+
+    n_extra = 1
+
+    def extra_columns(self, u):
+        return morison_force(self.morison, u[:, 0], u[:, 1])[:, None]
 
 
 @dataclass(frozen=True)
@@ -67,10 +107,7 @@ class NarxConfig:
         return max(self.exog_lags, self.auto_lags)
 
     def regressor_dim(self, n_channels: int) -> int:
-        d = (self.exog_lags + 1) * n_channels + self.auto_lags
-        if isinstance(self.mode, InputAugmentation):
-            d += 1
-        return d
+        return (self.exog_lags + 1) * n_channels + self.auto_lags + self.mode.n_extra
 
 
 @dataclass(frozen=True)
@@ -111,24 +148,14 @@ def build_lag_matrix(seq: SequenceData, cfg: NarxConfig) -> tuple[np.ndarray, np
     p = cfg.first_index
     if T <= p:
         raise ValueError(f"series of length {T} too short for lags ({cfg.exog_lags}, {cfg.auto_lags})")
-    _check_channels(seq, cfg)
+    cfg.mode.check_channels(seq.u.shape[1])
 
     t = np.arange(p, T)
     blocks = [seq.u[t - lag] for lag in range(cfg.exog_lags + 1)]
     blocks += [seq.y[t - lag, None] for lag in range(1, cfg.auto_lags + 1)]
-    if isinstance(cfg.mode, InputAugmentation):
-        extra = morison_force(cfg.mode.morison, seq.u[t, 0], seq.u[t, 1])
-        blocks.append(np.asarray(extra)[:, None])
+    blocks.append(cfg.mode.extra_columns(seq.u[t]))
     X = np.hstack(blocks)
     return X, seq.y[t].copy()
-
-
-def _check_channels(seq: SequenceData, cfg: NarxConfig) -> None:
-    if isinstance(cfg.mode, (ResidualMean, InputAugmentation)) and seq.u.shape[1] != 2:
-        raise ValueError(
-            "Morison modes need exactly two exogenous channels (velocity, acceleration), "
-            f"got {seq.u.shape[1]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -140,21 +167,24 @@ class NarxModel:
     n_channels: int
 
 
-def fit_narx(
-    seq: SequenceData, cfg: NarxConfig, kernel: Kernel, noise_var: float = 0.0
-) -> NarxModel:
-    """Fit the GP over lag regressors.
+def training_data(seq: SequenceData, cfg: NarxConfig) -> tuple[Dataset, MeanFunction]:
+    """What a NARX GP is fitted to: the lag regressors with their targets, and
+    the mode's prior mean.
 
     Residual-mean mode binds Morison's equation as the prior mean over the
     current (velocity, acceleration) columns, which is identical to fitting
     a zero-mean GP to the Morison-subtracted targets.
     """
     X, targets = build_lag_matrix(seq, cfg)
-    if isinstance(cfg.mode, ResidualMean):
-        mean = MorisonMean(cfg.mode.morison)
-    else:
-        mean = ZeroMean()
-    model = gp.fit_exact(Dataset(X, targets), kernel, mean=mean, noise_var=noise_var)
+    return Dataset(X, targets), cfg.mode.mean
+
+
+def fit_narx(
+    seq: SequenceData, cfg: NarxConfig, kernel: Kernel, noise_var: float = 0.0
+) -> NarxModel:
+    """Fit the GP with fixed hyperparameters to :func:`training_data`."""
+    data, mean = training_data(seq, cfg)
+    model = gp.fit_exact(data, kernel, mean=mean, noise_var=noise_var)
     return NarxModel(gp=model, config=cfg, n_channels=seq.u.shape[1])
 
 
@@ -196,13 +226,10 @@ def simulate_free_run(model: NarxModel, u: np.ndarray, y_init) -> np.ndarray:
 
     history = list(y_init)  # history[-1] is y_{t-1}
     out = np.empty(T - cfg.exog_lags)
-    augmented = isinstance(cfg.mode, InputAugmentation)
     for i, t in enumerate(range(cfg.exog_lags, T)):
         exog = u[t - cfg.exog_lags : t + 1][::-1].ravel()  # u_t first, then lags
         lags = history[-cfg.auto_lags :][::-1]  # y_{t-1} first
-        row = np.concatenate([exog, lags])
-        if augmented:
-            row = np.append(row, morison_force(cfg.mode.morison, u[t, 0], u[t, 1]))
+        row = np.concatenate([exog, lags, cfg.mode.extra_columns(u[t : t + 1])[0]])
         pred = gp.predict(model.gp, row.reshape(1, -1))
         out[i] = pred.mean[0]
         history.append(out[i])

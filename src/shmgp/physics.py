@@ -10,7 +10,7 @@ d-dimensional density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -70,8 +70,8 @@ class SdofKernel(Kernel, family="sdof"):
     params: SdofKernelParams
     keys = ("zeta", "omega_n", "sigma2")
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, **{k: float(getattr(self.params, k)) for k in self.keys}}
+    def values(self):
+        return [getattr(self.params, k) for k in self.keys]
 
     @classmethod
     def from_vector(cls, v):
@@ -121,11 +121,19 @@ def morison_force(params: MorisonParams, velocity, acceleration):
 
 
 @dataclass(frozen=True)
-class MorisonMean(MeanFunction):
+class MorisonMean(MeanFunction, form="morison"):
     """Morison force as a prior mean over regressors whose first two columns
     are the current wave velocity and acceleration."""
 
     params: MorisonParams
+    keys = ("drag", "inertia")
+
+    def values(self):
+        return astuple(self.params)
+
+    @classmethod
+    def from_values(cls, drag, inertia):
+        return cls(MorisonParams(drag, inertia))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -14,6 +14,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 @dataclass(frozen=True)
 class PsoConfig:
@@ -57,7 +59,8 @@ def pso_minimize(objective: Callable[[np.ndarray], float], cfg: PsoConfig) -> Ps
 
     The trace of global-best values is nonincreasing by construction, every
     evaluated position lies inside the box (positions are clamped after each
-    velocity step), and runs are deterministic for a fixed seed.
+    velocity step), and runs are deterministic for a fixed seed.  Raises
+    NumericalError when no evaluation is finite.
     """
     rng = np.random.default_rng(cfg.seed)
     bounds = cfg.bounds_array
@@ -96,6 +99,8 @@ def pso_minimize(objective: Callable[[np.ndarray], float], cfg: PsoConfig) -> Ps
             gbest_pos = pbest_pos[g].copy()
         trace[it] = gbest_val
 
+    if not np.isfinite(gbest_val):
+        raise NumericalError("no objective evaluation of the swarm was finite")
     return PsoResult(best_params=gbest_pos, best_value=gbest_val, trace=trace)
 
 

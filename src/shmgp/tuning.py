@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve
 
 from . import gp
 from .errors import NumericalError
-from .kernels import Kernel, build_gram, family_class
+from .kernels import Kernel, build_gram
 from .means import LinearMean, MeanFunction
 from .pso import PsoConfig, PsoResult, pso_minimize
 
@@ -51,7 +51,7 @@ def default_bounds(
 ) -> dict:
     """Likely hyperparameter ranges for a family, derived from the data."""
     y_var = max(float(np.var(data.outputs)), 1e-12)
-    box = family_class(family).default_bounds(data.inputs, y_var, ard, dt)
+    box = Kernel.member(family).default_bounds(data.inputs, y_var, ard, dt)
     box["noise_var"] = (1e-8 * y_var, y_var)
     return box
 
@@ -81,7 +81,7 @@ def tune_exact_gp(
     prior-mean coefficients are profiled out by GLS at every objective
     evaluation instead of being supplied through ``mean``.
     """
-    cls = family_class(family)
+    cls = Kernel.member(family)
     names = cls.tuning_names(data.inputs.shape[1], ard)
     n_kernel = len(names)
     box = default_bounds(family, data, ard=ard, dt=dt)

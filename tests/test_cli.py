@@ -21,6 +21,17 @@ FAST_CONFIG = {
               "mean": {"form": "linear_fit"}, "noise_var": 0.5},
 }
 
+FAST_NARX = {
+    "task": "narx",
+    "seed": 1,
+    "data": {"generator": "wave", "params": {"seed": 0, "segment": 120}, "level": 50},
+    "model": {"lags": [2, 2], "mode": "residual_morison",
+              "morison": {"drag": 1.0, "inertia": 0.8},
+              "kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                         "lengthscales": 1.0},
+              "noise_var": 1e-3, "evaluation": "osa"},
+}
+
 
 def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -103,6 +114,48 @@ class TestFit:
         doc = dict(FAST_CONFIG, model={**FAST_CONFIG["model"], "kernel": kernel})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, model", [
+        (FAST_CONFIG, {"mean": {"form": "bogus"}}),  # unknown form
+        (FAST_CONFIG, {"mean": {"form": "linear", "intercept": 1.0}}),  # no slope
+        (FAST_CONFIG, {"mean": {"form": "zero", "slope": [1.0]}}),  # extra key
+        (FAST_CONFIG, {"mean": ["zero"]}),  # not an object
+        (FAST_NARX, {"morison": {"drag": 1.0}}),  # no inertia
+        (FAST_NARX, {"morison": {"drag": 1.0, "inertia": 0.8, "mass": 2.0}}),  # extra key
+        (FAST_NARX, {"morison": {}}),  # Morison mode without coefficients
+        (FAST_NARX, {"mode": "blackbox"}),  # coefficients the mode would ignore
+        (FAST_NARX, {"mode": "bogus"}),  # unknown mode
+    ])
+    def test_bad_config_mean_or_mode_exits_2(self, tmp_path, base, model):
+        doc = dict(base, model={**base["model"], **model})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_good_narx_config_fits(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, FAST_NARX)), "-o", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["narx"]["mode"] == {
+            "name": "residual_morison", "drag": 1.0, "inertia": 0.8}
+
+    def test_all_infeasible_swarm_exits_4(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from shmgp import gp
+
+        fit_exact = gp.fit_exact
+
+        def nan_lml_fit(*args, **kwargs):
+            return dataclasses.replace(fit_exact(*args, **kwargs), lml=np.nan)
+
+        monkeypatch.setattr(gp, "fit_exact", nan_lml_fit)
+        doc = dict(FAST_CONFIG, model={"kernel": {"family": "squared_exponential",
+                                                  "optimize": True},
+                                       "noise_var": 0.5},
+                   optimizer={"particles": 4, "iterations": 2})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 4
         assert not out.exists()
 
     def test_numerical_failure_exits_4(self, tmp_path):
@@ -190,6 +243,20 @@ class TestCorruptModel:
         (fitted / "model.json").write_text(json.dumps(doc))
         assert self._predict(fitted) == 3
 
+    @pytest.mark.parametrize("mean", [
+        {"form": "linear", "intercept": 1.0},  # missing slope
+        {"form": "linear", "intercept": 1.0, "slope": [0.5], "scale": 2.0},  # extra key
+        {"form": "zero", "intercept": 1.0},  # extra key
+        {"form": "morison", "drag": 1.0},  # missing inertia
+        {"form": "bogus"},
+        {},
+    ])
+    def test_bad_saved_mean_exits_3(self, fitted, mean):
+        doc = json.loads((fitted / "model.json").read_text())
+        doc["mean"] = mean
+        (fitted / "model.json").write_text(json.dumps(doc))
+        assert self._predict(fitted) == 3
+
     @pytest.mark.parametrize("name, change", [
         ("alpha", None),
         ("alpha", lambda a: a[:-1]),
@@ -245,6 +312,25 @@ class TestPredictNarx:
         header, data = read_csv(out)
         assert header == ["time", "y_mean", "y_var"]
         assert data.shape[0] == len(t) - 2
+
+    @pytest.mark.parametrize("mode", [
+        {"name": "bogus", "drag": 1.0, "inertia": 0.5},
+        {"name": "blackbox", "drag": 1.0},  # extra key
+        {"name": "residual_morison", "drag": 1.0},  # missing inertia
+        {"name": "augmented_morison", "drag": 1.0, "inertia": 0.5, "mass": 1.0},
+        {"drag": 1.0, "inertia": 0.5},  # no name
+    ])
+    def test_bad_saved_mode_exits_3(self, tmp_path, mode):
+        from shmgp.model_io import write_csv
+
+        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["narx"]["mode"] = mode
+        (model_dir / "model.json").write_text(json.dumps(doc))
+        write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
+        assert main(["predict", str(model_dir), str(tmp_path / "seq.csv"),
+                     "-o", str(tmp_path / "osa.csv")]) == 3
+        assert not (tmp_path / "osa.csv").exists()
 
     def test_nonuniform_time_exits_3(self, tmp_path):
         from shmgp.model_io import write_csv

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shmgp.errors import NumericalError
 from shmgp.pso import PsoConfig, pso_minimize
 
 
@@ -79,3 +80,22 @@ def test_nonfinite_objective_treated_as_infinity():
     result = pso_minimize(patchy, cfg)
     assert np.isfinite(result.best_value)
     assert result.best_params[0] <= 0.0
+
+
+def test_all_infeasible_swarm_raises():
+    cfg = PsoConfig(bounds=[(-4, 4)] * 2, particles=5, iterations=3, seed=0)
+    with pytest.raises(NumericalError, match="finite"):
+        pso_minimize(lambda x: np.nan, cfg)
+
+
+def test_one_finite_evaluation_is_enough():
+    cfg = PsoConfig(bounds=[(-4, 4)], particles=5, iterations=3, seed=0)
+    calls = []
+
+    def first_only(x):
+        calls.append(x)
+        return 1.0 if len(calls) == 1 else np.inf
+
+    result = pso_minimize(first_only, cfg)
+    assert result.best_value == 1.0
+    np.testing.assert_array_equal(result.best_params, calls[0])

@@ -317,3 +317,16 @@ class TestEstimateForce:
         tuned = np.asarray(result.hyperparameters["noise_var"])
         assert tuned != 1e-4  # picked from the box, not the fallback
         assert 1e-6 <= float(tuned) <= 1.0
+
+    def test_all_infeasible_swarm_raises(self, monkeypatch):
+        from shmgp import statespace
+        from shmgp.pso import PsoConfig
+
+        class NanFilter:
+            log_likelihood = np.nan
+
+        monkeypatch.setattr(statespace, "kalman_filter", lambda model, Y: NanFilter())
+        structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
+        pso = PsoConfig(bounds=((0.1, 10.0), (0.1, 2.0)), particles=4, iterations=3, seed=0)
+        with pytest.raises(NumericalError):
+            estimate_force(structural, np.zeros((20, 1)), dt=0.05, optimizer=pso)
