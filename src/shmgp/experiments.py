@@ -277,18 +277,24 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
     return model, None
 
 
-def _build_mean(model_cfg: dict):
-    """Mean function from config; 'linear_fit' asks for GLS-profiled coefficients."""
+def _build_mean(model_cfg: dict, X: np.ndarray):
+    """Mean function over inputs X from config; 'linear_fit' asks for
+    GLS-profiled coefficients.  A mean that cannot act on X is a ConfigError."""
     mean_cfg = model_cfg.get("mean", {})
     if mean_cfg == {"form": "linear_fit"}:
         return None, True
-    return _config_entry(MeanFunction, "model.mean", "zero", mean_cfg), False
+    mean = _config_entry(MeanFunction, "model.mean", "zero", mean_cfg)
+    try:
+        mean(X)
+    except ValueError as exc:
+        raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
+    return mean, False
 
 
 def _run_exact_gp(config: ExperimentConfig):
     dataset, input_cols, target = _load_tabular(config.data)
     train, test, _, test_idx = _split(dataset, config.split)
-    mean, profile_mean = _build_mean(config.model)
+    mean, profile_mean = _build_mean(config.model, train.inputs)
     dt = None
     if dataset.timestamps is not None and len(dataset) > 1:
         dt = float(np.median(np.diff(dataset.timestamps)))
@@ -316,6 +322,9 @@ def _run_exact_gp(config: ExperimentConfig):
 
 
 def _run_narx(config: ExperimentConfig):
+    if "mean" in config.model:
+        raise ConfigError("model.mean does not apply to the narx task; "
+                          "model.mode sets the prior mean")
     data_cfg = config.data
     if data_cfg.get("generator") != "wave":
         raise ConfigError("narx task currently ingests the 'wave' generator")

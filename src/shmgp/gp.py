@@ -85,22 +85,33 @@ def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
 
     The jitter starts at 1e-10 mean(diag A) and grows tenfold up to
     1e-4 mean(diag A); failure beyond that signals genuinely
-    ill-conditioned hyperparameters rather than roundoff.
+    ill-conditioned hyperparameters rather than roundoff.  ``A`` itself is
+    left unchanged; a non-finite entry raises ``ValueError``.
     """
+    if not np.all(np.isfinite(A)):
+        raise ValueError("array must not contain infs or NaNs")
     base = float(np.mean(np.diag(A)))
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jitter = JITTER_START * base
-    eye = np.eye(A.shape[0])
+    # LAPACK's layout, so the factorisation runs in place on this copy
+    work = np.empty(A.shape, order="F")
     while jitter <= JITTER_MAX * base * (1.0 + 1e-12):
+        work[...] = A
+        add_to_diag(work, jitter)
         try:
-            L = cholesky(A + jitter * eye, lower=True)
+            L = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
             return L, jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
         f"Cholesky factorisation failed with jitter up to {JITTER_MAX:g} * mean diagonal"
     )
+
+
+def add_to_diag(A: np.ndarray, value: float) -> None:
+    """A += value * I, in place."""
+    A.flat[:: A.shape[0] + 1] += value
 
 
 def fit_exact(
@@ -121,11 +132,13 @@ def fit_exact(
     mean = mean if mean is not None else ZeroMean()
 
     X, y = data.inputs, data.outputs
-    K = build_gram(kernel, X)
-    A = K + noise_var * np.eye(len(data))
-    L, jitter = chol_with_jitter(A)
     residual = y - mean(X)
-    alpha = cho_solve((L, True), residual)
+    if not np.all(np.isfinite(residual)):
+        raise ValueError("prior mean is not finite at the training inputs")
+    K = build_gram(kernel, X)
+    add_to_diag(K, noise_var)
+    L, jitter = chol_with_jitter(K)
+    alpha = cho_solve((L, True), residual, check_finite=False)
     lml = _log_marginal(residual, alpha, L)
     return TrainedGp(
         kernel=kernel,
@@ -157,11 +170,15 @@ def log_marginal_likelihood(model: TrainedGp) -> float:
     return _log_marginal(model.residual, model.alpha, model.chol)
 
 
-def predict(model: TrainedGp, X_star, full_cov: bool = False) -> Prediction:
+def predict(
+    model: TrainedGp, X_star, full_cov: bool = False, mean_only: bool = False
+) -> Prediction:
     """Posterior mean and variance (optionally full covariance) at X_star.
 
     Variances are clamped at zero: subtraction cancellation may leave
-    values a hair below zero, which is roundoff rather than signal.
+    values a hair below zero, which is roundoff rather than signal.  With
+    ``mean_only`` the variance solve is skipped and ``var``/``cov`` are None;
+    the mean is the same, bit for bit.
     """
     X_star = _as_matrix(X_star)
     if X_star.shape[1] != model.X.shape[1]:
@@ -170,6 +187,8 @@ def predict(model: TrainedGp, X_star, full_cov: bool = False) -> Prediction:
         )
     Ks = build_gram(model.kernel, X_star, model.X)
     mean = model.mean(X_star) + Ks @ model.alpha
+    if mean_only:
+        return Prediction(mean=mean, var=None, cov=None)
     V = solve_triangular(model.chol, Ks.T, lower=True)
     var = model.kernel.diag(X_star) - np.sum(V * V, axis=0)
     np.clip(var, 0.0, None, out=var)

@@ -9,7 +9,8 @@ normalise input shapes and enforce dimension checks.
 
 Gram matrices are computed from explicit pairwise differences so that the
 square case is exactly symmetric and results do not depend on BLAS
-parallelism.
+parallelism.  They are built a block of rows at a time, in place, so a fit
+allocates the n x m matrix once and no per-dimension temporaries.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ class SquaredExponential(Kernel, family="squared_exponential"):
 
     def gram(self, X, X2):
         ell = np.broadcast_to(self.lengthscales, (X.shape[1],))
-        sqdist = _scaled_sqdist(X, X2, ell)
-        return self.signal_scale**2 * np.exp(-0.5 * sqdist)
+        K = _scaled_sqdist(X, X2, ell)
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= self.signal_scale**2
+        return K
 
     def diag(self, X):
         return np.full(X.shape[0], self.signal_scale**2)
@@ -187,8 +191,11 @@ class Matern12(_Matern, family="matern12"):
     nu = 0.5
 
     def gram(self, X, X2):
-        r = _pairwise_dist(X, X2)
-        return self.signal_scale**2 * np.exp(-r / self.lengthscale)
+        K = _pairwise_dist(X, X2)
+        K /= -self.lengthscale
+        np.exp(K, out=K)
+        K *= self.signal_scale**2
+        return K
 
 
 class Matern32(_Matern, family="matern32"):
@@ -197,22 +204,44 @@ class Matern32(_Matern, family="matern32"):
     nu = 1.5
 
     def gram(self, X, X2):
-        s = np.sqrt(3.0) * _pairwise_dist(X, X2) / self.lengthscale
-        return self.signal_scale**2 * (1.0 + s) * np.exp(-s)
+        s = _pairwise_dist(X, X2)
+        s *= np.sqrt(3.0)
+        s /= self.lengthscale
+        decay = np.negative(s)
+        np.exp(decay, out=decay)
+        s += 1.0
+        s *= self.signal_scale**2
+        s *= decay
+        return s
+
+
+# rows of the Gram matrix built together: a block and its difference buffer
+# stay in cache while every input dimension is added in
+GRAM_BLOCK_ROWS = 48
 
 
 def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """sum_k ((x_k - x'_k)/ell_k)^2, accumulated one dimension at a time.
+    """sum_k (x_k/ell_k - x'_k/ell_k)^2, accumulated one dimension at a time.
 
     Pairwise differences keep the square case exactly symmetric and the
     result independent of BLAS threading, unlike the dot-product identity.
+    Every entry is the same sum in the same order whichever block it falls
+    in, so ``X2`` passed as a copy of ``X`` gives the same bits as ``X``.
     """
-    sq = np.zeros((X.shape[0], X2.shape[0]))
-    for k in range(X.shape[1]):
-        dk = np.subtract.outer(X[:, k], X2[:, k])
-        dk /= ell[k]
-        np.square(dk, out=dk)
-        sq += dk
+    Z = np.ascontiguousarray((X / ell).T)
+    Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
+    sq = np.empty((X.shape[0], X2.shape[0]))
+    diff = np.empty((min(GRAM_BLOCK_ROWS, X.shape[0]), X2.shape[0]))
+    for start in range(0, X.shape[0], GRAM_BLOCK_ROWS):
+        block = sq[start : start + GRAM_BLOCK_ROWS]
+        d = diff[: block.shape[0]]
+        rows = slice(start, start + block.shape[0])
+        np.subtract.outer(Z[0, rows], Z2[0], out=block)
+        np.square(block, out=block)
+        for k in range(1, Z.shape[0]):
+            np.subtract.outer(Z[k, rows], Z2[k], out=d)
+            np.square(d, out=d)
+            block += d
     return sq
 
 

@@ -230,8 +230,7 @@ def simulate_free_run(model: NarxModel, u: np.ndarray, y_init) -> np.ndarray:
         exog = u[t - cfg.exog_lags : t + 1][::-1].ravel()  # u_t first, then lags
         lags = history[-cfg.auto_lags :][::-1]  # y_{t-1} first
         row = np.concatenate([exog, lags, cfg.mode.extra_columns(u[t : t + 1])[0]])
-        pred = gp.predict(model.gp, row.reshape(1, -1))
-        out[i] = pred.mean[0]
+        out[i] = gp.predict(model.gp, row.reshape(1, -1), mean_only=True).mean[0]
         history.append(out[i])
     return out
 

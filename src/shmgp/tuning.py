@@ -38,10 +38,11 @@ def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float) -> Linea
     bias the slope whenever the residual process correlates with an input).
     """
     X, y = data.inputs, data.outputs
-    K = build_gram(kernel, X) + noise_var * np.eye(len(data))
+    K = build_gram(kernel, X)
+    gp.add_to_diag(K, noise_var)
     L, _ = gp.chol_with_jitter(K)
     A = np.column_stack([np.ones(len(data)), X])
-    W = cho_solve((L, True), A)
+    W = cho_solve((L, True), A, check_finite=False)
     theta = np.linalg.solve(A.T @ W, W.T @ y)
     return LinearMean(intercept=float(theta[0]), slope=theta[1:])
 

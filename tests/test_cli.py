@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shmgp.cli import main
 from shmgp.model_io import read_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_CONFIG = {
     "task": "exact_gp",
@@ -129,6 +132,34 @@ class TestFit:
     ])
     def test_bad_config_mean_or_mode_exits_2(self, tmp_path, base, model):
         doc = dict(base, model={**base["model"], **model})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    @pytest.mark.parametrize("mean", [
+        {"form": "linear", "intercept": 1.0, "slope": [1.0, 2.0]},  # one input, two slopes
+        {"form": "morison", "drag": 1.0, "inertia": 0.5},  # needs two inputs
+    ])
+    def test_mean_that_does_not_fit_inputs_exits_2_before_any_fit(
+            self, tmp_path, monkeypatch, tuned, mean):
+        from shmgp import gp
+
+        fits = []
+        fit_exact = gp.fit_exact
+        monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1) or fit_exact(*a, **k))
+        base = (json.loads((CONFIGS / "trend_zero_mean.json").read_text()) if tuned
+                else FAST_CONFIG)
+        doc = dict(base, model={**base["model"], "mean": mean})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not fits
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mean", [{"form": "bogus"}, {"form": "zero"}])
+    def test_narx_config_with_mean_exits_2(self, tmp_path, mean):
+        # the NARX prior mean comes from model.mode
+        doc = dict(FAST_NARX, model={**FAST_NARX["model"], "mean": mean})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert not out.exists()
@@ -372,3 +403,12 @@ def test_console_script_help_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial adds about 9 MB of resident memory and 0.16 s to start-up
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, shmgp.cli; print('scipy.spatial' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

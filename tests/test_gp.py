@@ -5,7 +5,14 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from shmgp.errors import NumericalError
-from shmgp.gp import Dataset, chol_with_jitter, fit_exact, log_marginal_likelihood, predict
+from shmgp.gp import (
+    JITTER_START,
+    Dataset,
+    chol_with_jitter,
+    fit_exact,
+    log_marginal_likelihood,
+    predict,
+)
 from shmgp.kernels import SquaredExponential, build_gram
 from shmgp.means import LinearMean, ZeroMean
 
@@ -56,6 +63,30 @@ class TestFit:
         with pytest.raises(NumericalError):
             chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_jitter_ladder_leaves_matrix_unchanged(self):
+        # one eigenvalue of -1e-8: the first rungs fail, a later one succeeds
+        Q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
+        A = (Q * [1.0, 0.8, 0.5, 0.3, 0.1, -1e-8]) @ Q.T
+        A = 0.5 * (A + A.T)
+        before = A.copy()
+        L, jitter = chol_with_jitter(A)
+        assert jitter > 10.0 * JITTER_START * np.mean(np.diag(A))
+        np.testing.assert_array_equal(A, before)
+        np.testing.assert_allclose(L @ L.T, A + jitter * np.eye(6), atol=1e-12)
+
+    def test_nan_entry_raises_value_error(self):
+        A = np.eye(3)
+        A[2, 0] = np.nan
+        with pytest.raises(ValueError):
+            chol_with_jitter(A)
+
+    def test_fit_leaves_data_unchanged(self):
+        data, kernel, noise = _random_problem(4)
+        X, y = data.inputs.copy(), data.outputs.copy()
+        fit_exact(data, kernel, mean=LinearMean(0.5, [1.0, -1.0]), noise_var=noise)
+        np.testing.assert_array_equal(data.inputs, X)
+        np.testing.assert_array_equal(data.outputs, y)
+
 
 class TestPredict:
     def test_noise_free_interpolation(self):
@@ -95,6 +126,14 @@ class TestPredict:
         np.testing.assert_allclose(pred.mean, mean_oracle, rtol=1e-8, atol=1e-12)
         np.testing.assert_allclose(pred.cov, cov_oracle, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(pred.var, np.diag(cov_oracle), rtol=1e-8)
+
+    def test_mean_only_gives_the_same_mean(self):
+        data, kernel, noise = _random_problem(6)
+        model = fit_exact(data, kernel, mean=LinearMean(0.5, [1.0, -1.0]), noise_var=noise)
+        Xs = np.random.default_rng(1).uniform(-2, 2, size=(9, 2))
+        pred = predict(model, Xs, mean_only=True)
+        np.testing.assert_array_equal(pred.mean, predict(model, Xs).mean)
+        assert pred.var is None and pred.cov is None
 
     def test_variances_clamped_nonnegative(self):
         data, kernel, _ = _random_problem(3, n=25)

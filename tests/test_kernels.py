@@ -8,6 +8,7 @@ import pytest
 
 from shmgp.kernels import (
     FAMILIES,
+    GRAM_BLOCK_ROWS,
     Matern12,
     Matern32,
     SquaredExponential,
@@ -62,6 +63,32 @@ def test_gram_matches_entrywise_loop(spec):
     loop = np.array([[kernel_eval(spec, X[i], X[j]) for j in range(5)] for i in range(5)])
     np.testing.assert_allclose(K, loop, rtol=1e-13)
     np.testing.assert_array_equal(K, K.T)
+
+
+B = GRAM_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n, m, d", [
+    (1, None, 1), (B - 1, None, 3), (B, None, 3), (B + 1, None, 3),
+    (336, None, 14),  # the NARX tuning size
+    (B + 1, 7, 3), (2, 2 * B + 5, 2),  # cross Gram matrices
+])
+@pytest.mark.parametrize("spec", SPECS + [None])  # None: one lengthscale per dimension
+def test_blocked_gram_matches_entrywise_loop(spec, n, m, d):
+    """Row blocks of the Gram build: sizes on each side of a block boundary."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(n, d))
+    X2 = X if m is None else rng.normal(size=(m, d))
+    spec = spec or SquaredExponential(0.9, np.linspace(0.5, 3.0, d))
+    K = build_gram(spec, X) if m is None else build_gram(spec, X, X2)
+    # a loop over every entry takes seconds at 336 rows; there, check the rows
+    # on each side of the block boundaries
+    rows = range(n) if n < 100 else sorted({0, B - 1, B, B + 1, 2 * B, n - 1})
+    loop = np.array([[kernel_eval(spec, X[i], x2) for x2 in X2] for i in rows])
+    np.testing.assert_allclose(K[list(rows)], loop, rtol=1e-13)
+    if m is None:
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(K, build_gram(spec, X, X.copy()))
 
 
 def test_gram_single_point_is_signal_variance():

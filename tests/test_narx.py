@@ -166,6 +166,19 @@ class TestFreeRun:
         traj = simulate_free_run(model, np.zeros((10, 1)), y_init=[0.0])
         np.testing.assert_allclose(traj, 0.0, atol=1e-12)
 
+    def test_free_run_feeds_back_the_posterior_mean(self):
+        seq = _morison_sequence(seed=4)
+        cfg = NarxConfig(exog_lags=2, auto_lags=2, mode=InputAugmentation(MORISON))
+        model = fit_narx(seq, cfg, SquaredExponential(1.5, 1.5), noise_var=1e-4)
+        u = seq.u[:25]
+        traj = simulate_free_run(model, u, y_init=seq.y[:2])
+        history = list(seq.y[:2])
+        for t in range(2, 25):
+            row = np.concatenate([u[t - 2 : t + 1][::-1].ravel(), history[::-1][:2],
+                                  morison_force(MORISON, u[t, :1], u[t, 1:])])
+            history.append(gp.predict(model.gp, row[None]).mean[0])
+        np.testing.assert_array_equal(traj, history[2:])
+
     def test_free_run_matches_osa_on_noise_free_linear_system(self):
         seq = _ar1_sequence(n=40)
         cfg = NarxConfig(exog_lags=0, auto_lags=1, mode=BlackBox())
