@@ -52,7 +52,7 @@ def cmd_generate(args) -> int:
         model_io.write_csv(out / "data.csv", header, [cols[h] for h in header])
     elif "sim" in frame:
         sim = frame["sim"]
-        header = ["time"] + [f"{kind}_{dof}" for kind, dof in sim.observed] + ["force_true"]
+        header = ["time", *(f"{kind}_{dof}" for kind, dof in sim.structure.observed), "force_true"]
         columns = [sim.time] + [sim.observations[:, i] for i in range(sim.observations.shape[1])]
         columns.append(sim.force)
         model_io.write_csv(out / "data.csv", header, columns)

@@ -51,8 +51,8 @@ from .narx import (
 )
 from .pso import PsoConfig
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
-from .statespace import StructuralModel, estimate_force
-from .tuning import gls_linear_mean, tune_exact_gp
+from .statespace import estimate_force
+from .tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
 DEFAULT_FAMILY = "squared_exponential"  # when model.kernel names no family
@@ -111,9 +111,17 @@ def run_experiment(config, output_dir=None) -> MetricsReport:
 
 
 def _generated_frame(data_cfg: dict) -> dict:
-    """Run a generator spec into named columns (+ side information)."""
+    """Run a generator spec into named columns (+ side information).  A fault
+    in the spec is a ConfigError; a simulation that diverges is a DataError."""
     name = data_cfg.get("generator")
-    params = dict(data_cfg.get("params", {}))
+    try:
+        return _generate(name, dict(data_cfg.get("params", {})))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"data.params of generator {name!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _generate(name, params: dict) -> dict:
     if name == "trend":
         ds = generate_trend_series(**params)
         return {
@@ -150,12 +158,8 @@ def _generated_frame(data_cfg: dict) -> dict:
         train, test = generate_bounded_field(**params)
         return {"train": train, "test": test}
     if name == "mdof_chain":
-        force_cfg = dict(params.pop("force"))
-        n = force_cfg.pop("n_samples")
-        dt = params["dt"]
-        force = band_limited_force(n, dt, **force_cfg)
-        sim = simulate_mdof_chain(force=force, **params)
-        return {"sim": sim}
+        force = band_limited_force(dt=params["dt"], **params.pop("force"))
+        return {"sim": simulate_mdof_chain(force=force, **params)}
     raise ConfigError(f"unknown generator {name!r}")
 
 
@@ -219,15 +223,19 @@ def _pso_settings(optimizer_cfg: dict | None, seed: int) -> dict:
     cfg = dict(optimizer_cfg or {})
     cfg.pop("bounds", None)
     cfg.setdefault("seed", seed)
-    allowed = {"particles", "iterations", "inertia", "cognitive", "social", "seed"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown optimizer keys: {sorted(unknown)}")
+    try:  # the swarm's own checks of its settings, before any fit
+        PsoConfig(bounds=((0.0, 1.0),), **cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
     return cfg
 
 
-def _named_bounds(optimizer_cfg: dict | None) -> dict:
+def _named_bounds(optimizer_cfg: dict | None, tuned) -> dict:
     bounds = dict((optimizer_cfg or {}).get("bounds", {}))
+    unknown = set(bounds) - set(tuned)
+    if unknown:
+        raise ConfigError(f"optimizer.bounds names {sorted(unknown)} that this model does "
+                          f"not tune; expected some of {sorted(tuned)}")
     return {k: tuple(v) for k, v in bounds.items()}
 
 
@@ -263,7 +271,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
             profile_linear_mean=profile_mean,
             ard=ard,
             noise_var=None if noise_var in ("optimize", None) else float(noise_var),
-            bounds=_named_bounds(config.optimizer),
+            bounds=_named_bounds(config.optimizer, default_bounds(family, train, ard, dt)),
             dt=dt,
             **_pso_settings(config.optimizer, config.seed),
         )
@@ -433,37 +441,32 @@ def _run_latent_force(config: ExperimentConfig):
     data_cfg = config.data
     if data_cfg.get("generator") != "mdof_chain":
         raise ConfigError("latent_force task ingests the 'mdof_chain' generator")
-    frame = _generated_frame(data_cfg)
-    sim = frame["sim"]
-    params = data_cfg.get("params", {})
-
-    from .generators import _chain_matrix
-
-    structural = StructuralModel(
-        mass=np.diag(np.atleast_1d(np.asarray(params["masses"], dtype=float))),
-        damping=_chain_matrix(np.atleast_1d(np.asarray(params["dampings"], dtype=float))),
-        stiffness=_chain_matrix(np.atleast_1d(np.asarray(params["stiffnesses"], dtype=float))),
-        force_dof=int(params.get("force_dof", 0)),
-        observed=tuple(tuple(x) for x in params.get("observed", (("displacement", 0),))),
-    )
-
     model_cfg = config.model
+    unknown = set(model_cfg) - {"nu", "sigma", "lengthscale", "noise_var"}
+    if unknown:
+        raise ConfigError(f"unknown model keys for the latent_force task: {sorted(unknown)}")
+    matern = {c.nu: c for c in FAMILIES.values() if hasattr(c, "nu")}
+    try:
+        nu = float(model_cfg.get("nu", 1.5))
+        if nu not in matern:
+            raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
+        prior = matern[nu](float(model_cfg.get("sigma", 1.0)),
+                           float(model_cfg.get("lengthscale", 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
     optimizer = None
     if config.optimizer is not None:
-        bounds = _named_bounds(config.optimizer)
-        rows = [tuple(bounds.get("sigma", (1e-2, 1e2))),
-                tuple(bounds.get("lengthscale", (1e-2, 1e2)))]
-        if "noise_var" in bounds:
-            rows.append(tuple(bounds["noise_var"]))
-        optimizer = PsoConfig(bounds=tuple(rows),
+        # rows in estimate_force's order: sigma, lengthscale, then noise_var if tuned
+        bounds = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2), **_named_bounds(
+            config.optimizer, ("sigma", "lengthscale", "noise_var"))}
+        optimizer = PsoConfig(bounds=tuple(bounds.values()),
                               **_pso_settings(config.optimizer, config.seed))
+    sim = _generated_frame(data_cfg)["sim"]
     result = estimate_force(
-        structural,
+        sim.structure,
         sim.observations,
         dt=sim.dt,
-        nu=float(model_cfg.get("nu", 1.5)),
-        sigma=float(model_cfg.get("sigma", 1.0)),
-        lengthscale=float(model_cfg.get("lengthscale", 1.0)),
+        prior=prior,
         noise_var=model_cfg.get("noise_var", 1e-4),
         optimizer=optimizer,
     )

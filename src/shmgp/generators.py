@@ -22,10 +22,12 @@ from .errors import DataError
 from .gp import Dataset
 from .narx import SequenceData
 from .physics import MorisonParams, morison_force
+from .statespace import StructuralModel
 
 
-def _chain_matrix(values: np.ndarray) -> np.ndarray:
+def _chain_matrix(values) -> np.ndarray:
     """Tridiagonal chain matrix: element i couples dof i to dof i-1 (ground for i=0)."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     p = values.shape[0]
     A = np.zeros((p, p))
     for i in range(p):
@@ -131,14 +133,14 @@ def simulate_sdof(
 
 @dataclass
 class MdofSimulation:
-    """Chain simulation output: noiseless states, noisy observations, true force."""
+    """Chain simulation output: noiseless states, noisy observations, true force, structure."""
 
     time: np.ndarray
     displacements: np.ndarray
     velocities: np.ndarray
     accelerations: np.ndarray
     observations: np.ndarray
-    observed: tuple
+    structure: StructuralModel
     force: np.ndarray
     dt: float
 
@@ -159,23 +161,22 @@ def simulate_mdof_chain(
 ) -> MdofSimulation:
     """Chain of masses (tridiagonal stiffness/damping) driven at one dof.
 
-    ``observed`` lists (kind, dof) pairs mirroring the state-space side;
-    Gaussian noise of standard deviation ``noise_std`` (scalar or one value
-    per channel) corrupts those channels only.  The supplied force series is
-    the ground truth returned for scoring.
+    ``observed`` lists (kind, dof) pairs as in :class:`StructuralModel`, which
+    checks them and the layout; Gaussian noise of standard deviation
+    ``noise_std`` (scalar or one value per channel) corrupts those channels
+    only.  The supplied force series is the ground truth returned for scoring.
     """
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
-    p = masses.shape[0]
-    M = np.diag(masses)
-    C = _chain_matrix(np.atleast_1d(np.asarray(dampings, dtype=float)))
-    K = _chain_matrix(np.atleast_1d(np.asarray(stiffnesses, dtype=float)))
+    structure = StructuralModel(np.diag(np.atleast_1d(np.asarray(masses, dtype=float))),
+                                _chain_matrix(dampings), _chain_matrix(stiffnesses),
+                                force_dof, observed)
     force = np.asarray(force, dtype=float).reshape(-1)
-    F = np.zeros((force.shape[0], p))
+    F = np.zeros((force.shape[0], structure.ndof))
     F[:, force_dof] = force
+    M, C, K = structure.mass, structure.damping, structure.stiffness
     Y, V, A = _integrate(M, C, K, 0.0, F, dt, substeps, zoh=False, y0=y0, v0=v0)
 
     channels = []
-    for kind, dof in observed:
+    for kind, dof in structure.observed:
         source = {"displacement": Y, "velocity": V, "acceleration": A}[kind]
         channels.append(source[:, dof])
     clean = np.column_stack(channels)
@@ -189,7 +190,7 @@ def simulate_mdof_chain(
         velocities=V,
         accelerations=A,
         observations=obs,
-        observed=tuple(observed),
+        structure=structure,
         force=force,
         dt=dt,
     )

@@ -71,6 +71,12 @@ class Kernel(Registered):
         normalised to integrate to (2 pi)^d k(0)."""
         raise ValueError(f"no spectral density available for kernel {type(self).__name__}")
 
+    def state_space(self) -> tuple:
+        """Exact linear-SDE form ``(A, Lc, q, Pinf)`` of a 1-D kernel: the state
+        obeys dx = A x dt + Lc dW with Var(dW) = q dt, its first entry is the
+        GP value, and Pinf solves A P + P A' + Lc q Lc' = 0."""
+        raise ValueError(f"no state-space form available for kernel {type(self).__name__}")
+
     @classmethod
     def tuning_names(cls, d: int, ard: bool) -> list[str]:
         """Names of the tuned hyperparameters for d-dimensional inputs."""
@@ -197,6 +203,10 @@ class Matern12(_Matern, family="matern12"):
         K *= self.signal_scale**2
         return K
 
+    def state_space(self):
+        lam, s2 = 1.0 / self.lengthscale, self.signal_scale**2
+        return np.array([[-lam]]), np.array([[1.0]]), 2.0 * s2 * lam, np.array([[s2]])
+
 
 class Matern32(_Matern, family="matern32"):
     """k(r) = signal_scale^2 (1 + sqrt(3) r/l) exp(-sqrt(3) r/l)."""
@@ -213,6 +223,11 @@ class Matern32(_Matern, family="matern32"):
         s *= self.signal_scale**2
         s *= decay
         return s
+
+    def state_space(self):
+        lam, s2 = np.sqrt(3.0) / self.lengthscale, self.signal_scale**2
+        A = np.array([[0.0, 1.0], [-(lam**2), -2.0 * lam]])
+        return A, np.array([[0.0], [1.0]]), 4.0 * s2 * lam**3, np.diag([s2, s2 * lam**2])
 
 
 # rows of the Gram matrix built together: a block and its difference buffer

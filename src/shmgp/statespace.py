@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, expm, solve_continuous_lyapunov
 
 from .errors import NumericalError
+from .kernels import Kernel, Matern32
 from .pso import PsoConfig, pso_minimize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -103,36 +104,19 @@ class StateSpaceModel:
         return dataclasses.replace(self, R=np.atleast_2d(np.asarray(R, dtype=float)))
 
 
-def matern_to_ss(nu: float, sigma: float, lengthscale: float) -> StateSpaceModel:
-    """Exact linear-SDE form of a Matern-1/2 or -3/2 GP prior.
+def kernel_to_ss(kernel: Kernel) -> StateSpaceModel:
+    """Exact linear-SDE form of a GP prior whose kernel family has one
+    (:meth:`Kernel.state_space`), observed noise-free through its first state.
 
-    The drift is Hurwitz by construction and the stationary covariance
-    (used as the initial state covariance) solves the Lyapunov equation
-    A P + P A' + Lc q Lc' = 0 with P[0, 0] = sigma^2.
+    The drift is Hurwitz and the stationary covariance, used as the initial
+    state covariance, has P[0, 0] equal to the kernel variance.
     """
-    if sigma <= 0.0 or lengthscale <= 0.0:
-        raise ValueError("sigma and lengthscale must be positive")
-    if nu == 0.5:
-        lam = 1.0 / lengthscale
-        A = np.array([[-lam]])
-        Lc = np.array([[1.0]])
-        q = 2.0 * sigma**2 * lam
-        Pinf = np.array([[sigma**2]])
-    elif nu == 1.5:
-        lam = np.sqrt(3.0) / lengthscale
-        A = np.array([[0.0, 1.0], [-(lam**2), -2.0 * lam]])
-        Lc = np.array([[0.0], [1.0]])
-        q = 4.0 * sigma**2 * lam**3
-        Pinf = np.diag([sigma**2, sigma**2 * lam**2])
-    else:
-        raise ValueError(f"unsupported Matern smoothness nu={nu!r} (use 0.5 or 1.5)")
-    H = np.zeros((1, A.shape[0]))
-    H[0, 0] = 1.0
+    A, Lc, q, Pinf = kernel.state_space()
     return StateSpaceModel(
         A=A,
         Lc=Lc,
         q=q,
-        H=H,
+        H=np.eye(1, A.shape[0]),
         R=np.zeros((1, 1)),
         m0=np.zeros(A.shape[0]),
         P0=Pinf,
@@ -365,16 +349,10 @@ def smooth(model: StateSpaceModel, observations: np.ndarray) -> SmootherResult:
 
 
 def build_latent_force_model(
-    structural: StructuralModel,
-    dt: float,
-    nu: float,
-    sigma: float,
-    lengthscale: float,
-    noise_var,
+    structural: StructuralModel, dt: float, prior: Kernel, noise_var
 ) -> StateSpaceModel:
     """Augmented, discretized model with observation noise installed."""
-    fragment = matern_to_ss(nu, sigma, lengthscale)
-    model = augment(structural, fragment)
+    model = augment(structural, kernel_to_ss(prior))
     R = np.diag(np.broadcast_to(np.asarray(noise_var, dtype=float), (model.H.shape[0],)))
     return discretize(model.with_noise(R), dt)
 
@@ -383,19 +361,18 @@ def estimate_force(
     structural: StructuralModel,
     observations: np.ndarray,
     dt: float,
-    nu: float = 1.5,
-    sigma: float = 1.0,
-    lengthscale: float = 1.0,
+    prior: Kernel = Matern32(),
     noise_var=1e-4,
     optimizer: PsoConfig | None = None,
 ) -> SmootherResult:
-    """Joint input-state estimation of the unmeasured force.
+    """Joint input-state estimation of the unmeasured force under the GP
+    ``prior``, a kernel with a state-space form.
 
     With ``optimizer`` given, its bounds rows are read as natural-unit
-    ranges for (sigma, lengthscale) or (sigma, lengthscale, noise_var); the
-    parameters are sought in log10 space by maximising the filter
-    log-likelihood before the final smoothing pass.  The result records the
-    hyperparameters actually used.
+    ranges for (sigma, lengthscale) or (sigma, lengthscale, noise_var) of the
+    prior's family; the parameters are sought in log10 space by maximising
+    the filter log-likelihood before the final smoothing pass.  The result
+    records the hyperparameters actually used.
     """
     if optimizer is not None:
         bounds = optimizer.bounds_array
@@ -413,23 +390,23 @@ def estimate_force(
             v = 10.0**log_params
             r = v[2] if tune_noise else noise_var
             try:
-                model = build_latent_force_model(structural, dt, nu, v[0], v[1], r)
+                model = build_latent_force_model(structural, dt, type(prior)(v[0], v[1]), r)
                 return -kalman_filter(model, observations).log_likelihood
             except NumericalError:
                 return np.inf
 
         best = pso_minimize(objective, log_cfg)
         values = (10.0**best.best_params).tolist()
-        sigma, lengthscale = values[0], values[1]
+        prior = type(prior)(values[0], values[1])
         if tune_noise:
             noise_var = values[2]
 
-    model = build_latent_force_model(structural, dt, nu, sigma, lengthscale, noise_var)
+    model = build_latent_force_model(structural, dt, prior, noise_var)
     result = smooth(model, observations)
     result.hyperparameters = {
-        "nu": nu,
-        "sigma": float(sigma),
-        "lengthscale": float(lengthscale),
+        "nu": prior.nu,
+        "sigma": float(prior.signal_scale),
+        "lengthscale": float(prior.lengthscale),
         "noise_var": np.asarray(noise_var, dtype=float).tolist(),
     }
     return result

@@ -39,7 +39,7 @@ from shmgp.physics import (
 )
 from shmgp.pso import PsoConfig, pso_minimize
 from shmgp.reduced_rank import DomainSpec, approx_gram, eigenpairs, fit_reduced, predict_reduced
-from shmgp.statespace import discretize, matern_to_ss, smooth
+from shmgp.statespace import discretize, kernel_to_ss, smooth
 from shmgp.tuning import tune_exact_gp
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -124,7 +124,7 @@ def test_acceptance_batch_state_space_duality(nu, kernel_cls):
     batch = gp.fit_exact(Dataset(t.reshape(-1, 1), y), spec, noise_var=noise)
     batch_mean = gp.predict(batch, t.reshape(-1, 1)).mean
 
-    model = discretize(matern_to_ss(nu, sigma, ell).with_noise([[noise]]), dt)
+    model = discretize(kernel_to_ss(spec).with_noise([[noise]]), dt)
     result = smooth(model, y.reshape(-1, 1))
 
     mean_err = np.abs(result.smoothed_means[:, 0] - batch_mean).max() / np.abs(batch_mean).max()

@@ -35,6 +35,36 @@ FAST_NARX = {
               "noise_var": 1e-3, "evaluation": "osa"},
 }
 
+FAST_FORCE = {
+    "task": "latent_force",
+    "seed": 0,
+    "data": {"generator": "mdof_chain",
+             "params": {"masses": [1.0, 1.0], "dampings": [0.5, 0.5], "stiffnesses": [8.0, 6.0],
+                        "dt": 0.05, "observed": [["displacement", 1]], "noise_std": 0.001,
+                        "seed": 3, "force": {"n_samples": 80, "seed": 4}}},
+    "model": {"nu": 1.5, "sigma": 2.0, "lengthscale": 0.6, "noise_var": 1e-06},
+}
+
+# generator specs whose params the generator cannot run, as
+# (generator spec, change to its params; None removes the parameter)
+BAD_GENERATOR_PARAMS = [
+    pytest.param(FAST_CONFIG["data"], {"bogus": 1}, id="trend-misspelt-param"),
+    pytest.param(FAST_FORCE["data"], {"masses": None}, id="mdof-no-masses"),
+    pytest.param(FAST_FORCE["data"], {"force": None}, id="mdof-no-force"),
+    pytest.param(FAST_FORCE["data"], {"force": {"seed": 4}}, id="mdof-no-n_samples"),
+    pytest.param(FAST_FORCE["data"], {"observed": [["strain", 0]]}, id="mdof-strain"),
+    pytest.param(FAST_FORCE["data"], {"observed": [["displacement", 2]]}, id="mdof-observed-dof"),
+    pytest.param(FAST_FORCE["data"], {"force_dof": 5}, id="mdof-force_dof"),
+    pytest.param(FAST_FORCE["data"], {"dampings": [0.5]}, id="mdof-one-damper"),
+]
+
+TREND = json.loads((CONFIGS / "trend_zero_mean.json").read_text())
+
+
+def _bad_params(spec, change):
+    params = {**spec["params"], **change}
+    return {**spec, "params": {k: v for k, v in params.items() if v is not None}}
+
 
 def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -65,6 +95,32 @@ class TestGenerate:
         header, data = read_csv(out / "data.csv")
         assert header == ["time", "displacement_0", "force_true"]
         assert data.shape == (100, 3)
+
+    @pytest.mark.parametrize("spec", sorted(p.name for p in CONFIGS.glob("generate_*.json")))
+    def test_shipped_spec_writes_expected_header(self, tmp_path, capsys, spec):
+        headers = {
+            "generate_mdof.json": ["time", "displacement_0", "displacement_1",
+                                   "displacement_2", "force_true"],
+            "generate_wave.json": ["time", "U", "Udot", "y"],
+        }
+        out = tmp_path / "data"
+        assert main(["generate", str(CONFIGS / spec), "-o", str(out)]) == 0
+        assert read_csv(out / "data.csv")[0] == headers[spec]
+
+    @pytest.mark.parametrize("spec, change", BAD_GENERATOR_PARAMS)
+    def test_bad_generator_params_exit_2(self, tmp_path, capsys, spec, change):
+        path = _write_config(tmp_path, _bad_params(spec, change), "gen.json")
+        out = tmp_path / "data"
+        assert main(["generate", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_diverged_simulation_exits_3(self, tmp_path):
+        spec = _write_config(tmp_path, {
+            "generator": "sdof_oscillator",
+            "params": {"m": 1.0, "c": 0.0, "k": 1e6, "forcing": 1.0, "dt": 0.5,
+                       "n_samples": 200}}, "gen.json")
+        assert main(["generate", str(spec), "-o", str(tmp_path / "data")]) == 3
 
     def test_output_root_env_used(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHMGP_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -162,6 +218,70 @@ class TestFit:
         doc = dict(FAST_NARX, model={**FAST_NARX["model"], "mean": mean})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, change", BAD_GENERATOR_PARAMS)
+    def test_bad_generator_params_exit_2(self, tmp_path, spec, change):
+        base = FAST_CONFIG if spec is FAST_CONFIG["data"] else FAST_FORCE
+        doc = dict(base, data=_bad_params(spec, change))
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"bogus": 1},
+        {"nu": 2.5},  # no Matern family with this smoothness
+        {"nu": "smooth"},
+        {"sigma": 0.0},
+        {"sigma": -1.0},
+        {"lengthscale": 0.0},
+    ], ids=["unknown-key", "nu-2.5", "nu-string", "sigma-0", "sigma-negative", "lengthscale-0"])
+    def test_bad_latent_force_model_exits_2(self, tmp_path, model):
+        doc = dict(FAST_FORCE, model={**FAST_FORCE["model"], **model})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nu, family", [(0.5, "matern12"), (1.5, "matern32")])
+    def test_latent_force_nu_picks_the_matern_family(self, tmp_path, monkeypatch, nu, family):
+        from shmgp import experiments
+
+        priors = []
+        estimate_force = experiments.estimate_force
+        monkeypatch.setattr(experiments, "estimate_force",
+                            lambda *a, **k: priors.append(k["prior"]) or estimate_force(*a, **k))
+        doc = dict(FAST_FORCE, model={**FAST_FORCE["model"], "nu": nu})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        assert [p.family for p in priors] == [family]
+        assert json.loads((out / "metrics.json").read_text())["hyperparameters"]["nu"] == nu
+
+    # a trend fit tunes signal_scale, lengthscale and noise_var; a latent-force
+    # fit tunes sigma, lengthscale and noise_var
+    @pytest.mark.parametrize("base, optimizer", [
+        pytest.param(TREND, {"bounds": {"lengthscal": [0.1, 10.0]}}, id="trend-lengthscal"),
+        pytest.param(TREND, {"bounds": {"sigma": [0.1, 10.0]}}, id="trend-sigma"),
+        pytest.param(TREND, {"particles": 0}, id="trend-particles-0"),
+        pytest.param(TREND, {"iterations": 0}, id="trend-iterations-0"),
+        pytest.param(TREND, {"bogus": 1}, id="trend-unknown-key"),
+        pytest.param(FAST_FORCE, {"bounds": {"nosie_var": [1e-8, 1e-4]}}, id="force-nosie_var"),
+        pytest.param(FAST_FORCE, {"bounds": {"signal_scale": [0.1, 10.0]}},
+                     id="force-signal_scale"),
+        pytest.param(FAST_FORCE, {"particles": 0}, id="force-particles-0"),
+    ])
+    def test_bad_optimizer_exits_2_before_any_fit(self, tmp_path, monkeypatch, base, optimizer):
+        from shmgp import gp, statespace
+
+        fits = []
+        fit_exact, kalman_filter = gp.fit_exact, statespace.kalman_filter
+        monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1) or fit_exact(*a, **k))
+        monkeypatch.setattr(statespace, "kalman_filter",
+                            lambda *a, **k: fits.append(1) or kalman_filter(*a, **k))
+        settings = {"particles": 2, "iterations": 1}
+        doc = dict(base, optimizer={**settings, **(base.get("optimizer") or {}), **optimizer})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not fits
         assert not out.exists()
 
     def test_good_narx_config_fits(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from shmgp import gp
 from shmgp.errors import NumericalError
 from shmgp.gp import Dataset
-from shmgp.kernels import Matern12, Matern32, build_gram
+from shmgp.kernels import Kernel, Matern12, Matern32, build_gram
 from shmgp.statespace import (
     FilterResult,
     StateSpaceModel,
@@ -17,29 +17,32 @@ from shmgp.statespace import (
     discretize,
     estimate_force,
     kalman_filter,
-    matern_to_ss,
+    kernel_to_ss,
     rts_smoother,
     smooth,
     stationary_covariance,
 )
 
 
+MATERN = {0.5: Matern12, 1.5: Matern32}
+
+
 class TestMaternToSs:
     def test_matern12_scalar_lyapunov(self):
         # nu=1/2, sigma=1, l=2: A=[-0.5], q=1, stationary P solves -2*0.5*P + q = 0
-        frag = matern_to_ss(0.5, 1.0, 2.0)
+        frag = kernel_to_ss(Matern12(1.0, 2.0))
         np.testing.assert_allclose(frag.A, [[-0.5]])
         assert frag.q == pytest.approx(1.0)
         np.testing.assert_allclose(frag.P0, [[1.0]])
 
     @pytest.mark.parametrize("nu", [0.5, 1.5])
     def test_drift_is_hurwitz(self, nu):
-        frag = matern_to_ss(nu, 1.3, 0.7)
+        frag = kernel_to_ss(MATERN[nu](1.3, 0.7))
         assert np.all(np.linalg.eigvals(frag.A).real < 0.0)
 
     @pytest.mark.parametrize("nu", [0.5, 1.5])
     def test_stationary_covariance_solves_lyapunov(self, nu):
-        frag = matern_to_ss(nu, 1.4, 2.2)
+        frag = kernel_to_ss(MATERN[nu](1.4, 2.2))
         Qc = frag.q * frag.Lc @ frag.Lc.T
         residual = frag.A @ frag.P0 + frag.P0 @ frag.A.T + Qc
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
@@ -49,30 +52,54 @@ class TestMaternToSs:
     @pytest.mark.parametrize("nu,kernel", [(0.5, Matern12), (1.5, Matern32)])
     def test_discrete_autocovariance_matches_kernel(self, nu, kernel):
         sigma, ell, dt = 1.2, 0.9, 0.3
-        frag = matern_to_ss(nu, sigma, ell)
-        model = discretize(frag, dt)
         spec = kernel(signal_scale=sigma, lengthscale=ell)
+        assert spec.nu == nu
+        frag = kernel_to_ss(spec)
+        model = discretize(frag, dt)
         P = frag.P0
         for k in range(11):
             lagcov = (np.linalg.matrix_power(model.Ad, k) @ P)[0, 0]
             expected = build_gram(spec, [[0.0]], [[k * dt]])[0, 0]
             assert lagcov == pytest.approx(expected, abs=1e-8)
 
-    def test_unsupported_smoothness(self):
+
+def _example(family):
+    # every key at 0.9 is a valid kernel of every family
+    return family.from_values(*[0.9] * len(family.keys))
+
+
+@pytest.mark.parametrize("name", sorted(Kernel.registry))
+def test_family_state_space_contract(name):
+    kernel = _example(Kernel.registry[name])
+    if type(kernel).state_space is Kernel.state_space:  # the family has no SDE form
         with pytest.raises(ValueError):
-            matern_to_ss(2.5, 1.0, 1.0)
+            kernel_to_ss(kernel)
+        return
+    frag = kernel_to_ss(kernel)
+    assert np.all(np.linalg.eigvals(frag.A).real < 0.0)
+    assert frag.P0[0, 0] == pytest.approx(kernel.diag(np.zeros((1, 1)))[0], rel=1e-12)
+    Qc = frag.q * frag.Lc @ frag.Lc.T
+    residual = frag.A @ frag.P0 + frag.P0 @ frag.A.T + Qc
+    np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+    np.testing.assert_allclose(stationary_covariance(frag), frag.P0, atol=1e-10)
+    dt = 0.3
+    model = discretize(frag, dt)
+    for k in range(11):
+        lagcov = (np.linalg.matrix_power(model.Ad, k) @ frag.P0)[0, 0]
+        expected = build_gram(kernel, [[0.0]], [[k * dt]])[0, 0]
+        assert lagcov == pytest.approx(expected, abs=1e-8)
 
 
 class TestAugment:
     def test_free_particle_companion_form(self):
         structural = StructuralModel(mass=[[1.0]], damping=[[0.0]], stiffness=[[0.0]])
-        model = augment(structural, matern_to_ss(0.5, 1.0, 1.0))
+        model = augment(structural, kernel_to_ss(Matern12(1.0, 1.0)))
         np.testing.assert_allclose(model.A[:2, :2], [[0.0, 1.0], [0.0, 0.0]])
 
     def test_structural_eigenvalues_match_characteristic_polynomial(self):
         m, c, k = 2.0, 0.6, 8.0
         structural = StructuralModel(mass=[[m]], damping=[[c]], stiffness=[[k]])
-        model = augment(structural, matern_to_ss(1.5, 1.0, 1.0))
+        model = augment(structural, kernel_to_ss(Matern32(1.0, 1.0)))
         eig = np.linalg.eigvals(model.A[:2, :2])
         for s in eig:
             assert abs(m * s**2 + c * s + k) == pytest.approx(0.0, abs=1e-9)
@@ -81,7 +108,7 @@ class TestAugment:
         structural = StructuralModel(
             mass=np.eye(2), damping=0.1 * np.eye(2), stiffness=[[2.0, -1.0], [-1.0, 2.0]]
         )
-        model = augment(structural, matern_to_ss(1.5, 1.0, 1.0))
+        model = augment(structural, kernel_to_ss(Matern32(1.0, 1.0)))
         np.testing.assert_array_equal(model.A[4:, :4], 0.0)
         assert model.force_index == 4
         assert model.state_dim == 2 * 2 + 2
@@ -92,7 +119,7 @@ class TestAugment:
             mass=[[m]], damping=[[c]], stiffness=[[k]],
             observed=(("acceleration", 0),),
         )
-        frag = matern_to_ss(0.5, 1.0, 1.0)
+        frag = kernel_to_ss(Matern12(1.0, 1.0))
         model = augment(structural, frag)
         np.testing.assert_allclose(model.H, [[-k / m, -c / m, 1.0 / m]])
 
@@ -101,7 +128,7 @@ class TestAugment:
             mass=np.eye(2), damping=np.zeros((2, 2)), stiffness=np.eye(2),
             observed=(("displacement", 1), ("velocity", 0)),
         )
-        model = augment(structural, matern_to_ss(0.5, 1.0, 1.0))
+        model = augment(structural, kernel_to_ss(Matern12(1.0, 1.0)))
         np.testing.assert_array_equal(model.H[0, :4], [0.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(model.H[1, :4], [0.0, 0.0, 1.0, 0.0])
 
@@ -130,7 +157,7 @@ class TestDiscretize:
 
     def test_process_noise_matches_quadrature(self):
         # 128-point Gauss-Legendre quadrature of the noise integral
-        frag = matern_to_ss(1.5, 1.1, 0.8)
+        frag = kernel_to_ss(Matern32(1.1, 0.8))
         dt = 0.37
         disc = discretize(frag, dt)
         Qc = frag.q * frag.Lc @ frag.Lc.T
@@ -143,7 +170,7 @@ class TestDiscretize:
         np.testing.assert_allclose(disc.Qd, Q_quad, atol=1e-8)
 
     def test_transition_matches_power_series(self):
-        frag = matern_to_ss(1.5, 1.0, 0.6)
+        frag = kernel_to_ss(Matern32(1.0, 0.6))
         dt = 0.2
         disc = discretize(frag, dt)
         series = np.eye(2)
@@ -155,7 +182,7 @@ class TestDiscretize:
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            discretize(matern_to_ss(0.5, 1.0, 1.0), 0.0)
+            discretize(kernel_to_ss(Matern12(1.0, 1.0)), 0.0)
 
 
 def _scalar_model(ad=0.8, qd=0.5, r=0.2, p0=1.0):
@@ -207,7 +234,7 @@ class TestKalmanFilter:
         np.testing.assert_allclose(gappy.means[1], model.Ad @ full.means[0])
 
     def test_undiscretized_model_rejected(self):
-        frag = matern_to_ss(0.5, 1.0, 1.0)
+        frag = kernel_to_ss(Matern12(1.0, 1.0))
         with pytest.raises(ValueError):
             kalman_filter(frag, np.zeros((3, 1)))
 
@@ -219,7 +246,7 @@ class TestKalmanFilter:
         )
         rng = np.random.default_rng(0)
         Y = rng.standard_normal((40, 2))
-        base = build_latent_force_model(structural, 0.05, 1.5, 1.0, 1.0, [0.01, 0.02])
+        base = build_latent_force_model(structural, 0.05, Matern32(), [0.01, 0.02])
         ll = kalman_filter(base, Y).log_likelihood
 
         swapped = StructuralModel(
@@ -227,7 +254,7 @@ class TestKalmanFilter:
             stiffness=[[3.0, -1.0], [-1.0, 2.0]],
             observed=(("displacement", 1), ("displacement", 0)),
         )
-        model2 = build_latent_force_model(swapped, 0.05, 1.5, 1.0, 1.0, [0.02, 0.01])
+        model2 = build_latent_force_model(swapped, 0.05, Matern32(), [0.02, 0.01])
         ll2 = kalman_filter(model2, Y[:, ::-1]).log_likelihood
         assert ll2 == pytest.approx(ll, rel=1e-12)
 
@@ -241,7 +268,7 @@ class TestRtsSmoother:
 
     def test_smoothed_variance_never_exceeds_filtered(self):
         rng = np.random.default_rng(3)
-        model = discretize(matern_to_ss(1.5, 1.0, 0.8).with_noise([[0.05]]), 0.1)
+        model = discretize(kernel_to_ss(Matern32(1.0, 0.8)).with_noise([[0.05]]), 0.1)
         result = smooth(model, rng.standard_normal((60, 1)))
         filt_diag = np.diagonal(result.filtered_covs, axis1=1, axis2=2)
         smth_diag = np.diagonal(result.smoothed_covs, axis1=1, axis2=2)
@@ -249,7 +276,7 @@ class TestRtsSmoother:
 
     def test_covariances_symmetric(self):
         rng = np.random.default_rng(4)
-        model = discretize(matern_to_ss(1.5, 1.0, 0.5).with_noise([[0.1]]), 0.2)
+        model = discretize(kernel_to_ss(Matern32(1.0, 0.5)).with_noise([[0.1]]), 0.2)
         result = smooth(model, rng.standard_normal((30, 1)))
         for P in result.smoothed_covs:
             assert np.abs(P - P.T).max() <= 1e-10
@@ -262,13 +289,14 @@ class TestRtsSmoother:
         t = np.arange(n) * dt
         sigma, ell = 1.3, 0.7
         spec = kernel(signal_scale=sigma, lengthscale=ell)
+        assert spec.nu == nu
         K = build_gram(spec, t.reshape(-1, 1)) + noise * np.eye(n)
         y = np.linalg.cholesky(K + 1e-12 * np.eye(n)) @ rng.standard_normal(n)
 
         batch = gp.fit_exact(Dataset(t.reshape(-1, 1), y), spec, noise_var=noise)
         batch_mean = gp.predict(batch, t.reshape(-1, 1)).mean
 
-        model = discretize(matern_to_ss(nu, sigma, ell).with_noise([[noise]]), dt)
+        model = discretize(kernel_to_ss(spec).with_noise([[noise]]), dt)
         result = smooth(model, y.reshape(-1, 1))
 
         scale = np.abs(batch_mean).max()
@@ -284,7 +312,7 @@ class TestEstimateForce:
             observed=(("displacement", 0),),
         )
         result = estimate_force(structural, np.zeros((50, 1)), dt=0.05,
-                                nu=1.5, sigma=1.0, lengthscale=0.5, noise_var=1e-4)
+                                prior=Matern32(1.0, 0.5), noise_var=1e-4)
         np.testing.assert_allclose(result.force_mean, 0.0, atol=1e-10)
 
     def test_doubling_noise_never_decreases_force_variance(self):
@@ -301,9 +329,25 @@ class TestEstimateForce:
     def test_records_hyperparameters(self):
         structural = StructuralModel(mass=[[1.0]], damping=[[0.2]], stiffness=[[2.0]])
         result = estimate_force(structural, np.zeros((10, 1)), dt=0.1,
-                                sigma=2.0, lengthscale=0.8, noise_var=1e-3)
+                                prior=Matern32(2.0, 0.8), noise_var=1e-3)
         assert result.hyperparameters["sigma"] == 2.0
         assert result.hyperparameters["lengthscale"] == 0.8
+
+    def test_swarm_keeps_the_prior_family(self, monkeypatch):
+        from shmgp import statespace
+        from shmgp.pso import PsoConfig
+
+        priors = []
+        build = statespace.build_latent_force_model
+        monkeypatch.setattr(statespace, "build_latent_force_model",
+                            lambda *a: priors.append(a[2]) or build(*a))
+        structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
+        pso = PsoConfig(bounds=((0.1, 10.0), (0.1, 2.0)), particles=3, iterations=2, seed=0)
+        result = estimate_force(structural, np.zeros((20, 1)), dt=0.05, prior=Matern12(),
+                                optimizer=pso)
+        assert len(priors) > 1  # the swarm evaluations and the final pass
+        assert {type(p) for p in priors} == {Matern12}
+        assert result.hyperparameters["nu"] == 0.5
 
     def test_optimizer_can_include_noise_variance(self):
         from shmgp.pso import PsoConfig
