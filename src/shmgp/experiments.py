@@ -51,7 +51,7 @@ from .narx import (
 )
 from .pso import PsoConfig
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
-from .statespace import estimate_force
+from .statespace import StructuralModel, estimate_force
 from .tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
@@ -277,6 +277,9 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profi
         )
         return result.model, result.params
     kernel = _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, kernel_cfg)
+    # an optimizer section next to a fixed kernel is unused, but held to the same checks
+    _named_bounds(config.optimizer, default_bounds(kernel.family, train, ard, dt))
+    _pso_settings(config.optimizer, config.seed)
     if noise_var in ("optimize", None):
         raise ConfigError("noise_var can only be optimised together with the kernel")
     if profile_mean:
@@ -452,6 +455,12 @@ def _run_latent_force(config: ExperimentConfig):
             raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
         prior = matern[nu](float(model_cfg.get("sigma", 1.0)),
                            float(model_cfg.get("lengthscale", 1.0)))
+        noise_var = np.asarray(model_cfg.get("noise_var", 1e-4), dtype=float)
+        channels = len(data_cfg.get("params", {}).get("observed", StructuralModel.observed))
+        if (noise_var.shape not in ((), (1,), (channels,))
+                or not np.all(np.isfinite(noise_var) & (noise_var >= 0.0))):
+            raise ValueError(f"noise_var takes one finite, non-negative value or one per observed "
+                             f"channel ({channels}), got {noise_var.tolist()}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from exc
     optimizer = None
@@ -467,7 +476,7 @@ def _run_latent_force(config: ExperimentConfig):
         sim.observations,
         dt=sim.dt,
         prior=prior,
-        noise_var=model_cfg.get("noise_var", 1e-4),
+        noise_var=noise_var,
         optimizer=optimizer,
     )
 

@@ -152,7 +152,7 @@ def simulate_mdof_chain(
     force: np.ndarray,
     dt: float,
     force_dof: int = 0,
-    observed: tuple = (("displacement", 0),),
+    observed: tuple = StructuralModel.observed,
     noise_std=0.0,
     seed: int = 0,
     substeps: int = 1,

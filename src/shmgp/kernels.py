@@ -230,33 +230,40 @@ class Matern32(_Matern, family="matern32"):
         return A, np.array([[0.0], [1.0]]), 4.0 * s2 * lam**3, np.diag([s2, s2 * lam**2])
 
 
-# rows of the Gram matrix built together: a block and its difference buffer
-# stay in cache while every input dimension is added in
-GRAM_BLOCK_ROWS = 48
+# entries of the (d, rows, cols) difference stack of one block of rows: the
+# stack and its running sum stay in cache while the dimensions are added up
+GRAM_BLOCK_ENTRIES = 1 << 16
 
 
 def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """sum_k (x_k/ell_k - x'_k/ell_k)^2, accumulated one dimension at a time.
+    """sum_k (x_k/ell_k - x'_k/ell_k)^2, a block of rows at a time.
 
-    Pairwise differences keep the square case exactly symmetric and the
-    result independent of BLAS threading, unlike the dot-product identity.
-    Every entry is the same sum in the same order whichever block it falls
-    in, so ``X2`` passed as a copy of ``X`` gives the same bits as ``X``.
+    Pairwise differences keep the result independent of BLAS threading,
+    unlike the dot-product identity.  Each block's differences for every
+    dimension are one stack, summed in dimension order, so every entry is the
+    same sum in the same order whichever block it falls in, and ``X2`` passed
+    as a copy of ``X`` gives the same bits as ``X``.  In the square case a
+    block starts at its diagonal; the entries left of that are the mirror of
+    blocks already built, since (a - b)^2 == (b - a)^2 exactly.
     """
     Z = np.ascontiguousarray((X / ell).T)
     Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
-    sq = np.empty((X.shape[0], X2.shape[0]))
-    diff = np.empty((min(GRAM_BLOCK_ROWS, X.shape[0]), X2.shape[0]))
-    for start in range(0, X.shape[0], GRAM_BLOCK_ROWS):
-        block = sq[start : start + GRAM_BLOCK_ROWS]
-        d = diff[: block.shape[0]]
-        rows = slice(start, start + block.shape[0])
-        np.subtract.outer(Z[0, rows], Z2[0], out=block)
-        np.square(block, out=block)
-        for k in range(1, Z.shape[0]):
-            np.subtract.outer(Z[k, rows], Z2[k], out=d)
-            np.square(d, out=d)
-            block += d
+    (d, n), m = Z.shape, Z2.shape[1]
+    rows = max(1, GRAM_BLOCK_ENTRIES // max(1, d * m))
+    sq = np.empty((n, m))
+    buf = np.empty(d * min(rows, n) * m)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        first = start if X2 is X else 0
+        stack = buf[: d * (stop - start) * (m - first)].reshape(d, stop - start, m - first)
+        np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=stack)
+        np.square(stack, out=stack)
+        acc = stack[0]
+        for k in range(1, d):
+            acc += stack[k]
+        sq[start:stop, first:] = acc
+        if first:
+            sq[start:stop, :first] = sq[:first, start:stop].T
     return sq
 
 

@@ -1,4 +1,4 @@
-"""Physics-derived priors: oscillator covariance, wave loading, linear means.
+"""Physics-derived priors: oscillator covariance and wave loading.
 
 The covariance of a single-degree-of-freedom (SDOF) linear oscillator under
 Gaussian white-noise forcing has a closed form, which makes an expressive
@@ -140,15 +140,6 @@ class MorisonMean(MeanFunction, form="morison"):
         if X.shape[1] < 2:
             raise ValueError("Morison mean needs velocity and acceleration columns")
         return morison_force(self.params, X[:, 0], X[:, 1])
-
-
-def linear_mean(theta0: float, theta, x) -> float:
-    """Affine map theta0 + theta . x for a single input point."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if theta.shape != x.shape:
-        raise ValueError(f"coefficient/input dimensions differ: {theta.shape} vs {x.shape}")
-    return float(theta0 + theta @ x)
 
 
 def spectral_density(spec: Kernel, omega) -> float | np.ndarray:

@@ -135,13 +135,6 @@ def spectral_weights(basis: ReducedRankBasis, spec: Kernel) -> ReducedRankBasis:
     return dataclasses.replace(basis, weights=spec.spectral_density(lam_per_dim))
 
 
-def approx_kernel(basis: ReducedRankBasis, spec: Kernel, x, x_prime) -> float:
-    """Reduced-rank covariance between two points inside the domain."""
-    basis = basis if basis.weights is not None else spectral_weights(basis, spec)
-    phi = basis.evaluate(np.vstack([np.atleast_1d(x), np.atleast_1d(x_prime)]).astype(float))
-    return float((phi[0] * basis.weights) @ phi[1])
-
-
 def approx_gram(basis: ReducedRankBasis, spec: Kernel, X, X2=None) -> np.ndarray:
     """Gram matrix of the reduced-rank kernel (Phi S Phi')."""
     basis = basis if basis.weights is not None else spectral_weights(basis, spec)

@@ -235,12 +235,45 @@ class TestFit:
         {"sigma": 0.0},
         {"sigma": -1.0},
         {"lengthscale": 0.0},
-    ], ids=["unknown-key", "nu-2.5", "nu-string", "sigma-0", "sigma-negative", "lengthscale-0"])
-    def test_bad_latent_force_model_exits_2(self, tmp_path, model):
+        {"noise_var": [1e-6, 1e-6]},  # FAST_FORCE observes one channel
+        {"noise_var": -1e-6},
+        {"noise_var": [-1e-6]},
+        {"noise_var": "small"},
+    ], ids=["unknown-key", "nu-2.5", "nu-string", "sigma-0", "sigma-negative", "lengthscale-0",
+            "noise_var-two-values", "noise_var-negative", "noise_var-negative-list",
+            "noise_var-string"])
+    def test_bad_latent_force_model_exits_2(self, tmp_path, monkeypatch, model):
+        from shmgp import experiments
+
+        sims = []
+        simulate = experiments.simulate_mdof_chain
+        monkeypatch.setattr(experiments, "simulate_mdof_chain",
+                            lambda *a, **k: sims.append(1) or simulate(*a, **k))
         doc = dict(FAST_FORCE, model={**FAST_FORCE["model"], **model})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not sims
         assert not out.exists()
+
+    @pytest.mark.parametrize("observed, noise_var", [
+        (None, [1e-6, 1e-6, 1e-6]),  # the generator observes one channel by default
+        ([["displacement", 0], ["velocity", 1], ["acceleration", 1]], [1e-6, 1e-6]),
+    ], ids=["default-observed", "three-channels"])
+    def test_noise_var_per_observed_channel_exits_2(self, tmp_path, observed, noise_var):
+        doc = dict(FAST_FORCE, data=_bad_params(FAST_FORCE["data"], {"observed": observed}),
+                   model={**FAST_FORCE["model"], "noise_var": noise_var})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_noise_var_per_observed_channel_is_accepted(self, tmp_path):
+        observed = [["displacement", 0], ["velocity", 1]]
+        doc = dict(FAST_FORCE, data=_bad_params(FAST_FORCE["data"], {"observed": observed}),
+                   model={**FAST_FORCE["model"], "noise_var": [1e-6, 2e-6]})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        hyper = json.loads((out / "metrics.json").read_text())["hyperparameters"]
+        assert hyper["noise_var"] == [1e-6, 2e-6]
 
     @pytest.mark.parametrize("nu, family", [(0.5, "matern12"), (1.5, "matern32")])
     def test_latent_force_nu_picks_the_matern_family(self, tmp_path, monkeypatch, nu, family):
@@ -268,6 +301,10 @@ class TestFit:
         pytest.param(FAST_FORCE, {"bounds": {"signal_scale": [0.1, 10.0]}},
                      id="force-signal_scale"),
         pytest.param(FAST_FORCE, {"particles": 0}, id="force-particles-0"),
+        # a fixed kernel does not use the section, but it is still checked
+        pytest.param(FAST_CONFIG, {"bounds": {"lengthscal": [1.0, 2.0]}}, id="fixed-lengthscal"),
+        pytest.param(FAST_CONFIG, {"particles": 0}, id="fixed-particles-0"),
+        pytest.param(FAST_CONFIG, {"bogus": 1}, id="fixed-unknown-key"),
     ])
     def test_bad_optimizer_exits_2_before_any_fit(self, tmp_path, monkeypatch, base, optimizer):
         from shmgp import gp, statespace
@@ -283,6 +320,16 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert not fits
         assert not out.exists()
+
+    def test_fixed_kernel_accepts_a_valid_optimizer(self, tmp_path):
+        optimizer = {"particles": 4, "iterations": 2, "bounds": {"lengthscale": [0.1, 10.0]}}
+        runs = {}
+        for name, doc in [("plain", FAST_CONFIG),
+                          ("optimizer", dict(FAST_CONFIG, optimizer=optimizer))]:
+            path, out = _write_config(tmp_path, doc, f"{name}.json"), tmp_path / name
+            assert main(["fit", str(path), "-o", str(out)]) == 0
+            runs[name] = (out / "predictions.csv").read_bytes()
+        assert runs["optimizer"] == runs["plain"]
 
     def test_good_narx_config_fits(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,13 +2,15 @@
 and the facts each kernel family owns."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from shmgp import kernels
 from shmgp.kernels import (
     FAMILIES,
-    GRAM_BLOCK_ROWS,
+    GRAM_BLOCK_ENTRIES,
     Matern12,
     Matern32,
     SquaredExponential,
@@ -65,13 +67,26 @@ def test_gram_matches_entrywise_loop(spec):
     np.testing.assert_array_equal(K, K.T)
 
 
-B = GRAM_BLOCK_ROWS
+def _block_rows(d, m):
+    """Rows of a Gram block whose (d, rows, m) difference stack fits the budget."""
+    return max(1, GRAM_BLOCK_ENTRIES // (d * m))
+
+
+def _square_edge(d):
+    """Largest n whose whole n x n Gram matrix at dimension d is one block."""
+    return math.isqrt(GRAM_BLOCK_ENTRIES // d)
+
+
+E1, E3 = _square_edge(1), _square_edge(3)
+R14 = _block_rows(14, 336)  # rows per block of a NARX cross Gram against 336 training rows
 
 
 @pytest.mark.parametrize("n, m, d", [
-    (1, None, 1), (B - 1, None, 3), (B, None, 3), (B + 1, None, 3),
+    (1, None, 1), (47, None, 3), (48, None, 3), (49, None, 3),
     (336, None, 14),  # the NARX tuning size
-    (B + 1, 7, 3), (2, 2 * B + 5, 2),  # cross Gram matrices
+    (49, 7, 3), (2, 101, 2),  # cross Gram matrices
+    (E3 - 1, None, 3), (E3, None, 3), (E3 + 1, None, 3),  # one block, then two
+    (R14 - 1, 336, 14), (R14 + 1, 336, 14),
 ])
 @pytest.mark.parametrize("spec", SPECS + [None])  # None: one lengthscale per dimension
 def test_blocked_gram_matches_entrywise_loop(spec, n, m, d):
@@ -83,12 +98,77 @@ def test_blocked_gram_matches_entrywise_loop(spec, n, m, d):
     K = build_gram(spec, X) if m is None else build_gram(spec, X, X2)
     # a loop over every entry takes seconds at 336 rows; there, check the rows
     # on each side of the block boundaries
-    rows = range(n) if n < 100 else sorted({0, B - 1, B, B + 1, 2 * B, n - 1})
+    B = _block_rows(d, X2.shape[0])
+    rows = range(n) if n < 100 else sorted({0, B - 1, B, B + 1, 2 * B, n - 1} & set(range(n)))
     loop = np.array([[kernel_eval(spec, X[i], x2) for x2 in X2] for i in rows])
     np.testing.assert_allclose(K[list(rows)], loop, rtol=1e-13)
     if m is None:
         np.testing.assert_array_equal(K, K.T)
         np.testing.assert_array_equal(K, build_gram(spec, X, X.copy()))
+
+
+def _per_dimension_sqdist(X, X2, ell):
+    """Scaled squared distances summed one input dimension at a time over
+    the whole matrix: the reference the blocked, stacked build must match."""
+    Z, Z2 = (X / ell).T, (X2 / ell).T
+    sq = np.square(np.subtract.outer(Z[0], Z2[0]))
+    for k in range(1, Z.shape[0]):
+        sq += np.square(np.subtract.outer(Z[k], Z2[k]))
+    return sq
+
+
+ORACLE_SPECS = {
+    "se": lambda d: SquaredExponential(1.3, 0.7),
+    "se_ard": lambda d: SquaredExponential(0.9, np.linspace(0.5, 3.0, d)),
+    "matern12": lambda d: Matern12(0.8, 1.5),
+    "matern32": lambda d: Matern32(2.0, 0.4),
+}
+
+
+@pytest.mark.parametrize("n, m, d", [
+    (1, None, 1), (E1 - 1, None, 1), (E1 + 1, None, 1),
+    (E3 - 1, None, 3), (E3, None, 3), (E3 + 1, None, 3), (E3 + 1, 5, 3),
+    (336, None, 14), (1, 336, 14), (R14, 336, 14), (R14 + 1, 336, 14),
+    (100, None, 20), (7, 60, 20),
+    (1, None, 8), (5, 1, 14), (5, 1, 20),
+])
+@pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
+def test_gram_matches_per_dimension_loop(monkeypatch, family, n, m, d):
+    """Bit for bit, whatever the block layout and the mirrored triangle."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(n, d))
+    X2 = X if m is None else rng.normal(size=(m, d))
+    spec = ORACLE_SPECS[family](d)
+    K = build_gram(spec, X) if m is None else build_gram(spec, X, X2)
+    monkeypatch.setattr(kernels, "_scaled_sqdist", _per_dimension_sqdist)
+    np.testing.assert_array_equal(K, build_gram(spec, X, X2))
+
+
+@pytest.mark.parametrize("d", [8, 14, 20])
+@pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
+def test_point_pair_gram_matches_per_dimension_loop(monkeypatch, family, d):
+    """1 x 1 Gram matrices, the kernel_eval path, over many point pairs: a
+    (d, 1, 1) stack summed pairwise rather than in order differs on some."""
+    X, X2 = np.random.default_rng(11).normal(size=(2, 30, d))
+    spec = ORACLE_SPECS[family](d)
+    K = [build_gram(spec, x[None], x2[None]) for x, x2 in zip(X, X2)]
+    monkeypatch.setattr(kernels, "_scaled_sqdist", _per_dimension_sqdist)
+    np.testing.assert_array_equal(K, [build_gram(spec, x[None], x2[None]) for x, x2 in zip(X, X2)])
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
+def test_kernel_eval_equals_gram_entry(family):
+    """A point pair gives the bits of its Gram entry, on and off the diagonal
+    block, at the NARX input dimension."""
+    d = 14
+    n = _square_edge(d) + 12  # two blocks, so the lower left is mirrored
+    X = np.random.default_rng(9).normal(size=(n, d))
+    spec = ORACLE_SPECS[family](d)
+    K = build_gram(spec, X)
+    B = _block_rows(d, n)
+    for i in (0, B - 1, B, n - 1):
+        for j in range(n):
+            assert kernel_eval(spec, X[i], X[j]) == K[i, j]
 
 
 def test_gram_single_point_is_signal_variance():

@@ -6,11 +6,11 @@ import pytest
 from scipy import integrate
 
 from shmgp.kernels import Matern12, Matern32, SquaredExponential, build_gram
+from shmgp.means import LinearMean
 from shmgp.physics import (
     MorisonParams,
     SdofKernel,
     SdofKernelParams,
-    linear_mean,
     morison_force,
     sdof_kernel_eval,
     spectral_density,
@@ -108,22 +108,22 @@ class TestMorison:
 
 class TestLinearMean:
     def test_zero_coefficients(self):
-        assert linear_mean(0.0, [0.0, 0.0], [3.0, -1.0]) == 0.0
+        assert LinearMean(0.0, [0.0, 0.0])([3.0, -1.0])[0] == 0.0
 
     def test_hand_value(self):
-        assert linear_mean(1.0, [2.0], [3.0]) == pytest.approx(7.0)
+        assert LinearMean(1.0, [2.0])([3.0])[0] == pytest.approx(7.0)
 
     def test_affinity(self):
         rng = np.random.default_rng(2)
-        theta0, theta = 0.4, rng.normal(size=3)
+        mean = LinearMean(0.4, rng.normal(size=3))
         x, xp = rng.normal(size=3), rng.normal(size=3)
-        lhs = linear_mean(theta0, theta, 0.5 * x + 0.5 * xp)
-        rhs = 0.5 * linear_mean(theta0, theta, x) + 0.5 * linear_mean(theta0, theta, xp)
+        lhs = mean(0.5 * x + 0.5 * xp)[0]
+        rhs = 0.5 * mean(x)[0] + 0.5 * mean(xp)[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            linear_mean(0.0, [1.0, 2.0], [1.0])
+            LinearMean(0.0, [1.0, 2.0])([1.0])
 
 
 class TestSpectralDensity:

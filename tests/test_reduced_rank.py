@@ -11,7 +11,6 @@ from shmgp.reduced_rank import (
     BasisKernel,
     DomainSpec,
     approx_gram,
-    approx_kernel,
     eigenpairs,
     fit_reduced,
     predict_reduced,
@@ -86,26 +85,26 @@ class TestApproxKernel:
         domain = DomainSpec(half_widths=[3.0], basis_counts=128)
         basis = eigenpairs(domain)
         spec = SE(signal_scale=1.0, lengthscales=0.3)
-        val = approx_kernel(basis, spec, [0.2], [0.2])
+        val = approx_gram(basis, spec, [0.2])[0, 0]
         assert val == pytest.approx(1.0, rel=0.01)
 
     def test_dirichlet_boundary_is_zero(self):
         basis = _basis_1d(L=2.0, m=32)
         spec = SE(signal_scale=1.0, lengthscales=0.5)
-        assert approx_kernel(basis, spec, [2.0], [0.3]) == 0.0
+        assert approx_gram(basis, spec, [2.0], [0.3])[0, 0] == 0.0
 
     def test_symmetry(self):
         basis = _basis_1d(L=2.0, m=16)
         spec = SE(signal_scale=1.2, lengthscales=0.4)
-        a = approx_kernel(basis, spec, [0.3], [-0.8])
-        b = approx_kernel(basis, spec, [-0.8], [0.3])
+        a = approx_gram(basis, spec, [0.3], [-0.8])[0, 0]
+        b = approx_gram(basis, spec, [-0.8], [0.3])[0, 0]
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_outside_domain_raises(self):
         basis = _basis_1d(L=1.0, m=4)
         spec = SE(1.0, 0.5)
         with pytest.raises(DomainError):
-            approx_kernel(basis, spec, [1.1], [0.0])
+            approx_gram(basis, spec, [1.1], [0.0])
 
     def test_error_decreases_as_basis_grows(self):
         # approximation error on an interior grid drops monotonically
@@ -183,7 +182,7 @@ class TestFitPredict:
         model = fit_reduced(data, domain, spec, 0.01)
         x_far = np.array([[3.0]])
         _, var = predict_reduced(model, x_far)
-        assert var[0] == pytest.approx(approx_kernel(model.basis, spec, [3.0], [3.0]), rel=1e-3)
+        assert var[0] == pytest.approx(approx_gram(model.basis, spec, [3.0])[0, 0], rel=1e-3)
 
     def test_training_point_outside_domain_rejected(self):
         data = Dataset([[2.5]], [1.0])
@@ -255,5 +254,5 @@ def test_2d_approx_kernel_converges_interior():
     basis = eigenpairs(domain)
     x = np.array([0.3, -0.2])
     xp = np.array([-0.1, 0.4])
-    approx = approx_kernel(basis, spec, x, xp)
+    approx = approx_gram(basis, spec, x[None], xp[None])[0, 0]
     assert approx == pytest.approx(kernel_eval(spec, x, xp), rel=1e-3)
