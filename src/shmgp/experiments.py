@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -107,6 +109,131 @@ def run_experiment(config, output_dir=None) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
+# reading config sections
+
+EMPTY = MappingProxyType({})  # an absent section that is read as an empty object
+
+
+def _checked(where: str, make, section, **fixed):
+    """``make(**fixed, **section)``: config ``section``, named ``where``, read by the
+    type or function whose keyword parameters are its keys and defaults.  A
+    section that is not an object, or that ``make`` rejects, is a ConfigError."""
+    try:
+        return make(**fixed, **section)
+    except (TypeError, ValueError) as exc:  # without the name of the function called
+        raise ConfigError(f"{where}: " + re.sub(r"^[\w.<>]+\(\) ", "", str(exc))) from exc
+
+
+def _config_entry(group, where: str, name: str, entry):
+    """The kernel family, mean form or NARX mode (``group``) given by config
+    ``entry``, tagged ``name`` unless it names one."""
+    return _checked(where, lambda **keys: group.from_dict({group.tag: name, **keys}), entry)
+
+
+def _noise_var(value) -> float:
+    if not 0.0 <= float(value) < np.inf:
+        raise ValueError(f"noise_var must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def _kernel(optimize=False, ard=False, **entry):
+    """model.kernel as (kernel, ard); a kernel to optimize is its family's class."""
+    entry = {"family": DEFAULT_FAMILY, **entry}
+    if not optimize:
+        return Kernel.from_dict(entry), ard
+    if len(entry) > 1:
+        raise ValueError(f"a kernel to optimize takes only 'family' and 'ard', got {sorted(entry)}")
+    return Kernel.member(entry["family"]), ard
+
+
+def _gp_prior(kernel=EMPTY, noise_var=0.0):
+    """(kernel, ard, noise_var) of an exact GP; noise to optimize is None."""
+    kernel, ard = _checked("model.kernel", _kernel, kernel)
+    if noise_var not in ("optimize", None):
+        return kernel, ard, _noise_var(noise_var)
+    if isinstance(kernel, Kernel):
+        raise ValueError("noise_var can only be optimised together with the kernel")
+    return kernel, ard, None
+
+
+def _exact_gp_model(mean=EMPTY, **prior):
+    """The exact_gp model section: (GP prior, mean, whether GLS profiles a line as the mean)."""
+    profile = mean == {"form": "linear_fit"}
+    return (_gp_prior(**prior),
+            None if profile else _config_entry(MeanFunction, "model.mean", "zero", mean), profile)
+
+
+def _narx_model(lags=None, mode="blackbox", morison=EMPTY, evaluation="free_run", **prior):
+    """The narx model section: (NarxConfig, evaluation, GP prior).  model.morison
+    holds the drag/inertia coefficients, which only Morison modes take."""
+    if evaluation not in EVALUATIONS:
+        raise ValueError(f"unknown evaluation {evaluation!r}; expected one of "
+                         f"{sorted(EVALUATIONS)}")
+    if lags is not None and len(lags) != 2:
+        raise ValueError(f"lags takes [exogenous, autoregressive] lag counts, got {lags!r}")
+    mode = _config_entry(NarxMode, "model.mode/model.morison", mode, morison)
+    return NarxConfig(*(lags or ()), mode=mode), evaluation, _gp_prior(**prior)
+
+
+def _reduced_rank_model(domain, kernel=EMPTY, noise_var=1e-4):
+    """The reduced_rank model section: (DomainSpec, Kernel, noise_var)."""
+    return (_checked("model.domain", DomainSpec, domain),
+            _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, kernel),
+            _noise_var(noise_var))
+
+
+def _force_model(observed, nu=1.5, sigma=1.0, lengthscale=1.0, noise_var=1e-4):
+    """The latent_force model section: the Matern force prior of smoothness
+    ``nu`` and the noise variance, one value or one per ``observed`` channel."""
+    matern = {c.nu: c for c in FAMILIES.values() if hasattr(c, "nu")}
+    nu = float(nu)
+    if nu not in matern:
+        raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
+    prior = matern[nu](float(sigma), float(lengthscale))
+    noise_var = np.asarray(noise_var, dtype=float)
+    if (noise_var.shape not in ((), (1,), (len(observed),))
+            or not np.all(np.isfinite(noise_var) & (noise_var >= 0.0))):
+        raise ValueError(f"noise_var takes one finite, non-negative value or one per observed "
+                         f"channel ({len(observed)}), got {noise_var.tolist()}")
+    return prior, noise_var
+
+
+def _optimizer(config: ExperimentConfig, tuned) -> tuple[dict, dict]:
+    """The optimizer section as (bounds by name, swarm settings); a bound must
+    name a parameter out of ``tuned``, and the swarm checks its settings."""
+
+    def read(bounds=EMPTY, seed=config.seed, **swarm):
+        bounds = {k: tuple(v) for k, v in dict(bounds).items()}
+        unknown = set(bounds) - set(tuned)
+        if unknown:
+            raise ValueError(f"bounds names {sorted(unknown)} that this model does not tune; "
+                             f"expected some of {sorted(tuned)}")
+        PsoConfig(bounds=((0.0, 1.0),), seed=seed, **swarm)
+        return bounds, {"seed": seed, **swarm}
+
+    return _checked("optimizer", read, config.optimizer or EMPTY)
+
+
+def _head_fraction(n: int, fraction=0.5) -> np.ndarray:
+    """Train on the first ``fraction`` of the rows, test on the rest."""
+    k = int(n * float(fraction))
+    if not 1 <= k < n:
+        raise ValueError("head_fraction split leaves an empty train or test set")
+    return np.arange(n) < k
+
+
+def _stride(n: int, stride=8) -> np.ndarray:
+    """Train on every ``stride``-th row from the first, test on the rest."""
+    stride = int(stride)
+    if stride < 2:
+        raise ValueError("stride split needs stride >= 2")
+    return np.arange(n) % stride == 0
+
+
+SPLITS = {"head_fraction": _head_fraction, "stride": _stride}  # type -> training-row mask
+
+
+# ---------------------------------------------------------------------------
 # data loading
 
 
@@ -142,7 +269,6 @@ def _generate(name, params: dict) -> dict:
             "columns": {"time": t, "force": seq.u[:, 0], "y": seq.y},
             "inputs": ["time"],
             "target": "y",
-            "dt": seq.dt,
         }
     if name == "wave":
         rec = generate_wave_loading(**params)
@@ -164,7 +290,9 @@ def _generate(name, params: dict) -> dict:
 
 
 def _load_tabular(data_cfg: dict):
-    """Dataset from a generator or CSV file; returns (dataset, input names, target)."""
+    """Dataset from a generator or CSV file; returns (dataset, input names, target).
+    A column a generator does not make is a ConfigError, one a CSV file lacks
+    a DataError."""
     if "generator" in data_cfg:
         frame = _generated_frame(data_cfg)
         if "columns" not in frame:
@@ -172,9 +300,12 @@ def _load_tabular(data_cfg: dict):
         cols = frame["columns"]
         inputs = data_cfg.get("inputs", frame["inputs"])
         target = data_cfg.get("target", frame["target"])
-        X = np.column_stack([cols[c] for c in inputs])
-        ds = Dataset(X, cols[target], timestamps=cols.get("time"))
-        return ds, inputs, target
+        try:
+            X, y = np.column_stack([cols[c] for c in inputs]), cols[target]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"data.inputs and data.target name columns out of {sorted(cols)}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        return Dataset(X, y, timestamps=cols["time"]), inputs, target
     if "path" in data_cfg:
         header, data = model_io.read_csv(data_cfg["path"])
         inputs = data_cfg.get("inputs")
@@ -186,130 +317,50 @@ def _load_tabular(data_cfg: dict):
             y = data[:, header.index(target)]
         except ValueError as exc:
             raise DataError(f"column missing from {data_cfg['path']}: {exc}") from exc
-        t = data[:, 0] if header else None
-        return Dataset(X, y, timestamps=t), inputs, target
+        return Dataset(X, y, timestamps=data[:, 0]), inputs, target
     raise ConfigError("data section needs either 'generator' or 'path'")
 
 
 def _split(dataset: Dataset, split_cfg: dict | None):
-    split_cfg = split_cfg or {"type": "head_fraction", "fraction": 0.5}
-    kind = split_cfg.get("type")
-    n = len(dataset)
-    if kind == "head_fraction":
-        k = int(n * float(split_cfg.get("fraction", 0.5)))
-        if not 1 <= k < n:
-            raise ConfigError("head_fraction split leaves an empty train or test set")
-        train_idx = np.arange(k)
-        test_idx = np.arange(k, n)
-    elif kind == "stride":
-        stride = int(split_cfg.get("stride", 8))
-        if stride < 2:
-            raise ConfigError("stride split needs stride >= 2")
-        mask = np.zeros(n, dtype=bool)
-        mask[::stride] = True
-        train_idx = np.flatnonzero(mask)
-        test_idx = np.flatnonzero(~mask)
-    else:
-        raise ConfigError(f"unknown split type {kind!r}")
+    def train_mask(type="head_fraction", **keys):
+        if type not in SPLITS:
+            raise ValueError(f"unknown split type {type!r}; expected one of {sorted(SPLITS)}")
+        return SPLITS[type](len(dataset), **keys)
 
-    def take(idx):
-        t = dataset.timestamps[idx] if dataset.timestamps is not None else None
-        return Dataset(dataset.inputs[idx], dataset.outputs[idx], timestamps=t)
-
-    return take(train_idx), take(test_idx), train_idx, test_idx
-
-
-def _pso_settings(optimizer_cfg: dict | None, seed: int) -> dict:
-    cfg = dict(optimizer_cfg or {})
-    cfg.pop("bounds", None)
-    cfg.setdefault("seed", seed)
-    try:  # the swarm's own checks of its settings, before any fit
-        PsoConfig(bounds=((0.0, 1.0),), **cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-    return cfg
-
-
-def _named_bounds(optimizer_cfg: dict | None, tuned) -> dict:
-    bounds = dict((optimizer_cfg or {}).get("bounds", {}))
-    unknown = set(bounds) - set(tuned)
-    if unknown:
-        raise ConfigError(f"optimizer.bounds names {sorted(unknown)} that this model does "
-                          f"not tune; expected some of {sorted(tuned)}")
-    return {k: tuple(v) for k, v in bounds.items()}
+    mask = _checked("split", train_mask, split_cfg or EMPTY)
+    return tuple(Dataset(dataset.inputs[rows], dataset.outputs[rows],
+                         timestamps=dataset.timestamps[rows]) for rows in (mask, ~mask))
 
 
 # ---------------------------------------------------------------------------
 # task runners
 
 
-def _config_entry(group, where: str, name: str, entry: dict):
-    """The kernel family, mean form or NARX mode (``group``) given by config
-    ``entry``, tagged ``name`` unless it names one; a bad entry is a ConfigError."""
-    try:
-        return group.from_dict({group.tag: name, **entry})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _fit_gp_model(config: ExperimentConfig, train: Dataset, mean, dt=None, profile_mean=False):
-    model_cfg = config.model
-    kernel_cfg = dict(model_cfg.get("kernel", {}))
-    optimize = kernel_cfg.pop("optimize", False)
-    ard = kernel_cfg.pop("ard", False)
-    noise_var = model_cfg.get("noise_var", 0.0)
-
-    if optimize:
-        family = kernel_cfg.pop("family", DEFAULT_FAMILY)
-        if family not in FAMILIES or kernel_cfg:
-            raise ConfigError(f"model.kernel to optimize takes a family out of {sorted(FAMILIES)} "
-                              f"and 'ard' only, got {model_cfg['kernel']}")
-        result = tune_exact_gp(
-            train,
-            family,
-            mean=mean,
-            profile_linear_mean=profile_mean,
-            ard=ard,
-            noise_var=None if noise_var in ("optimize", None) else float(noise_var),
-            bounds=_named_bounds(config.optimizer, default_bounds(family, train, ard, dt)),
-            dt=dt,
-            **_pso_settings(config.optimizer, config.seed),
-        )
-        return result.model, result.params
-    kernel = _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, kernel_cfg)
+def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None,
+                  profile_mean=False):
+    kernel, ard, noise_var = prior
     # an optimizer section next to a fixed kernel is unused, but held to the same checks
-    _named_bounds(config.optimizer, default_bounds(kernel.family, train, ard, dt))
-    _pso_settings(config.optimizer, config.seed)
-    if noise_var in ("optimize", None):
-        raise ConfigError("noise_var can only be optimised together with the kernel")
-    if profile_mean:
-        mean = gls_linear_mean(train, kernel, float(noise_var))
-    model = gp.fit_exact(train, kernel, mean=mean, noise_var=float(noise_var))
-    return model, None
-
-
-def _build_mean(model_cfg: dict, X: np.ndarray):
-    """Mean function over inputs X from config; 'linear_fit' asks for
-    GLS-profiled coefficients.  A mean that cannot act on X is a ConfigError."""
-    mean_cfg = model_cfg.get("mean", {})
-    if mean_cfg == {"form": "linear_fit"}:
-        return None, True
-    mean = _config_entry(MeanFunction, "model.mean", "zero", mean_cfg)
-    try:
-        mean(X)
-    except ValueError as exc:
-        raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
-    return mean, False
+    bounds, swarm = _optimizer(config, default_bounds(kernel.family, train, ard, dt))
+    if isinstance(kernel, Kernel):
+        if profile_mean:
+            mean = gls_linear_mean(train, kernel, noise_var)
+        return gp.fit_exact(train, kernel, mean=mean, noise_var=noise_var), None
+    result = tune_exact_gp(train, kernel.family, mean=mean, profile_linear_mean=profile_mean,
+                           ard=ard, noise_var=noise_var, bounds=bounds, dt=dt, **swarm)
+    return result.model, result.params
 
 
 def _run_exact_gp(config: ExperimentConfig):
+    prior, mean, profile_mean = _checked("model", _exact_gp_model, config.model)
     dataset, input_cols, target = _load_tabular(config.data)
-    train, test, _, test_idx = _split(dataset, config.split)
-    mean, profile_mean = _build_mean(config.model, train.inputs)
-    dt = None
-    if dataset.timestamps is not None and len(dataset) > 1:
-        dt = float(np.median(np.diff(dataset.timestamps)))
-    model, params = _fit_gp_model(config, train, mean, dt=dt, profile_mean=profile_mean)
+    train, test = _split(dataset, config.split)
+    if mean is not None:
+        try:
+            mean(train.inputs)
+        except ValueError as exc:
+            raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
+    dt = float(np.median(np.diff(dataset.timestamps))) if len(dataset) > 1 else None
+    model, params = _fit_gp_model(config, train, prior, mean, dt=dt, profile_mean=profile_mean)
 
     pred = gp.predict(model, test.inputs)
     report = MetricsReport(
@@ -321,60 +372,48 @@ def _run_exact_gp(config: ExperimentConfig):
     )
     if params:
         report.extras["hyperparameters"] = params
-    index = test.timestamps if test.timestamps is not None else test_idx.astype(float)
     artifacts = {
         "predictions": (
             ["time", "y_true", "y_mean", "y_var"],
-            [index, test.outputs, pred.mean, pred.var],
+            [test.timestamps, test.outputs, pred.mean, pred.var],
         ),
         "save_model": lambda out: model_io.save_exact_gp(out, model, input_cols, target),
     }
     return report, artifacts
 
 
+def _free_run(model: NarxModel, seq: SequenceData):
+    """Free run from first_index on, so measured seeds exist and the
+    trajectory lines up one-to-one with the lag-matrix targets."""
+    cfg = model.config
+    p = cfg.first_index
+    mean = simulate_free_run(model, seq.u[p - cfg.exog_lags :], y_init=seq.y[p - cfg.auto_lags : p])
+    return mean, np.full_like(mean, np.nan)
+
+
+EVALUATIONS = {"osa": predict_osa, "free_run": _free_run}  # -> (mean, variance) over test_seq
+
+
 def _run_narx(config: ExperimentConfig):
-    if "mean" in config.model:
-        raise ConfigError("model.mean does not apply to the narx task; "
-                          "model.mode sets the prior mean")
+    cfg, evaluation, prior = _checked("model", _narx_model, config.model)
     data_cfg = config.data
     if data_cfg.get("generator") != "wave":
         raise ConfigError("narx task currently ingests the 'wave' generator")
     frame = _generated_frame(data_cfg)
     rec = frame["record"]
     seq = rec.seq
-    level = int(data_cfg.get("level", 100))
-    if level not in rec.train_windows:
-        raise ConfigError(f"coverage level {level} not in {sorted(rec.train_windows)}")
-    w = rec.train_windows[level]
-    train_seq = SequenceData(u=seq.u[w], y=seq.y[w], dt=seq.dt)
-    tw = rec.test_window
-    test_seq = SequenceData(u=seq.u[tw], y=seq.y[tw], dt=seq.dt)
-
-    model_cfg = config.model
-    lags = model_cfg.get("lags", [4, 4])
-    # model.morison holds the drag/inertia coefficients, which only Morison modes take
-    mode = _config_entry(NarxMode, "model.mode/model.morison", model_cfg.get("mode", "blackbox"),
-                         model_cfg.get("morison", {}))
-    cfg = NarxConfig(exog_lags=int(lags[0]), auto_lags=int(lags[1]), mode=mode)
+    level = data_cfg.get("level", 100)
+    if not isinstance(level, int) or level not in rec.train_windows:
+        raise ConfigError(f"data.level takes a coverage level out of "
+                          f"{sorted(rec.train_windows)}, got {level!r}")
+    train_seq, test_seq = (SequenceData(u=seq.u[w], y=seq.y[w], dt=seq.dt)
+                           for w in (rec.train_windows[level], rec.test_window))
 
     train, mean = training_data(train_seq, cfg)
-    gp_model, params = _fit_gp_model(config, train, mean, dt=seq.dt)
+    gp_model, params = _fit_gp_model(config, train, prior, mean, dt=seq.dt)
     model = NarxModel(gp=gp_model, config=cfg, n_channels=seq.u.shape[1])
-
-    evaluation = model_cfg.get("evaluation", "free_run")
     X_test, test_targets = build_lag_matrix(test_seq, cfg)
-    if evaluation == "osa":
-        mean_pred, var_pred = predict_osa(model, test_seq)
-    elif evaluation == "free_run":
-        # start the run at first_index so measured seeds exist and the
-        # trajectory lines up one-to-one with the lag-matrix targets
-        p = cfg.first_index
-        mean_pred = simulate_free_run(
-            model, test_seq.u[p - cfg.exog_lags :], y_init=test_seq.y[p - cfg.auto_lags : p]
-        )
-        var_pred = np.full_like(mean_pred, np.nan)
-    else:
-        raise ConfigError(f"unknown evaluation {evaluation!r}")
+    mean_pred, var_pred = EVALUATIONS[evaluation](model, test_seq)
 
     report = MetricsReport(
         nmse_percent=nmse(test_targets, mean_pred),
@@ -399,6 +438,7 @@ def _run_narx(config: ExperimentConfig):
 
 
 def _run_reduced_rank(config: ExperimentConfig):
+    domain, kernel, noise_var = _checked("model", _reduced_rank_model, config.model)
     data_cfg = config.data
     if data_cfg.get("generator") == "bounded_field":
         frame = _generated_frame(data_cfg)
@@ -406,20 +446,7 @@ def _run_reduced_rank(config: ExperimentConfig):
         input_cols, target = ["x0", "x1"], "y"
     else:
         dataset, input_cols, target = _load_tabular(data_cfg)
-        train, test, _, _ = _split(dataset, config.split)
-
-    model_cfg = config.model
-    domain_cfg = model_cfg.get("domain")
-    if not domain_cfg:
-        raise ConfigError("reduced_rank task needs a model.domain section")
-    domain = DomainSpec(
-        half_widths=domain_cfg["half_widths"],
-        boundary=domain_cfg.get("boundary", "dirichlet"),
-        basis_counts=domain_cfg.get("basis_counts", 32),
-        max_total=domain_cfg.get("max_total"),
-    )
-    kernel = _config_entry(Kernel, "model.kernel", DEFAULT_FAMILY, model_cfg.get("kernel", {}))
-    noise_var = float(model_cfg.get("noise_var", 1e-4))
+        train, test = _split(dataset, config.split)
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)
 
@@ -444,41 +471,17 @@ def _run_latent_force(config: ExperimentConfig):
     data_cfg = config.data
     if data_cfg.get("generator") != "mdof_chain":
         raise ConfigError("latent_force task ingests the 'mdof_chain' generator")
-    model_cfg = config.model
-    unknown = set(model_cfg) - {"nu", "sigma", "lengthscale", "noise_var"}
-    if unknown:
-        raise ConfigError(f"unknown model keys for the latent_force task: {sorted(unknown)}")
-    matern = {c.nu: c for c in FAMILIES.values() if hasattr(c, "nu")}
-    try:
-        nu = float(model_cfg.get("nu", 1.5))
-        if nu not in matern:
-            raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
-        prior = matern[nu](float(model_cfg.get("sigma", 1.0)),
-                           float(model_cfg.get("lengthscale", 1.0)))
-        noise_var = np.asarray(model_cfg.get("noise_var", 1e-4), dtype=float)
-        channels = len(data_cfg.get("params", {}).get("observed", StructuralModel.observed))
-        if (noise_var.shape not in ((), (1,), (channels,))
-                or not np.all(np.isfinite(noise_var) & (noise_var >= 0.0))):
-            raise ValueError(f"noise_var takes one finite, non-negative value or one per observed "
-                             f"channel ({channels}), got {noise_var.tolist()}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    observed = data_cfg.get("params", {}).get("observed", StructuralModel.observed)
+    prior, noise_var = _checked("model", _force_model, config.model, observed=observed)
     optimizer = None
     if config.optimizer is not None:
+        named, swarm = _optimizer(config, ("sigma", "lengthscale", "noise_var"))
         # rows in estimate_force's order: sigma, lengthscale, then noise_var if tuned
-        bounds = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2), **_named_bounds(
-            config.optimizer, ("sigma", "lengthscale", "noise_var"))}
-        optimizer = PsoConfig(bounds=tuple(bounds.values()),
-                              **_pso_settings(config.optimizer, config.seed))
+        bounds = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2), **named}
+        optimizer = _checked("optimizer", PsoConfig, swarm, bounds=tuple(bounds.values()))
     sim = _generated_frame(data_cfg)["sim"]
-    result = estimate_force(
-        sim.structure,
-        sim.observations,
-        dt=sim.dt,
-        prior=prior,
-        noise_var=noise_var,
-        optimizer=optimizer,
-    )
+    result = estimate_force(sim.structure, sim.observations, dt=sim.dt, prior=prior,
+                            noise_var=noise_var, optimizer=optimizer)
 
     report = MetricsReport(
         nmse_percent=nmse(sim.force, result.force_mean),

@@ -97,6 +97,9 @@ class NarxConfig:
     mode: NarxMode = BlackBox()
 
     def __post_init__(self):
+        if not (isinstance(self.exog_lags, int) and isinstance(self.auto_lags, int)):
+            raise ValueError(f"lag counts must be integers, got {self.exog_lags!r} "
+                             f"and {self.auto_lags!r}")
         if self.exog_lags < 0:
             raise ValueError("exogenous lag count must be >= 0")
         if self.auto_lags < 1:

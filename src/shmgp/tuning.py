@@ -66,12 +66,8 @@ def tune_exact_gp(
     noise_var: float | None = None,
     bounds: dict | None = None,
     dt: float | None = None,
-    particles: int = 30,
     iterations: int = 100,
-    seed: int = 0,
-    inertia: float = 0.72,
-    cognitive: float = 1.49,
-    social: float = 1.49,
+    **swarm,
 ) -> TuneResult:
     """Maximise the marginal likelihood over kernel (and optionally noise)
     hyperparameters.
@@ -80,7 +76,9 @@ def tune_exact_gp(
     optimised alongside the kernel.  ``bounds`` entries override the
     defaults per parameter name.  With ``profile_linear_mean`` the affine
     prior-mean coefficients are profiled out by GLS at every objective
-    evaluation instead of being supplied through ``mean``.
+    evaluation instead of being supplied through ``mean``.  The other swarm
+    settings (``particles``, ``seed``, ...) go to :class:`PsoConfig`, whose
+    defaults they take.
     """
     cls = Kernel.member(family)
     names = cls.tuning_names(data.inputs.shape[1], ard)
@@ -102,15 +100,7 @@ def tune_exact_gp(
     if np.any(pairs <= 0.0):
         raise ValueError("all tuning bounds must be positive (log-space search)")
 
-    cfg = PsoConfig(
-        bounds=tuple(map(tuple, np.log10(pairs))),
-        particles=particles,
-        iterations=iterations,
-        inertia=inertia,
-        cognitive=cognitive,
-        social=social,
-        seed=seed,
-    )
+    cfg = PsoConfig(bounds=tuple(map(tuple, np.log10(pairs))), iterations=iterations, **swarm)
 
     def fit_at(v: np.ndarray) -> gp.TrainedGp:
         sigma_n2 = float(v[-1]) if noise_var is None else float(noise_var)

@@ -59,6 +59,42 @@ BAD_GENERATOR_PARAMS = [
 ]
 
 TREND = json.loads((CONFIGS / "trend_zero_mean.json").read_text())
+FIELD = json.loads((CONFIGS / "reduced_rank_field.json").read_text())
+FAST_TUNED = dict(FAST_CONFIG, optimizer={"particles": 2, "iterations": 1},
+                  model={"kernel": {"family": "squared_exponential", "optimize": True},
+                         "noise_var": 0.5})
+
+
+def _with(doc, section, **changes):
+    return {**doc, section: {**doc[section], **changes}}
+
+
+# configs with one malformed section; each must exit 2 before any fit
+MALFORMED_SECTIONS = [
+    pytest.param(_with(FIELD, "model", domain={"boundary": "dirichlet"}),
+                 id="domain-no-half_widths"),
+    pytest.param(_with(FIELD, "model", domain={**FIELD["model"]["domain"], "bogus": 1}),
+                 id="domain-unknown-key"),
+    pytest.param(_with(FIELD, "model", domain={**FIELD["model"]["domain"], "boundary": "periodic"}),
+                 id="domain-periodic"),
+    pytest.param(_with(FIELD, "model", noise_var="abc"), id="reduced_rank-noise_var-string"),
+    pytest.param(_with(FIELD, "model", bogus=1), id="reduced_rank-model-unknown-key"),
+    pytest.param(_with(FAST_CONFIG, "model", bogus=1), id="exact_gp-model-unknown-key"),
+    pytest.param(_with(FAST_NARX, "model", bogus=1), id="narx-model-unknown-key"),
+    pytest.param(_with(FAST_NARX, "model", lags=[4]), id="lags-one-entry"),
+    pytest.param(_with(FAST_NARX, "model", lags=[4.5, 4]), id="lags-not-integer"),
+    pytest.param(_with(FAST_NARX, "model", lags=[-1, 4]), id="lags-negative"),
+    pytest.param(_with(FAST_NARX, "model", evaluation="freerun"), id="evaluation-freerun"),
+    pytest.param(_with(FAST_NARX, "data", level="abc"), id="level-string"),
+    pytest.param(_with(FAST_CONFIG, "split", bogus=1), id="split-unknown-key"),
+    pytest.param(_with(FAST_CONFIG, "split", fraction="x"), id="split-fraction-string"),
+    pytest.param(dict(FAST_CONFIG, split={"type": "stride", "stride": "x"}),
+                 id="split-stride-string"),
+    pytest.param(_with(FAST_CONFIG, "data", inputs=["nope"]), id="inputs-not-generated"),
+    pytest.param(_with(FAST_CONFIG, "data", target="nope"), id="target-not-generated"),
+    pytest.param(_with(FAST_CONFIG, "model", noise_var=-0.5), id="noise_var-negative-fixed"),
+    pytest.param(_with(FAST_TUNED, "model", noise_var=-0.5), id="noise_var-negative-tuned"),
+]
 
 
 def _bad_params(spec, change):
@@ -190,6 +226,21 @@ class TestFit:
         doc = dict(base, model={**base["model"], **model})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", MALFORMED_SECTIONS)
+    def test_malformed_section_exits_2_before_any_fit(self, tmp_path, monkeypatch, doc):
+        from shmgp import experiments, gp, statespace
+
+        fits = []
+        for module, name in ((gp, "fit_exact"), (experiments, "fit_reduced"),
+                             (statespace, "kalman_filter")):
+            fit = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fit=fit, **k: fits.append(1) or fit(*a, **k))
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not fits
         assert not out.exists()
 
     @pytest.mark.parametrize("tuned", [False, True])

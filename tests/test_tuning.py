@@ -39,6 +39,12 @@ def test_optimised_model_beats_arbitrary_start():
     assert np.isfinite(result.pso.trace).all()
 
 
+def test_iterations_default_to_100():
+    # the tuner's own default; the other swarm settings take PsoConfig's
+    result = tune_exact_gp(_dataset(n=12), "squared_exponential", noise_var=0.01, particles=2)
+    assert len(result.pso.trace) == 100
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         tune_exact_gp(_dataset(), "cubic_spline", particles=4, iterations=4)
