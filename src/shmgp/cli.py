@@ -24,7 +24,13 @@ import numpy as np
 from . import model_io
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError, NumericalError
-from .experiments import _generated_frame, resolve_output_dir, run_experiment
+from .experiments import (
+    _checked,
+    _generated_frame,
+    _generator_spec,
+    resolve_output_dir,
+    run_experiment,
+)
 from .metrics import nmse
 
 EXIT_CONFIG = 2
@@ -39,9 +45,7 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"cannot read generator spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {args.spec}: {exc}") from exc
-    if not isinstance(spec, dict) or "generator" not in spec:
-        raise ConfigError("generator spec must be an object with a 'generator' key")
-
+    spec = _checked("generator spec", _generator_spec, spec)
     frame = _generated_frame(spec)
     out = resolve_output_dir(None, args.output, f"{spec['generator']}-data")
     out.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ import json
 import os
 import re
 import time
+from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 
@@ -198,16 +199,29 @@ def _force_model(observed, nu=1.5, sigma=1.0, lengthscale=1.0, noise_var=1e-4):
     return prior, noise_var
 
 
+def _bound_box(name: str, value, shape) -> list:
+    """One optimizer.bounds entry: (lower, upper) pairs of the given array
+    ``shape``, each with 0 < lower < upper < inf, as the log-space search needs."""
+    box = np.asarray(value, dtype=float)
+    if box.shape != shape or not np.all((0.0 < box[..., 0]) & (box[..., 0] < box[..., 1])
+                                        & (box[..., 1] < np.inf)):
+        raise ValueError(f"bounds.{name} takes finite (lower, upper) pairs with "
+                         f"0 < lower < upper, of shape {shape}; got {value!r}")
+    return box.tolist()
+
+
 def _optimizer(config: ExperimentConfig, tuned) -> tuple[dict, dict]:
     """The optimizer section as (bounds by name, swarm settings); a bound must
-    name a parameter out of ``tuned``, and the swarm checks its settings."""
+    name a parameter out of ``tuned`` (names, or name -> default box, whose
+    shape it then takes), and the swarm checks its settings."""
 
     def read(bounds=EMPTY, seed=config.seed, **swarm):
-        bounds = {k: tuple(v) for k, v in dict(bounds).items()}
         unknown = set(bounds) - set(tuned)
         if unknown:
             raise ValueError(f"bounds names {sorted(unknown)} that this model does not tune; "
                              f"expected some of {sorted(tuned)}")
+        bounds = {k: _bound_box(k, v, np.shape(tuned[k]) if isinstance(tuned, dict) else (2,))
+                  for k, v in dict(bounds).items()}
         PsoConfig(bounds=((0.0, 1.0),), seed=seed, **swarm)
         return bounds, {"seed": seed, **swarm}
 
@@ -237,12 +251,37 @@ SPLITS = {"head_fraction": _head_fraction, "stride": _stride}  # type -> trainin
 # data loading
 
 
-def _generated_frame(data_cfg: dict) -> dict:
+def _generator_spec(generator, params=EMPTY) -> dict:
+    """A data section that runs ``generator`` with keyword arguments ``params``."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params takes an object of generator arguments, got {params!r}")
+    return {"generator": generator, "params": dict(params)}
+
+
+def _csv_file(path) -> dict:
+    """A data section that reads the CSV file at ``path``, time first."""
+    return {"path": path}
+
+
+def _data(config: ExperimentConfig, **task_keys) -> dict:
+    """config.data: its source, a CSV file ``path`` or a generator spec, read
+    by that source's reader, and the keys the task takes (``task_keys``, name
+    -> default), all in one dictionary.  Any other key is a ConfigError."""
+    reader = _csv_file if "path" in config.data else _generator_spec
+
+    def read(**section):
+        keys = {name: section.pop(name, default) for name, default in task_keys.items()}
+        return {**reader(**section), **keys}
+
+    return _checked("data", read, config.data)
+
+
+def _generated_frame(data: dict) -> dict:
     """Run a generator spec into named columns (+ side information).  A fault
     in the spec is a ConfigError; a simulation that diverges is a DataError."""
-    name = data_cfg.get("generator")
+    name = data["generator"]
     try:
-        return _generate(name, dict(data_cfg.get("params", {})))
+        return _generate(name, dict(data["params"]))
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"data.params of generator {name!r}: "
                           f"{type(exc).__name__}: {exc}") from exc
@@ -289,36 +328,35 @@ def _generate(name, params: dict) -> dict:
     raise ConfigError(f"unknown generator {name!r}")
 
 
-def _load_tabular(data_cfg: dict):
-    """Dataset from a generator or CSV file; returns (dataset, input names, target).
-    A column a generator does not make is a ConfigError, one a CSV file lacks
-    a DataError."""
-    if "generator" in data_cfg:
-        frame = _generated_frame(data_cfg)
+def _load_tabular(config: ExperimentConfig):
+    """Dataset from a generator or CSV file, with the columns data.inputs and
+    data.target; returns (dataset, input names, target).  A column a generator
+    does not make is a ConfigError, one a CSV file lacks a DataError."""
+    data = _data(config, inputs=None, target=None)
+    inputs, target = data["inputs"], data["target"]
+    if "generator" in data:
+        frame = _generated_frame(data)
         if "columns" not in frame:
             raise ConfigError("generator does not produce tabular data for this task")
         cols = frame["columns"]
-        inputs = data_cfg.get("inputs", frame["inputs"])
-        target = data_cfg.get("target", frame["target"])
+        inputs = frame["inputs"] if inputs is None else inputs
+        target = frame["target"] if target is None else target
         try:
             X, y = np.column_stack([cols[c] for c in inputs]), cols[target]
         except (LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"data.inputs and data.target name columns out of {sorted(cols)}: "
                               f"{type(exc).__name__}: {exc}") from exc
         return Dataset(X, y, timestamps=cols["time"]), inputs, target
-    if "path" in data_cfg:
-        header, data = model_io.read_csv(data_cfg["path"])
-        inputs = data_cfg.get("inputs")
-        target = data_cfg.get("target", "y")
-        if inputs is None:
-            inputs = [h for h in header[1:] if h != target]
-        try:
-            X = np.column_stack([data[:, header.index(c)] for c in inputs])
-            y = data[:, header.index(target)]
-        except ValueError as exc:
-            raise DataError(f"column missing from {data_cfg['path']}: {exc}") from exc
-        return Dataset(X, y, timestamps=data[:, 0]), inputs, target
-    raise ConfigError("data section needs either 'generator' or 'path'")
+    header, table = model_io.read_csv(data["path"])
+    target = "y" if target is None else target
+    if inputs is None:
+        inputs = [h for h in header[1:] if h != target]
+    try:
+        X = np.column_stack([table[:, header.index(c)] for c in inputs])
+        y = table[:, header.index(target)]
+    except ValueError as exc:
+        raise DataError(f"column missing from {data['path']}: {exc}") from exc
+    return Dataset(X, y, timestamps=table[:, 0]), inputs, target
 
 
 def _split(dataset: Dataset, split_cfg: dict | None):
@@ -352,7 +390,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None
 
 def _run_exact_gp(config: ExperimentConfig):
     prior, mean, profile_mean = _checked("model", _exact_gp_model, config.model)
-    dataset, input_cols, target = _load_tabular(config.data)
+    dataset, input_cols, target = _load_tabular(config)
     train, test = _split(dataset, config.split)
     if mean is not None:
         try:
@@ -396,13 +434,13 @@ EVALUATIONS = {"osa": predict_osa, "free_run": _free_run}  # -> (mean, variance)
 
 def _run_narx(config: ExperimentConfig):
     cfg, evaluation, prior = _checked("model", _narx_model, config.model)
-    data_cfg = config.data
-    if data_cfg.get("generator") != "wave":
+    data = _data(config, level=100)
+    if data.get("generator") != "wave":
         raise ConfigError("narx task currently ingests the 'wave' generator")
-    frame = _generated_frame(data_cfg)
+    frame = _generated_frame(data)
     rec = frame["record"]
     seq = rec.seq
-    level = data_cfg.get("level", 100)
+    level = data["level"]
     if not isinstance(level, int) or level not in rec.train_windows:
         raise ConfigError(f"data.level takes a coverage level out of "
                           f"{sorted(rec.train_windows)}, got {level!r}")
@@ -439,14 +477,16 @@ def _run_narx(config: ExperimentConfig):
 
 def _run_reduced_rank(config: ExperimentConfig):
     domain, kernel, noise_var = _checked("model", _reduced_rank_model, config.model)
-    data_cfg = config.data
-    if data_cfg.get("generator") == "bounded_field":
-        frame = _generated_frame(data_cfg)
+    if config.data.get("generator") == "bounded_field":
+        frame = _generated_frame(_data(config))
         train, test = frame["train"], frame["test"]
         input_cols, target = ["x0", "x1"], "y"
     else:
-        dataset, input_cols, target = _load_tabular(data_cfg)
+        dataset, input_cols, target = _load_tabular(config)
         train, test = _split(dataset, config.split)
+    if domain.dim != train.inputs.shape[1]:
+        raise ConfigError(f"model.domain is {domain.dim}-D but data.inputs have dimension "
+                          f"{train.inputs.shape[1]}")
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)
 
@@ -468,10 +508,10 @@ def _run_reduced_rank(config: ExperimentConfig):
 
 
 def _run_latent_force(config: ExperimentConfig):
-    data_cfg = config.data
-    if data_cfg.get("generator") != "mdof_chain":
+    data = _data(config)
+    if data.get("generator") != "mdof_chain":
         raise ConfigError("latent_force task ingests the 'mdof_chain' generator")
-    observed = data_cfg.get("params", {}).get("observed", StructuralModel.observed)
+    observed = data["params"].get("observed", StructuralModel.observed)
     prior, noise_var = _checked("model", _force_model, config.model, observed=observed)
     optimizer = None
     if config.optimizer is not None:
@@ -479,7 +519,7 @@ def _run_latent_force(config: ExperimentConfig):
         # rows in estimate_force's order: sigma, lengthscale, then noise_var if tuned
         bounds = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2), **named}
         optimizer = _checked("optimizer", PsoConfig, swarm, bounds=tuple(bounds.values()))
-    sim = _generated_frame(data_cfg)["sim"]
+    sim = _generated_frame(data)["sim"]
     result = estimate_force(sim.structure, sim.observations, dt=sim.dt, prior=prior,
                             noise_var=noise_var, optimizer=optimizer)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import NumericalError
-from .kernels import Kernel, build_gram, _as_matrix
+from .kernels import Kernel, SquaredDiffStack, build_gram, _as_matrix
 from .means import MeanFunction, ZeroMean
 
 # Escalating Cholesky stabilisation, relative to mean(diag K).
@@ -119,11 +119,15 @@ def fit_exact(
     kernel: Kernel,
     mean: MeanFunction | None = None,
     noise_var: float = 0.0,
+    stack: SquaredDiffStack | None = None,
 ) -> TrainedGp:
     """Condition a GP prior on the dataset.
 
-    Raises ``ValueError`` for an empty dataset or negative noise variance
-    and ``NumericalError`` if factorisation fails after the jitter ladder.
+    ``stack``, which must be built from ``data.inputs``, gives the Gram
+    matrix through :func:`build_gram`'s stack path, within 1e-13 of the
+    plain one; the caller owns that pairing, as a tune does.  Raises
+    ``ValueError`` for an empty dataset or negative noise variance and
+    ``NumericalError`` if factorisation fails after the jitter ladder.
     """
     if len(data) < 1:
         raise ValueError("cannot fit a GP to an empty dataset")
@@ -135,7 +139,7 @@ def fit_exact(
     residual = y - mean(X)
     if not np.all(np.isfinite(residual)):
         raise ValueError("prior mean is not finite at the training inputs")
-    K = build_gram(kernel, X)
+    K = build_gram(kernel, X if stack is None else stack)
     add_to_diag(K, noise_var)
     L, jitter = chol_with_jitter(K)
     alpha = cho_solve((L, True), residual, check_finite=False)

@@ -10,7 +10,10 @@ normalise input shapes and enforce dimension checks.
 Gram matrices are computed from explicit pairwise differences so that the
 square case is exactly symmetric and results do not depend on BLAS
 parallelism.  They are built a block of rows at a time, in place, so a fit
-allocates the n x m matrix once and no per-dimension temporaries.
+allocates the n x m matrix once and no per-dimension temporaries.  A tune,
+whose inputs stay fixed while the hyperparameters move, takes those squared
+differences once into a :class:`SquaredDiffStack`; each of its square Gram
+matrices is then one matrix-vector product per block of rows.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ class Kernel(Registered):
     """
 
     tag = "family"
+    # True when gram reads its inputs only through _scaled_sqdist, so that a
+    # SquaredDiffStack can stand in for them
+    reads_sqdist = False
 
     def gram(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """Covariance matrix between the rows of X (n, d) and X2 (m, d)."""
@@ -106,6 +112,7 @@ class SquaredExponential(Kernel, family="squared_exponential"):
     signal_scale: float = 1.0
     lengthscales: float | np.ndarray = 1.0
     keys = ("signal_scale", "lengthscales")
+    reads_sqdist = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -121,8 +128,7 @@ class SquaredExponential(Kernel, family="squared_exponential"):
             )
 
     def gram(self, X, X2):
-        ell = np.broadcast_to(self.lengthscales, (X.shape[1],))
-        K = _scaled_sqdist(X, X2, ell)
+        K = _scaled_sqdist(X, X2, self.lengthscales)
         K *= -0.5
         np.exp(K, out=K)
         K *= self.signal_scale**2
@@ -170,6 +176,7 @@ class _Matern(Kernel):
     signal_scale: float = 1.0
     lengthscale: float = 1.0
     keys = ("signal_scale", "lengthscale")
+    reads_sqdist = True
 
     def __post_init__(self):
         _require_positive(self.signal_scale, "signal_scale")
@@ -235,8 +242,60 @@ class Matern32(_Matern, family="matern32"):
 GRAM_BLOCK_ENTRIES = 1 << 16
 
 
-def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """sum_k (x_k/ell_k - x'_k/ell_k)^2, a block of rows at a time.
+def _block_rows(d: int, m: int) -> int:
+    """Rows of a block whose (d, rows, m) difference stack fits the budget."""
+    return max(1, GRAM_BLOCK_ENTRIES // max(1, d * m))
+
+
+class SquaredDiffStack:
+    """Per-dimension squared differences (x_ik - x_jk)^2 of one input matrix.
+
+    Built once from inputs X (n, d) that stay fixed while the hyperparameters
+    change, as over a tune's swarm, and passed to :func:`build_gram` in
+    place of X for the square Gram matrix.  Block b covers the rows s..e of
+    :func:`_scaled_sqdist`'s blocks, from its diagonal to the right: a
+    C-ordered (d, rows * (n - s)) array, so a weighted sum over dimensions is
+    one matrix-vector product per block.  It holds d n (n + rows) / 2
+    doubles, about d/2 times the Gram matrix.
+    """
+
+    def __init__(self, X):
+        self.inputs = _as_matrix(X)
+        self.n, self.dim = self.inputs.shape
+        Z = np.ascontiguousarray(self.inputs.T)
+        rows = _block_rows(self.dim, self.n)
+        self.blocks = []
+        for start in range(0, self.n, rows):
+            stop = min(start + rows, self.n)
+            block = np.empty((self.dim, stop - start, self.n - start))
+            np.subtract(Z[:, start:stop, None], Z[:, None, start:], out=block)
+            np.square(block, out=block)
+            self.blocks.append((start, stop, block.reshape(self.dim, -1)))
+
+    def scaled_sqdist(self, ell) -> np.ndarray:
+        """sum_k (x_ik - x_jk)^2 / ell_k^2 as an (n, n) matrix.
+
+        Each block's product fills its rows from the diagonal to the right;
+        the entries left of that mirror blocks already built, so the result
+        is exactly symmetric.  Within 1e-13 relative of the plain path, not
+        bit for bit: BLAS adds the dimensions up.
+        """
+        n, d = self.n, self.dim
+        w = np.empty(d)
+        w[...] = 1.0 / np.square(ell)
+        sq = np.empty((n, n))
+        for start, stop, block in self.blocks:
+            out = sq[start:stop, start:]
+            out[...] = (w @ block).reshape(out.shape)
+            if start:
+                sq[start:stop, :start] = sq[:start, start:stop].T
+        return sq
+
+
+def _scaled_sqdist(X, X2, ell) -> np.ndarray:
+    """sum_k (x_k/ell_k - x'_k/ell_k)^2, a block of rows at a time; ``ell``
+    is a scalar or per dimension.  ``X`` may be a :class:`SquaredDiffStack`
+    standing in for ``X2`` as well, which gives the square matrix from it.
 
     Pairwise differences keep the result independent of BLAS threading,
     unlike the dot-product identity.  Each block's differences for every
@@ -246,10 +305,12 @@ def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray
     block starts at its diagonal; the entries left of that are the mirror of
     blocks already built, since (a - b)^2 == (b - a)^2 exactly.
     """
+    if isinstance(X, SquaredDiffStack):
+        return X.scaled_sqdist(ell)
     Z = np.ascontiguousarray((X / ell).T)
     Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
     (d, n), m = Z.shape, Z2.shape[1]
-    rows = max(1, GRAM_BLOCK_ENTRIES // max(1, d * m))
+    rows = _block_rows(d, m)
     sq = np.empty((n, m))
     buf = np.empty(d * min(rows, n) * m)
     for start in range(0, n, rows):
@@ -267,8 +328,8 @@ def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, ell: np.ndarray) -> np.ndarray
     return sq
 
 
-def _pairwise_dist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    return np.sqrt(_scaled_sqdist(X, X2, np.ones(X.shape[1])))
+def _pairwise_dist(X, X2) -> np.ndarray:
+    return np.sqrt(_scaled_sqdist(X, X2, 1.0))
 
 
 # family name -> class; importing the package imports every module that
@@ -295,13 +356,22 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     """Covariance matrix K[i, j] = k(X[i], X_prime[j]).
 
     With ``X_prime`` omitted, the (symmetric) training Gram matrix is
-    returned.  Entries are finite by construction for valid hyperparameters.
+    returned.  ``X`` may be a :class:`SquaredDiffStack` of the inputs, for
+    the square matrix of a family that ``reads_sqdist``.  Entries are finite
+    by construction for valid hyperparameters.
     """
-    X = _as_matrix(X)
-    X2 = X if X_prime is None else _as_matrix(X_prime)
-    if X.shape[1] != X2.shape[1]:
-        raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
-    spec.check_input_dim(X.shape[1])
+    if isinstance(X, SquaredDiffStack):
+        if X_prime is not None or not spec.reads_sqdist:
+            raise ValueError(f"a difference stack gives only the square Gram matrix of a "
+                             f"squared-distance kernel, not {type(spec).__name__}'s")
+        d, X2 = X.dim, X
+    else:
+        X = _as_matrix(X)
+        X2 = X if X_prime is None else _as_matrix(X_prime)
+        if X.shape[1] != X2.shape[1]:
+            raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
+        d = X.shape[1]
+    spec.check_input_dim(d)
     K = spec.gram(X, X2)
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel evaluation produced non-finite entries")

@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve
 
 from . import gp
 from .errors import NumericalError
-from .kernels import Kernel, build_gram
+from .kernels import Kernel, SquaredDiffStack, build_gram
 from .means import LinearMean, MeanFunction
 from .pso import PsoConfig, PsoResult, pso_minimize
 
@@ -29,16 +29,18 @@ class TuneResult:
     pso: PsoResult
 
 
-def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float) -> LinearMean:
+def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
+                    stack: SquaredDiffStack | None = None) -> LinearMean:
     """Affine mean with coefficients profiled by generalised least squares.
 
     Weighting the regression by the inverse GP covariance discounts
     kernel-correlated deviations, so the recovered line tracks the global
     trend instead of absorbing local structure (ordinary least squares would
     bias the slope whenever the residual process correlates with an input).
+    ``stack`` is as in :func:`gp.fit_exact`.
     """
     X, y = data.inputs, data.outputs
-    K = build_gram(kernel, X)
+    K = build_gram(kernel, X if stack is None else stack)
     gp.add_to_diag(K, noise_var)
     L, _ = gp.chol_with_jitter(K)
     A = np.column_stack([np.ones(len(data)), X])
@@ -79,6 +81,11 @@ def tune_exact_gp(
     evaluation instead of being supplied through ``mean``.  The other swarm
     settings (``particles``, ``seed``, ...) go to :class:`PsoConfig`, whose
     defaults they take.
+
+    The swarm's fits take the inputs' squared differences from one
+    :class:`SquaredDiffStack`, built here for the families that read it;
+    the model returned is refit without it, so it is :func:`gp.fit_exact`'s
+    at the tuned values, bit for bit.
     """
     cls = Kernel.member(family)
     names = cls.tuning_names(data.inputs.shape[1], ard)
@@ -102,15 +109,23 @@ def tune_exact_gp(
 
     cfg = PsoConfig(bounds=tuple(map(tuple, np.log10(pairs))), iterations=iterations, **swarm)
 
-    def fit_at(v: np.ndarray) -> gp.TrainedGp:
+    def fit_at(v: np.ndarray, stack=None) -> gp.TrainedGp:
         sigma_n2 = float(v[-1]) if noise_var is None else float(noise_var)
         kernel = cls.from_vector(v[:n_kernel])
-        mean_fn = gls_linear_mean(data, kernel, sigma_n2) if profile_linear_mean else mean
-        return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2)
+        mean_fn = (gls_linear_mean(data, kernel, sigma_n2, stack) if profile_linear_mean
+                   else mean)
+        return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2, stack=stack)
+
+    # built from the very inputs the swarm fits, and only for a family that
+    # reads it, so no stack fault can hide among the objective's inf scores
+    try:
+        stack = SquaredDiffStack(data.inputs) if cls.reads_sqdist else None
+    except MemoryError:  # d/2 Gram matrices' worth does not fit; tune without it
+        stack = None
 
     def objective(log_v: np.ndarray) -> float:
         try:
-            return -fit_at(10.0**log_v).lml
+            return -fit_at(10.0**log_v, stack).lml
         except (NumericalError, ValueError):
             return np.inf
 

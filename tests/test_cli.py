@@ -94,6 +94,31 @@ MALFORMED_SECTIONS = [
     pytest.param(_with(FAST_CONFIG, "data", target="nope"), id="target-not-generated"),
     pytest.param(_with(FAST_CONFIG, "model", noise_var=-0.5), id="noise_var-negative-fixed"),
     pytest.param(_with(FAST_TUNED, "model", noise_var=-0.5), id="noise_var-negative-tuned"),
+    # the log-space search needs finite bounds with 0 < lower < upper
+    pytest.param(_with(TREND, "optimizer", bounds={"lengthscale": [10, 1]}), id="bounds-reversed"),
+    pytest.param(_with(TREND, "optimizer", bounds={"lengthscale": [0, 1]}), id="bounds-zero"),
+    pytest.param(_with(TREND, "optimizer", bounds={"noise_var": [1e-6, float("inf")]}),
+                 id="bounds-infinite"),
+    pytest.param(_with(TREND, "optimizer", bounds={"lengthscale": [1]}), id="bounds-one-value"),
+    pytest.param(_with(TREND, "optimizer", bounds={"lengthscale": "1, 10"}),
+                 id="bounds-string"),
+    pytest.param(dict(FAST_FORCE, optimizer={"particles": 2, "iterations": 1,
+                                             "bounds": {"sigma": [0, 1]}}),
+                 id="latent_force-bounds-zero"),
+    pytest.param(_with(FIELD, "model", domain={**FIELD["model"]["domain"], "half_widths": [1.0],
+                                               "basis_counts": [10]}),
+                 id="domain-dimension-not-data"),
+    # each source and task takes its own data keys
+    pytest.param(_with(FAST_CONFIG, "data", bogus=1), id="exact_gp-data-unknown-key"),
+    pytest.param(_with(FAST_CONFIG, "data", level=50), id="exact_gp-data-level"),
+    pytest.param(dict(FAST_CONFIG, data={"path": "data.csv", "params": {}}),
+                 id="csv-data-params"),
+    pytest.param(_with(FAST_NARX, "data", bogus=1), id="narx-data-unknown-key"),
+    pytest.param(_with(FAST_NARX, "data", inputs=["U"]), id="narx-data-inputs"),
+    pytest.param(_with(FIELD, "data", bogus=1), id="reduced_rank-data-unknown-key"),
+    pytest.param(_with(FIELD, "data", target="y"), id="bounded_field-data-target"),
+    pytest.param(_with(FAST_FORCE, "data", bogus=1), id="latent_force-data-unknown-key"),
+    pytest.param(_with(FAST_FORCE, "data", params=[1]), id="data-params-not-object"),
 ]
 
 
@@ -151,6 +176,12 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    def test_spec_without_params_runs_generator_defaults(self, tmp_path, capsys):
+        spec = _write_config(tmp_path, {"generator": "trend"}, "gen.json")
+        out = tmp_path / "data"
+        assert main(["generate", str(spec), "-o", str(out)]) == 0
+        assert read_csv(out / "data.csv")[1].shape == (504, 5)
+
     def test_diverged_simulation_exits_3(self, tmp_path):
         spec = _write_config(tmp_path, {
             "generator": "sdof_oscillator",
@@ -173,6 +204,18 @@ class TestGenerate:
         assert main(["generate", str(bad), "-o", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"generator": "trend", "params": {"seed": 1}, "bogus": 1},
+        {"generator": "trend", "params": [1]},
+        {"params": {"seed": 1}},
+        ["trend"],
+    ], ids=["unknown-key", "params-not-object", "no-generator", "not-object"])
+    def test_spec_keys_exit_2(self, tmp_path, capsys, spec):
+        path = _write_config(tmp_path, spec, "gen.json")
+        assert main(["generate", str(path), "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: generator spec: ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestFit:
     def test_fit_prints_metrics_and_writes_artifacts(self, tmp_path, capsys):
@@ -190,6 +233,12 @@ class TestFit:
         out = tmp_path / "should-not-exist"
         assert main(["fit", str(bad), "-o", str(out)]) == 2
         assert not out.exists()
+
+    def test_data_without_params_runs_generator_defaults(self, tmp_path, capsys):
+        doc = dict(FAST_CONFIG, data={"generator": "trend", "inputs": ["temperature"]})
+        out = tmp_path / "run"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        assert read_csv(out / "predictions.csv")[1].shape[0] == 252
 
     def test_missing_data_file_exits_3(self, tmp_path):
         doc = dict(FAST_CONFIG)

@@ -99,7 +99,7 @@ class TestRunExperiment:
     def test_unknown_generator(self, tmp_path):
         cfg = dict(FAST_TREND)
         cfg["data"] = {"generator": "nope"}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown generator"):
             run_experiment(ExperimentConfig.from_dict(cfg), output_dir=tmp_path / "x")
 
 

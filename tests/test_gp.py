@@ -13,7 +13,7 @@ from shmgp.gp import (
     log_marginal_likelihood,
     predict,
 )
-from shmgp.kernels import SquaredExponential, build_gram
+from shmgp.kernels import SquaredDiffStack, SquaredExponential, build_gram
 from shmgp.means import LinearMean, ZeroMean
 
 SE = SquaredExponential
@@ -86,6 +86,12 @@ class TestFit:
         fit_exact(data, kernel, mean=LinearMean(0.5, [1.0, -1.0]), noise_var=noise)
         np.testing.assert_array_equal(data.inputs, X)
         np.testing.assert_array_equal(data.outputs, y)
+
+    def test_fit_from_stack_matches_plain_fit(self):
+        data, kernel, noise = _random_problem(5)
+        fit = fit_exact(data, kernel, noise_var=noise, stack=SquaredDiffStack(data.inputs))
+        np.testing.assert_allclose(fit.lml, fit_exact(data, kernel, noise_var=noise).lml,
+                                   rtol=1e-12)
 
 
 class TestPredict:

@@ -13,6 +13,7 @@ from shmgp.kernels import (
     GRAM_BLOCK_ENTRIES,
     Matern12,
     Matern32,
+    SquaredDiffStack,
     SquaredExponential,
     build_gram,
     kernel_eval,
@@ -169,6 +170,48 @@ def test_kernel_eval_equals_gram_entry(family):
     for i in (0, B - 1, B, n - 1):
         for j in range(n):
             assert kernel_eval(spec, X[i], X[j]) == K[i, j]
+
+
+@pytest.mark.parametrize("n, d", [
+    (1, 1), (E1 - 1, 1), (E1, 1), (E1 + 1, 1),
+    (2, 3), (E3 - 1, 3), (E3, 3), (E3 + 1, 3),  # one block, then two
+    (336, 14),  # the NARX tuning size
+    (_square_edge(14) + 12, 14), (100, 20),
+])
+@pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
+def test_stack_gram_matches_plain_gram(family, n, d):
+    """A tune's square Gram matrices from the difference stack: BLAS sums the
+    dimensions, so within roundoff of the plain build, and exactly symmetric."""
+    X = np.random.default_rng(13).normal(size=(n, d))
+    spec = ORACLE_SPECS[family](d)
+    K = build_gram(spec, SquaredDiffStack(X))
+    np.testing.assert_allclose(K, build_gram(spec, X), rtol=1e-13)
+    np.testing.assert_array_equal(K, K.T)
+
+
+def test_stack_holds_the_upper_triangle_by_row_block():
+    n, d = 150, 3
+    X = np.random.default_rng(2).normal(size=(n, d))
+    stack = SquaredDiffStack(X)
+    rows = _block_rows(d, n)
+    assert [(s, e) for s, e, _ in stack.blocks] == [
+        (s, min(s + rows, n)) for s in range(0, n, rows)]
+    for start, stop, block in stack.blocks:
+        assert block.flags.c_contiguous and block.shape == (d, (stop - start) * (n - start))
+        expected = np.square(X[start:stop, None, :] - X[None, start:, :])
+        np.testing.assert_array_equal(block.reshape(d, stop - start, n - start),
+                                      np.moveaxis(expected, 2, 0))
+
+
+def test_stack_serves_only_square_squared_distance_grams():
+    X = np.random.default_rng(4).normal(size=(6, 1))
+    stack = SquaredDiffStack(X)
+    with pytest.raises(ValueError):
+        build_gram(SPECS[0], stack, X)
+    with pytest.raises(ValueError):
+        build_gram(SdofKernel(SdofKernelParams(zeta=0.1, omega_n=5.0, sigma2=1.0)), stack)
+    with pytest.raises(ValueError):  # two lengthscales, one input dimension
+        build_gram(SquaredExponential(1.0, [1.0, 2.0]), stack)
 
 
 def test_gram_single_point_is_signal_variance():

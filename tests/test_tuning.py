@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from shmgp import gp
 from shmgp.gp import Dataset, fit_exact
-from shmgp.kernels import Matern32, SquaredExponential, build_gram
+from shmgp.kernels import FAMILIES, Matern32, SquaredExponential, build_gram
 from shmgp.tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
 
@@ -66,3 +67,36 @@ def test_gls_mean_ignores_kernel_correlated_deviation():
     ols = np.linalg.lstsq(A, y, rcond=None)[0]
     assert abs(gls.slope[0] - slope) < 0.5 * abs(ols[1] - slope)
     assert gls.slope[0] == pytest.approx(slope, abs=0.05)
+
+
+@pytest.mark.parametrize("family, ard, profile", [
+    ("squared_exponential", True, False), ("squared_exponential", True, True),
+    ("matern12", False, False), ("matern32", False, True), ("sdof", False, False),
+])
+def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, ard, profile):
+    """The swarm's fits read the tune's difference stack; the model returned
+    is refit from the inputs, so it is fit_exact's at the tuned values, bit for bit."""
+    rng = np.random.default_rng(8)
+    t = np.arange(40) * 0.1
+    X = t[:, None] if family == "sdof" else np.column_stack([t, rng.uniform(-1, 1, 40)])
+    data = Dataset(X, np.sin(3 * t) + 0.3 * X[:, -1] + 0.05 * rng.standard_normal(40))
+    stacks = []
+    fit = gp.fit_exact
+    monkeypatch.setattr(gp, "fit_exact", lambda *a, stack=None, **k:
+                        stacks.append(stack) or fit(*a, stack=stack, **k))
+    result = tune_exact_gp(data, family, profile_linear_mean=profile, ard=ard,
+                           particles=4, iterations=3, seed=2)
+    # every swarm evaluation but none of the final refit used one stack
+    assert stacks[-1] is None and len(stacks) == 4 * (3 + 1) + 1
+    assert len({id(s) for s in stacks[:-1]}) == 1
+    assert (stacks[0] is None) == (family == "sdof")
+
+    cls = FAMILIES[family]
+    names = cls.tuning_names(X.shape[1], ard)
+    kernel = cls.from_vector(np.array([result.params[name] for name in names]))
+    noise = result.params["noise_var"]
+    mean = gls_linear_mean(data, kernel, noise) if profile else None
+    plain = fit(data, kernel, mean=mean, noise_var=noise)
+    for field in ("chol", "alpha", "residual"):
+        np.testing.assert_array_equal(getattr(result.model, field), getattr(plain, field))
+    assert result.model.lml == plain.lml and result.model.jitter == plain.jitter
