@@ -45,7 +45,7 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     lines = [",".join(header)]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -232,6 +232,6 @@ def predict_reduced(model: ReducedRankGp, X_star) -> tuple[np.ndarray, np.ndarra
     """
     Phi = model.basis.evaluate(X_star)
     mean = Phi @ model.weight_mean
-    var = np.einsum("ij,jk,ik->i", Phi, model.weight_cov, Phi)
+    var = np.einsum("ij,ij->i", Phi @ model.weight_cov, Phi)
     np.clip(var, 0.0, None, out=var)
     return mean, var

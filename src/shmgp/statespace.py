@@ -19,13 +19,18 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, expm, solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
 from .kernels import Kernel, Matern32
 from .pso import PsoConfig, pso_minimize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Largest change of an updated-covariance entry between two updates, relative
+# to the product of its two standard deviations, at which the filter treats
+# the covariance as converged; 0 runs the exact recursion at every step.
+STEADY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,11 +220,16 @@ def discretize(model: StateSpaceModel, dt: float) -> StateSpaceModel:
 
 @dataclass
 class FilterResult:
+    """Forward-pass output.  ``steady`` lists the step ranges [start, end)
+    run in steady state: there ``covs`` and ``pred_covs`` repeat the values
+    of step ``start - 1``, and one gain applies throughout."""
+
     means: np.ndarray  # (T, n) filtered
     covs: np.ndarray  # (T, n, n)
     pred_means: np.ndarray  # prior at each step, before the update
     pred_covs: np.ndarray
     log_likelihood: float
+    steady: tuple = ()
 
 
 @dataclass
@@ -247,6 +257,12 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
     zero is an update without a preceding predict.  Rows of all-NaN are
     treated as missing and skip the update.  The log-likelihood sums the
     per-step innovation log densities.
+
+    The model is time-invariant, so its covariances converge.  Once an
+    update moves no covariance entry P_ij by more than ``STEADY_RTOL``
+    sqrt(P_ii P_jj), the filter keeps that covariance, its gain, the inverse
+    of S and log|S|, and updates only the mean and the likelihood up to the
+    next missing row, where the exact recursion resumes.
     """
     if model.Ad is None or model.Qd is None:
         raise ValueError("model must be discretized before filtering")
@@ -255,8 +271,13 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
         raise ValueError(
             f"observations have {Y.shape[1]} channels, model defines {model.H.shape[0]}"
         )
+    missing = np.isnan(Y)
+    skip = missing.all(axis=1)
+    mixed = np.flatnonzero(missing.any(axis=1) & ~skip)
+    if mixed.size:
+        raise ValueError(f"observation row {mixed[0]} mixes NaN and finite entries")
     T, n = Y.shape[0], model.state_dim
-    H, R = model.H, model.R
+    Ad, Qd, H, R = model.Ad, model.Qd, model.H, model.R
     eye = np.eye(n)
 
     means = np.empty((T, n))
@@ -264,44 +285,66 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
     pred_means = np.empty((T, n))
     pred_covs = np.empty((T, n, n))
     loglik = 0.0
+    steady = []
 
     m, P = model.m0.copy(), model.P0.copy()
-    for t in range(T):
+    P_prev = None  # the previous step's updated covariance, if it had an update
+    t = 0
+    while t < T:
         if t > 0:
-            m = model.Ad @ m
-            P = model.Ad @ P @ model.Ad.T + model.Qd
+            m = Ad @ m
+            P = Ad @ P @ Ad.T + Qd
             P = 0.5 * (P + P.T)
-        pred_means[t] = m
-        pred_covs[t] = P
-
-        row = Y[t]
-        missing = np.isnan(row)
-        if missing.all():
+        pred_means[t], pred_covs[t] = m, P
+        if skip[t]:
             means[t], covs[t] = m, P
+            P_prev = None
+            t += 1
             continue
-        if missing.any():
-            raise ValueError(f"observation row {t} mixes NaN and finite entries")
 
-        v = row - H @ m
-        S = H @ P @ H.T + R
-        try:
-            S_chol = cho_factor(0.5 * (S + S.T), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance not positive definite at step {t}") from exc
-        K = cho_solve(S_chol, H @ P).T
+        v = Y[t] - H @ m
+        # LAPACK reads only the lower triangle of S, and passes NaN through
+        L, info = dpotrf(H @ P @ H.T + R, lower=1)
+        half_logdet = np.log(L.diagonal()).sum() if info == 0 else np.nan
+        if not np.isfinite(half_logdet):
+            raise NumericalError(f"innovation covariance not positive definite at step {t}")
+        L_inv, _ = dtrtri(L, lower=1)
+        S_inv = L_inv.T @ L_inv
+        K = P @ H.T @ S_inv
         m = m + K @ v
         IKH = eye - K @ H
         P = IKH @ P @ IKH.T + K @ R @ K.T
         P = 0.5 * (P + P.T)
-
-        w = cho_solve(S_chol, v)
-        loglik += -0.5 * (v @ w + row.size * LOG_2PI) - np.sum(np.log(np.diag(S_chol[0])))
-
+        loglik += -0.5 * (v @ S_inv @ v + v.size * LOG_2PI) - half_logdet
         means[t], covs[t] = m, P
+        t += 1
+
+        # |dP_ij| <= tol sqrt(P_ii P_jj), squared: no state's scale hides another's
+        converged = (STEADY_RTOL > 0.0 and P_prev is not None and np.all(
+            np.square(P - P_prev) <= STEADY_RTOL**2 * np.outer(P.diagonal(), P.diagonal())))
+        P_prev = P
+        if not converged:
+            continue
+        # steady state: reuse this step's moments up to the next missing row
+        gaps = np.flatnonzero(skip[t:])
+        end = t + gaps[0] if gaps.size else T
+        if end > t:
+            F = IKH @ Ad  # mean transition of an update with gain K
+            Ky = Y[t:end] @ K.T
+            for i in range(t, end):
+                m = F @ m + Ky[i - t]
+                means[i] = m
+            pred_means[t:end] = means[t - 1 : end - 1] @ Ad.T
+            V = Y[t:end] - pred_means[t:end] @ H.T
+            loglik += (-0.5 * (np.einsum("ij,ij->", V @ S_inv, V) + V.size * LOG_2PI)
+                       - (end - t) * half_logdet)
+            covs[t:end], pred_covs[t:end] = P, pred_covs[t - 1]
+            steady.append((t, end))
+            t = end
 
     return FilterResult(
         means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs,
-        log_likelihood=float(loglik),
+        log_likelihood=float(loglik), steady=tuple(steady),
     )
 
 
@@ -310,21 +353,27 @@ def rts_smoother(model: StateSpaceModel, filt: FilterResult) -> SmootherResult:
 
     The final step's smoothed moments equal the filtered ones; earlier steps
     blend in future information, so smoothed variances never exceed filtered
-    variances.
+    variances.  Over the filter's steady ranges one gain serves every step.
     """
     T, n = filt.means.shape
     sm = filt.means.copy()
     sP = filt.covs.copy()
+    # steps whose gain inputs, covs[t] and pred_covs[t + 1], hold steady values
+    constant = np.zeros(T, dtype=bool)
+    for start, end in filt.steady:
+        constant[start - 1 : end - 1] = True
+    means, covs, pred_means, pred_covs = filt.means, filt.covs, filt.pred_means, filt.pred_covs
     for t in range(T - 2, -1, -1):
-        P_pred = filt.pred_covs[t + 1]
-        try:
-            # gain G = P_f A' P_pred^-1, computed as (P_pred^-1 A P_f)'
-            Gt = np.linalg.solve(P_pred, model.Ad @ filt.covs[t])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular predicted covariance at step {t + 1}") from exc
-        sm[t] = filt.means[t] + Gt.T @ (sm[t + 1] - filt.pred_means[t + 1])
-        sP[t] = filt.covs[t] + Gt.T @ (sP[t + 1] - P_pred) @ Gt
-        sP[t] = 0.5 * (sP[t] + sP[t].T)
+        if not (constant[t] and constant[t + 1]):
+            try:
+                # gain G = P_f A' P_pred^-1, computed as (P_pred^-1 A P_f)'
+                Gt = np.linalg.solve(pred_covs[t + 1], model.Ad @ covs[t])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular predicted covariance at step {t + 1}") from exc
+            G = Gt.T
+        sm[t] = means[t] + G @ (sm[t + 1] - pred_means[t + 1])
+        P = covs[t] + G @ (sP[t + 1] - pred_covs[t + 1]) @ Gt
+        sP[t] = 0.5 * (P + P.T)
 
     if model.force_index is not None:
         fi = model.force_index

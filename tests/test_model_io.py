@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from shmgp import gp
 from shmgp.kernels import SquaredExponential
 from shmgp.means import LinearMean, ZeroMean
-from shmgp.model_io import MODEL_JSON, load_model, save_exact_gp, save_narx, save_reduced_rank
+from shmgp.model_io import (
+    MODEL_JSON,
+    load_model,
+    save_exact_gp,
+    save_narx,
+    save_reduced_rank,
+    write_csv,
+)
 from shmgp.narx import (
     BlackBox,
     InputAugmentation,
@@ -118,3 +125,18 @@ def test_reduced_rank_round_trip(tmp_path_factory, half_width, basis, boundary, 
     np.testing.assert_array_equal(a[1], b[1])
     assert _resaved_doc(tmp_path, save_reduced_rank, loaded, ["x"], "y") == (
         tmp_path / MODEL_JSON).read_text()
+
+
+def test_csv_writer_writes_the_bytes_of_the_per_value_writer(tmp_path):
+    # oracle: every value through float() then repr(), one row at a time
+    rng = np.random.default_rng(2)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e308, 0.1, 1 / 3, -1e-5, 123456789.0, 2.0**53 + 1]
+    columns = [np.array(special), rng.standard_normal(len(special)),
+               np.arange(len(special)), np.float32(0.1) * np.ones(len(special))]
+    header = ["a", "b", "c", "d"]
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    oracle = "\n".join([",".join(header)]
+                       + [",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
+    write_csv(tmp_path / "out.csv", header, columns)
+    assert (tmp_path / "out.csv").read_bytes() == oracle.encode()

@@ -203,6 +203,21 @@ class TestFitPredict:
         assert np.linalg.eigvalsh(C).min() >= -1e-10
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+def test_predictive_variance_matches_three_operand_quadratic_form(boundary):
+    # oracle: diag(Phi W Phi') as one three-operand einsum, never materialised
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, (80, 2))
+    y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1]) + 0.05 * rng.standard_normal(80)
+    domain = DomainSpec([1.5, 1.5], boundary=boundary, basis_counts=[12, 10])
+    model = fit_reduced(Dataset(X, y), domain, SE(1.0, [0.4, 0.6]), 0.01)
+    Xs = rng.uniform(-1.5, 1.5, (500, 2))
+    Phi = model.basis.evaluate(Xs)
+    oracle = np.einsum("ij,jk,ik->i", Phi, model.weight_cov, Phi)
+    _, var = predict_reduced(model, Xs)
+    np.testing.assert_allclose(var, np.clip(oracle, 0.0, None), rtol=1e-12)
+
+
 def test_zero_noise_variance_matches_exact_gp_with_fewer_points_than_modes():
     # n = 3 < M = 64: the data pin only a 3-D subspace of the coefficients,
     # so the posterior keeps the prior spread elsewhere

@@ -1,11 +1,16 @@
 """State-space models: SDE forms, exact discretisation, filtering, smoothing."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from shmgp import gp
+from shmgp import gp, statespace
 from shmgp.errors import NumericalError
+from shmgp.generators import band_limited_force, simulate_mdof_chain
 from shmgp.gp import Dataset
 from shmgp.kernels import Kernel, Matern12, Matern32, build_gram
 from shmgp.statespace import (
@@ -25,6 +30,7 @@ from shmgp.statespace import (
 
 
 MATERN = {0.5: Matern12, 1.5: Matern32}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestMaternToSs:
@@ -257,6 +263,103 @@ class TestKalmanFilter:
         model2 = build_latent_force_model(swapped, 0.05, Matern32(), [0.02, 0.01])
         ll2 = kalman_filter(model2, Y[:, ::-1]).log_likelihood
         assert ll2 == pytest.approx(ll, rel=1e-12)
+
+    def test_row_mixing_nan_and_finite_rejected(self):
+        model = build_latent_force_model(
+            StructuralModel(mass=np.eye(2), damping=0.2 * np.eye(2), stiffness=2.0 * np.eye(2),
+                            observed=(("displacement", 0), ("displacement", 1))),
+            0.05, Matern32(), 1e-4)
+        Y = np.zeros((30, 2))
+        Y[20, 1] = np.nan
+        with pytest.raises(ValueError, match="row 20 mixes NaN"):
+            kalman_filter(model, Y)
+
+
+@pytest.fixture(scope="module")
+def latent_force_3dof():
+    """The shipped 3-dof config's structure, record, noise and swarm box."""
+    cfg = json.loads((CONFIGS / "latent_force_3dof.json").read_text())
+    params = dict(cfg["data"]["params"])
+    force = band_limited_force(dt=params["dt"], **params.pop("force"))
+    sim = simulate_mdof_chain(force=force, **params)
+    box = cfg["optimizer"]["bounds"]
+    return sim, cfg["model"]["noise_var"], np.array([box["sigma"], box["lengthscale"]])
+
+
+def _force_model(latent_force_3dof, sigma, lengthscale):
+    sim, noise_var, _ = latent_force_3dof
+    return build_latent_force_model(sim.structure, sim.dt, Matern32(sigma, lengthscale), noise_var)
+
+
+def _exact(monkeypatch, fn, *args):
+    """``fn`` run with the steady-state switch off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(statespace, "STEADY_RTOL", 0.0)
+        return fn(*args)
+
+
+def _assert_close(steady, exact, tol=1e-9):
+    """Within ``tol`` of the exact array's largest magnitude."""
+    np.testing.assert_allclose(steady, exact, rtol=0, atol=tol * np.abs(exact).max())
+
+
+class TestSteadyState:
+    """The filter's steady-state switch against the exact recursion."""
+
+    @pytest.mark.parametrize("corner", [*itertools.product((0, 1), repeat=2), "centre"])
+    def test_matches_exact_recursion_over_the_tuning_box(self, latent_force_3dof, monkeypatch,
+                                                         corner):
+        sim, _, box = latent_force_3dof
+        if corner == "centre":  # the swarm searches the box in log10 space
+            sigma, lengthscale = np.sqrt(box.prod(axis=1))
+        else:
+            sigma, lengthscale = box[0, corner[0]], box[1, corner[1]]
+        model = _force_model(latent_force_3dof, sigma, lengthscale)
+        steady = smooth(model, sim.observations)
+        exact = _exact(monkeypatch, smooth, model, sim.observations)
+        filt = kalman_filter(model, sim.observations)
+        if filt.steady:
+            assert len(filt.steady) == 1 and filt.steady[0][1] == len(sim.observations)
+        else:  # not converged within the record (a long, faint force): the exact recursion
+            assert steady.log_likelihood == exact.log_likelihood
+        assert steady.log_likelihood == pytest.approx(exact.log_likelihood, rel=1e-9)
+        _assert_close(steady.force_mean, exact.force_mean)
+
+    def test_missing_row_resumes_exact_recursion(self, latent_force_3dof, monkeypatch):
+        sim, _, _ = latent_force_3dof
+        model = _force_model(latent_force_3dof, 4.6, 2.33)
+        switch = kalman_filter(model, sim.observations).steady[0][0]
+        Y = sim.observations.copy()
+        gap = switch + 50
+        Y[gap] = np.nan
+        filt = kalman_filter(model, Y)
+        exact = _exact(monkeypatch, kalman_filter, model, Y)
+        assert filt.steady[0] == (switch, gap)
+        assert filt.steady[1][0] > gap + 1
+        # the gap step itself is the exact prediction from the steady moments
+        np.testing.assert_array_equal(filt.covs[gap], filt.pred_covs[gap])
+        assert filt.log_likelihood == pytest.approx(exact.log_likelihood, rel=1e-9)
+        _assert_close(filt.means, exact.means)
+        steady_force = rts_smoother(model, filt).force_mean
+        _assert_close(steady_force, _exact(monkeypatch, rts_smoother, model, exact).force_mean)
+
+    @pytest.mark.filterwarnings("error")  # no log of a failed factor's diagonal
+    @pytest.mark.parametrize("r", [-5.0, np.nan])
+    def test_innovation_covariance_not_positive_definite(self, r):
+        with pytest.raises(NumericalError, match="not positive definite at step 0"):
+            kalman_filter(_scalar_model(r=r), np.ones((5, 1)))
+
+    def test_covariances_filled_and_symmetric_at_every_step(self, latent_force_3dof,
+                                                           monkeypatch):
+        sim, _, _ = latent_force_3dof
+        model = _force_model(latent_force_3dof, 4.6, 2.33)
+        filt = kalman_filter(model, sim.observations)
+        exact = _exact(monkeypatch, kalman_filter, model, sim.observations)
+        (start, end), = filt.steady
+        for covs, reference in ((filt.covs, exact.covs), (filt.pred_covs, exact.pred_covs)):
+            np.testing.assert_array_equal(covs, covs.transpose(0, 2, 1))
+            assert (covs[start:end] == covs[start - 1]).all()
+            _assert_close(covs, reference)
 
 
 class TestRtsSmoother:
