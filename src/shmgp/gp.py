@@ -23,6 +23,10 @@ from .means import MeanFunction, ZeroMean
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 LOG_2PI = float(np.log(2.0 * np.pi))
+# entries of one cross-Gram block of predict (2 MB): large enough that BLAS
+# runs at full speed on it, small enough that memory does not grow with the
+# number of test points
+PREDICT_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -174,30 +178,52 @@ def log_marginal_likelihood(model: TrainedGp) -> float:
     return _log_marginal(model.residual, model.alpha, model.chol)
 
 
+def _predict_rows(n: int) -> int:
+    """Test points per block of :func:`predict`: a multiple of 64 rows whose
+    n-column cross-Gram block fits ``PREDICT_BLOCK_ENTRIES``, or fewer rows
+    when n is too large for 64."""
+    rows = max(1, PREDICT_BLOCK_ENTRIES // max(1, n))
+    return rows - rows % 64 if rows >= 64 else rows
+
+
 def predict(
     model: TrainedGp, X_star, full_cov: bool = False, mean_only: bool = False
 ) -> Prediction:
     """Posterior mean and variance (optionally full covariance) at X_star.
 
-    Variances are clamped at zero: subtraction cancellation may leave
-    values a hair below zero, which is roundoff rather than signal.  With
-    ``mean_only`` the variance solve is skipped and ``var``/``cov`` are None;
-    the mean is the same, bit for bit.
+    The test points go through in blocks of rows, each with one cross-Gram
+    block that the variance solve overwrites, so memory is a few blocks plus
+    the O(m) outputs however many points there are; ``full_cov`` takes all
+    points as one block.  Variances are clamped at zero: subtraction
+    cancellation may leave values a hair below zero, which is roundoff rather
+    than signal.  With ``mean_only`` the variance solve is skipped and
+    ``var``/``cov`` are None; the mean is the same, bit for bit.
     """
     X_star = _as_matrix(X_star)
     if X_star.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"prediction inputs have dimension {X_star.shape[1]}, trained on {model.X.shape[1]}"
         )
-    Ks = build_gram(model.kernel, X_star, model.X)
-    mean = model.mean(X_star) + Ks @ model.alpha
-    if mean_only:
-        return Prediction(mean=mean, var=None, cov=None)
-    V = solve_triangular(model.chol, Ks.T, lower=True)
-    var = model.kernel.diag(X_star) - np.sum(V * V, axis=0)
-    np.clip(var, 0.0, None, out=var)
+    m = X_star.shape[0]
+    rows = max(1, m) if full_cov else _predict_rows(model.X.shape[0])
+    mean = np.empty(m)
+    var = None if mean_only else np.empty(m)
     cov = None
-    if full_cov:
-        cov = build_gram(model.kernel, X_star) - V.T @ V
-        cov = 0.5 * (cov + cov.T)
+    # no test points still take one (empty) block, which gives empty outputs
+    for start in range(0, max(m, 1), rows):
+        Xb = X_star[start : start + rows]
+        Ks = build_gram(model.kernel, Xb, model.X)
+        mean[start : start + rows] = model.mean(Xb) + Ks @ model.alpha
+        if mean_only:
+            continue
+        # Ks' is Fortran-ordered, so the solve writes V = L^-1 Ks' over Ks
+        V = solve_triangular(model.chol, Ks.T, lower=True, overwrite_b=True,
+                             check_finite=False)
+        if full_cov:
+            cov = build_gram(model.kernel, X_star) - V.T @ V
+            cov = 0.5 * (cov + cov.T)
+        np.square(V, out=V)
+        var[start : start + rows] = model.kernel.diag(Xb) - V.sum(axis=0)
+    if var is not None:
+        np.clip(var, 0.0, None, out=var)
     return Prediction(mean=mean, var=var, cov=cov)

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -50,24 +51,31 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Header plus float matrix from a comma-separated file."""
+    """Header plus float matrix from a comma-separated file.
+
+    A file that is empty, has no rows below its header, holds a value that is
+    not a number or has rows of another width than the header raises
+    DataError.
+    """
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise DataError(f"{path} is empty")
-            rows = list(reader)
+            with warnings.catch_warnings():
+                # a file without rows is reported below, as DataError
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    header = [h.strip() for h in header]
-    try:
-        data = np.array([[float(v) for v in row] for row in rows if row], dtype=float)
     except ValueError as exc:
-        raise DataError(f"non-numeric value in {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
+        raise DataError(f"cannot parse {path}: {exc}") from exc
+    header = [h.strip() for h in header]
+    if data.shape[0] == 0:
+        raise DataError(f"{path} has no rows below its header")
+    if data.shape[1] != len(header):
         raise DataError(f"{path}: column count does not match header")
     return header, data
 
@@ -112,8 +120,9 @@ def _save(directory, kind: str, model, input_columns, target: str, arrays: dict,
 
 
 def _checked(arrays: dict, shapes: dict, sizes: dict) -> dict:
-    """The named arrays, each checked to have the shape given by its symbolic
-    dims; ``sizes`` holds known dims, and a dim seen first fixes the rest."""
+    """The named arrays, each checked to be finite and to have the shape given
+    by its symbolic dims; ``sizes`` holds known dims, and a dim seen first
+    fixes the rest."""
     for name, dims in shapes.items():
         if name not in arrays:
             raise DataError(f"{MODEL_NPZ} lacks array {name!r}")
@@ -122,14 +131,16 @@ def _checked(arrays: dict, shapes: dict, sizes: dict) -> dict:
             sizes.setdefault(dim, size) != size for dim, size in zip(dims, shape)
         ):
             raise DataError(f"array {name!r} in {MODEL_NPZ} has shape {shape}, expected {dims}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise DataError(f"array {name!r} in {MODEL_NPZ} has non-finite entries")
     return {name: arrays[name] for name in shapes}
 
 
 def load_model(directory):
     """Rebuild a saved model; returns (doc, model) with model matching doc['type'].
 
-    A missing or malformed entry, or an array shape that disagrees with the
-    others or with model.json, raises DataError.
+    A missing or malformed entry, a non-finite array entry, or an array shape
+    that disagrees with the others or with model.json, raises DataError.
     """
     directory = Path(directory)
     try:

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, _block_rows
 from .means import MeanFunction
 
 
@@ -55,12 +55,40 @@ def sdof_kernel_eval(params: SdofKernelParams, tau) -> float | np.ndarray:
     Even in tau; k(0) = sigma2 / (4 zeta w_n^3).
     """
     tau = np.asarray(tau, dtype=float)
+    value = np.empty(tau.shape)
+    _sdof_into(params, tau, 0.0, value, np.empty(tau.shape))
+    return value if value.ndim else float(value)
+
+
+def _sdof_into(params: SdofKernelParams, t, t2, out: np.ndarray, work: np.ndarray) -> None:
+    """k(t - t2) written into ``out``, with ``work`` (same shape) as the only
+    scratch: the lag |t - t2| is formed again each time it is needed.
+
+    The cosine takes w_d |tau|, which has the bits of cos(w_d tau) because
+    cosine is even, so the value depends on |tau| alone and a square Gram
+    matrix is exactly symmetric.
+    """
     zwn = params.zeta * params.omega_n
     wd = params.omega_d
     scale = params.sigma2 / (4.0 * zwn * params.omega_n**2)
-    at = np.abs(tau)
-    value = scale * np.exp(-zwn * at) * (np.cos(wd * tau) + (zwn / wd) * np.sin(wd * at))
-    return value if value.ndim else float(value)
+
+    def lag(buf):
+        np.subtract(t, t2, out=buf)
+        return np.abs(buf, out=buf)
+
+    sine = lag(work)
+    sine *= wd
+    np.sin(sine, out=sine)
+    sine *= zwn / wd
+    wave = lag(out)
+    wave *= wd
+    np.cos(wave, out=wave)
+    wave += sine
+    envelope = lag(work)
+    envelope *= -zwn
+    np.exp(envelope, out=envelope)
+    envelope *= scale
+    wave *= envelope
 
 
 @dataclass(frozen=True)
@@ -93,8 +121,24 @@ class SdofKernel(Kernel, family="sdof"):
             raise ValueError(f"SDOF kernel is defined on 1-D time inputs, got dimension {d}")
 
     def gram(self, X, X2):
-        tau = X[:, 0][:, None] - X2[:, 0][None, :]
-        return sdof_kernel_eval(self.params, tau)
+        # a block of rows at a time into K, like kernels._scaled_sqdist; the
+        # square case starts each block at its diagonal and mirrors the rest.
+        # At most 64 rows a block, so that even a 150-point matrix has three
+        # blocks and its trig skips most of the lower triangle
+        t, t2 = X[:, 0], X2[:, 0]
+        n, m = t.shape[0], t2.shape[0]
+        rows = min(64, _block_rows(1, m))
+        K = np.empty((n, m))
+        work = np.empty(min(rows, n) * m)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            first = start if X2 is X else 0
+            out = K[start:stop, first:]
+            _sdof_into(self.params, t[start:stop, None], t2[None, first:], out,
+                       work[: out.size].reshape(out.shape))
+            if first:
+                K[start:stop, :first] = K[:first, start:stop].T
+        return K
 
     def diag(self, X):
         return np.full(X.shape[0], sdof_kernel_eval(self.params, 0.0))

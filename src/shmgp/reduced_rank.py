@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DomainError
-from .gp import Dataset, chol_with_jitter
+from .gp import Dataset, _predict_rows, chol_with_jitter
 from .kernels import Kernel, _as_matrix
 
 
@@ -90,10 +90,12 @@ class ReducedRankBasis:
         if not self.domain.contains(X).all():
             raise DomainError("input point outside the model domain")
         L = self.domain.half_widths
-        # per-dimension mode shapes, combined multiplicatively
+        # per-dimension mode shapes, combined multiplicatively; each shape is
+        # evaluated once per distinct mode number and gathered into the M columns
         Phi = np.ones((X.shape[0], self.size))
         for k in range(self.domain.dim):
-            j = self.indices[:, k][None, :]
+            modes, column = np.unique(self.indices[:, k], return_inverse=True)
+            j = modes[None, :]
             v = (X[:, k][:, None] + L[k]) / (2.0 * L[k])  # 0 at -L, 1 at +L
             if self.domain.boundary == "dirichlet":
                 shape = np.sin(np.pi * j * v) / np.sqrt(L[k])
@@ -103,7 +105,7 @@ class ReducedRankBasis:
                 shape = np.where(
                     j == 0, 1.0 / np.sqrt(2.0 * L[k]), np.cos(np.pi * j * v) / np.sqrt(L[k])
                 )
-            Phi *= shape
+            Phi *= shape[:, column]
         return Phi
 
 
@@ -228,10 +230,17 @@ def predict_reduced(model: ReducedRankGp, X_star) -> tuple[np.ndarray, np.ndarra
     """Posterior mean and variance at points of the (closed) domain.
 
     All Dirichlet eigenfunctions vanish on the boundary, so boundary points
-    return exactly (0, 0) under that condition.
+    return exactly (0, 0) under that condition.  The points go through in
+    blocks of rows, as in :func:`gp.predict`, so memory does not grow with
+    their number beyond the outputs.
     """
-    Phi = model.basis.evaluate(X_star)
-    mean = Phi @ model.weight_mean
-    var = np.einsum("ij,ij->i", Phi @ model.weight_cov, Phi)
+    X_star = _as_matrix(X_star)
+    m = X_star.shape[0]
+    rows = _predict_rows(model.basis.size)
+    mean, var = np.empty(m), np.empty(m)
+    for start in range(0, max(m, 1), rows):  # no points: one empty block
+        Phi = model.basis.evaluate(X_star[start : start + rows])
+        mean[start : start + rows] = Phi @ model.weight_mean
+        var[start : start + rows] = np.einsum("ij,ij->i", Phi @ model.weight_cov, Phi)
     np.clip(var, 0.0, None, out=var)
     return mean, var

@@ -509,6 +509,15 @@ class TestPredictAndEval:
         write_csv(tmp_path / "b.csv", ["time", "y"], [np.arange(4.0), np.ones(4)])
         assert main(["eval", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 3
 
+    @pytest.mark.parametrize("text", ["", "time,temperature\n", "time,temperature\n0.0,x\n",
+                                      "time,temperature\n0.0,1.0\n1.0\n"])
+    def test_malformed_data_file_exits_3(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        assert main(["fit", str(_write_config(tmp_path, FAST_CONFIG)), "-o", str(run_dir)]) == 0
+        capsys.readouterr()
+        (tmp_path / "new.csv").write_text(text)
+        assert main(["predict", str(run_dir), str(tmp_path / "new.csv")]) == 3
+
     def test_missing_model_dir_exits_3(self, tmp_path):
         from shmgp.model_io import write_csv
 
@@ -571,6 +580,38 @@ class TestCorruptModel:
             arrays[name] = change(arrays[name])
         np.savez(fitted / "model.npz", **arrays)
         assert self._predict(fitted) == 3
+
+    @pytest.mark.parametrize("name", ["alpha", "chol", "X", "residual"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_exits_3(self, fitted, name, value):
+        # a NaN in alpha used to exit 0 and write NaN predictions
+        with np.load(fitted / "model.npz") as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        arrays[name].flat[0] = value
+        np.savez(fitted / "model.npz", **arrays)
+        assert self._predict(fitted) == 3
+
+    @pytest.mark.parametrize("name", ["weight_mean", "weight_cov"])
+    def test_non_finite_reduced_rank_array_exits_3(self, tmp_path, name):
+        from shmgp.gp import Dataset
+        from shmgp.kernels import SquaredExponential
+        from shmgp.model_io import save_reduced_rank, write_csv
+        from shmgp.reduced_rank import DomainSpec, fit_reduced
+
+        X = np.linspace(-0.9, 0.9, 15).reshape(-1, 1)
+        model = fit_reduced(Dataset(X, np.sin(3.0 * X[:, 0])), DomainSpec([1.0], basis_counts=8),
+                            SquaredExponential(1.0, 0.4), 0.01)
+        model_dir = tmp_path / "model"
+        save_reduced_rank(model_dir, model, ["x"], "y")
+        data = tmp_path / "new.csv"
+        write_csv(data, ["x", "y"], [np.linspace(-0.5, 0.5, 4), np.zeros(4)])
+        predict = ["predict", str(model_dir), str(data), "-o", str(tmp_path / "pred.csv")]
+        assert main(predict) == 0
+        with np.load(model_dir / "model.npz") as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        arrays[name].flat[-1] = np.nan
+        np.savez(model_dir / "model.npz", **arrays)
+        assert main(predict) == 3
 
     @pytest.mark.parametrize("payload", [b"", b"PK\x03\x04truncated"])
     def test_unreadable_archive_exits_3(self, fitted, payload):

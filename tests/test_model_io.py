@@ -4,16 +4,21 @@ A loaded model must predict bit for bit what the saved one did, and saving
 it again must write the same model.json.
 """
 
+import csv
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shmgp import gp
+from shmgp.errors import DataError
 from shmgp.kernels import SquaredExponential
 from shmgp.means import LinearMean, ZeroMean
 from shmgp.model_io import (
     MODEL_JSON,
     load_model,
+    read_csv,
     save_exact_gp,
     save_narx,
     save_reduced_rank,
@@ -127,16 +132,73 @@ def test_reduced_rank_round_trip(tmp_path_factory, half_width, basis, boundary, 
         tmp_path / MODEL_JSON).read_text()
 
 
-def test_csv_writer_writes_the_bytes_of_the_per_value_writer(tmp_path):
+def _per_value_bytes(header, columns):
     # oracle: every value through float() then repr(), one row at a time
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    return ("\n".join([",".join(header)]
+                      + [",".join(repr(float(v)) for v in row) for row in rows]) + "\n").encode()
+
+
+def test_csv_writer_writes_the_bytes_of_the_per_value_writer(tmp_path):
     rng = np.random.default_rng(2)
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
                1e308, 0.1, 1 / 3, -1e-5, 123456789.0, 2.0**53 + 1]
     columns = [np.array(special), rng.standard_normal(len(special)),
                np.arange(len(special)), np.float32(0.1) * np.ones(len(special))]
     header = ["a", "b", "c", "d"]
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    oracle = "\n".join([",".join(header)]
-                       + [",".join(repr(float(v)) for v in row) for row in rows]) + "\n"
     write_csv(tmp_path / "out.csv", header, columns)
-    assert (tmp_path / "out.csv").read_bytes() == oracle.encode()
+    assert (tmp_path / "out.csv").read_bytes() == _per_value_bytes(header, columns)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([1.5, -0.0, np.nan])],  # one column
+    [np.empty(0), np.empty(0)],  # no rows
+    [np.empty(0)],
+    [np.array([2.0]), np.array([-3e-300])],  # one row
+])
+def test_csv_writer_edge_shapes_match_the_per_value_writer(tmp_path, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "out.csv", header, columns)
+    assert (tmp_path / "out.csv").read_bytes() == _per_value_bytes(header, columns)
+
+
+def test_csv_reader_reads_the_bits_of_the_per_value_reader(tmp_path):
+    # oracle: csv.reader and float() on every value
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+                             rng.uniform(-1.0, 1.0, 200), np.arange(200.0)])
+    lines = ["t,u,v"] + [",".join(f"{v:.17g}" if k % 2 else repr(float(v)) for v in row)
+                         for k, row in enumerate(table)]
+    (tmp_path / "in.csv").write_text("\r\n".join(lines) + "\r\n")
+    with open(tmp_path / "in.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    oracle = np.array([[float(v) for v in row] for row in rows[1:]])
+    header, data = read_csv(tmp_path / "in.csv")
+    assert header == ["t", "u", "v"]
+    np.testing.assert_array_equal(data, oracle)
+    assert data.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "",  # empty
+    "t,y\n",  # header only
+    "t\n\n",  # header and a blank line
+    "t,y\n0.0,1.0\n1.0,abc\n",  # non-numeric
+    "t,y\n0.0,1.0\n1.0,\n",  # empty field
+    "t,y\n0.0,1.0\n1.0\n",  # short row
+    "t,y\n0.0,1.0\n1.0,2.0,3.0\n",  # long row
+    "t,y\n0.0,1.0,2.0\n1.0,2.0,3.0\n",  # wider than the header
+    "t,y\n#0.0,1.0\n",  # no comment syntax
+])
+def test_csv_reader_rejects_malformed_files(tmp_path, text):
+    (tmp_path / "bad.csv").write_text(text)
+    with pytest.raises(DataError):
+        read_csv(tmp_path / "bad.csv")
+
+
+def test_csv_reader_reads_one_row_and_one_column(tmp_path):
+    (tmp_path / "one.csv").write_text("y\n2.5\n")
+    assert read_csv(tmp_path / "one.csv")[1].shape == (1, 1)
+    (tmp_path / "row.csv").write_text("t, y\n1.0,2.0\n\n")
+    header, data = read_csv(tmp_path / "row.csv")
+    assert header == ["t", "y"] and data.tolist() == [[1.0, 2.0]]

@@ -43,6 +43,29 @@ class TestSdofKernel:
             )
         assert sdof_kernel_eval(p, 0.1) == pytest.approx(expected, rel=1e-13)
 
+    def test_blocked_gram_has_the_bits_of_the_closed_form(self):
+        # oracle: the closed form over the whole lag matrix at once, with
+        # cos(w_d tau) on the signed lag
+        def closed_form(p, tau):
+            zwn, wd = p.zeta * p.omega_n, p.omega_d
+            scale = p.sigma2 / (4.0 * zwn * p.omega_n**2)
+            at = np.abs(tau)
+            return scale * np.exp(-zwn * at) * (np.cos(wd * tau) + (zwn / wd) * np.sin(wd * at))
+
+        rng = np.random.default_rng(8)
+        for n, m in ((1, 1), (150, 70), (300, 1000), (65, 2)):
+            p = SdofKernelParams(rng.uniform(0.01, 0.9), rng.uniform(0.5, 30.0),
+                                 10.0 ** rng.uniform(-2, 2))
+            t = np.sort(rng.uniform(0.0, 40.0, n))[:, None]
+            t2 = rng.uniform(-5.0, 45.0, (m, 1))
+            K = build_gram(SdofKernel(p), t)
+            np.testing.assert_array_equal(K, closed_form(p, t - t.T))
+            np.testing.assert_array_equal(K, K.T)
+            np.testing.assert_array_equal(build_gram(SdofKernel(p), t, t2),
+                                          closed_form(p, t - t2.T))
+            for tau in (0.0, -0.0, float(t[0, 0] - t2[0, 0]), -1.7):
+                assert sdof_kernel_eval(p, tau) == float(closed_form(p, np.float64(tau)))
+
     @pytest.mark.parametrize("zeta", [0.0, 1.0, 1.2, -0.1])
     def test_damping_ratio_bounds(self, zeta):
         with pytest.raises(ValueError):
