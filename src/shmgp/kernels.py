@@ -1,19 +1,22 @@
 """Stationary covariance functions.
 
 Each kernel is a small frozen dataclass carrying its hyperparameters and
-knowing how to evaluate its own Gram matrix.  A kernel family is one class
-registered in :data:`FAMILIES` (the oscillator family lives in
+knowing how to evaluate one block of its Gram matrix.  A kernel family is
+one class registered in :data:`FAMILIES` (the oscillator family lives in
 :mod:`shmgp.physics`).  The module-level helpers :func:`kernel_eval` and
 :func:`build_gram` are the entry points used by the regression code; they
 normalise input shapes and enforce dimension checks.
 
-Gram matrices are computed from explicit pairwise differences so that the
-square case is exactly symmetric and results do not depend on BLAS
-parallelism.  They are built a block of rows at a time, in place, so a fit
-allocates the n x m matrix once and no per-dimension temporaries.  A tune,
-whose inputs stay fixed while the hyperparameters move, takes those squared
-differences once into a :class:`SquaredDiffStack`; each of its square Gram
-matrices is then one matrix-vector product per block of rows.
+:func:`build_gram` holds the one loop over blocks of rows, with one layout
+(:func:`_row_blocks`) for every family.  Each block is computed into its
+own buffer, from the diagonal to the right in the square case, and mirrored
+from there, so a training Gram matrix is exactly symmetric.  The
+squared-distance families map a block of scaled squared distances in place;
+those come from explicit pairwise differences, so results do not depend on
+BLAS parallelism.  A tune, whose inputs stay fixed while the
+hyperparameters move, takes the leading blocks of those squared differences
+once into a :class:`SquaredDiffStack` of bounded size; each cached block's
+scaled squared distance is then one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -49,15 +52,26 @@ class Kernel(Registered):
     A kernel family is one subclass declared with ``family="name"``; it owns
     its JSON form (``keys`` lists the entries besides ``family``), spectral
     density, tuned hyperparameters and their default box.
+
+    :func:`build_gram` asks a family for one block of rows at a time.  A
+    squared-distance family (``reads_sqdist``) turns a block of squared
+    distances of the inputs divided by ``sqdist_scale`` into covariances in
+    place (:meth:`sqdist_map`), so a :class:`SquaredDiffStack` can stand in
+    for its inputs; any other family writes its block from the inputs
+    (:meth:`gram_block`).
     """
 
     tag = "family"
-    # True when gram reads its inputs only through _scaled_sqdist, so that a
-    # SquaredDiffStack can stand in for them
     reads_sqdist = False
 
-    def gram(self, X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        """Covariance matrix between the rows of X (n, d) and X2 (m, d)."""
+    def sqdist_map(self, S: np.ndarray) -> None:
+        """Overwrite scaled squared distances S with the covariances."""
+        raise NotImplementedError
+
+    def gram_block(self, X: np.ndarray, X2: np.ndarray, out: np.ndarray,
+                   work: np.ndarray) -> None:
+        """Write the covariances between the rows of X (r, d) and X2 (c, d)
+        into ``out`` (r, c), with ``work`` (r, c) as scratch."""
         raise NotImplementedError
 
     def diag(self, X: np.ndarray) -> np.ndarray:
@@ -127,12 +141,14 @@ class SquaredExponential(Kernel, family="squared_exponential"):
                 f"kernel has {self.lengthscales.shape[0]} lengthscales but inputs have dimension {d}"
             )
 
-    def gram(self, X, X2):
-        K = _scaled_sqdist(X, X2, self.lengthscales)
-        K *= -0.5
-        np.exp(K, out=K)
-        K *= self.signal_scale**2
-        return K
+    @property
+    def sqdist_scale(self):
+        return self.lengthscales
+
+    def sqdist_map(self, S):
+        S *= -0.5
+        np.exp(S, out=S)
+        S *= self.signal_scale**2
 
     def diag(self, X):
         return np.full(X.shape[0], self.signal_scale**2)
@@ -171,12 +187,13 @@ class SquaredExponential(Kernel, family="squared_exponential"):
 @dataclass(frozen=True)
 class _Matern(Kernel):
     """Matern kernel on Euclidean distance; subclasses set the half-integer
-    smoothness ``nu`` and the Gram matrix."""
+    smoothness ``nu`` and map the unscaled squared distances."""
 
     signal_scale: float = 1.0
     lengthscale: float = 1.0
     keys = ("signal_scale", "lengthscale")
     reads_sqdist = True
+    sqdist_scale = 1.0
 
     def __post_init__(self):
         _require_positive(self.signal_scale, "signal_scale")
@@ -203,12 +220,11 @@ class Matern12(_Matern, family="matern12"):
 
     nu = 0.5
 
-    def gram(self, X, X2):
-        K = _pairwise_dist(X, X2)
-        K /= -self.lengthscale
-        np.exp(K, out=K)
-        K *= self.signal_scale**2
-        return K
+    def sqdist_map(self, S):
+        np.sqrt(S, out=S)
+        S /= -self.lengthscale
+        np.exp(S, out=S)
+        S *= self.signal_scale**2
 
     def state_space(self):
         lam, s2 = 1.0 / self.lengthscale, self.signal_scale**2
@@ -220,16 +236,15 @@ class Matern32(_Matern, family="matern32"):
 
     nu = 1.5
 
-    def gram(self, X, X2):
-        s = _pairwise_dist(X, X2)
-        s *= np.sqrt(3.0)
-        s /= self.lengthscale
-        decay = np.negative(s)
+    def sqdist_map(self, S):
+        np.sqrt(S, out=S)
+        S *= np.sqrt(3.0)
+        S /= self.lengthscale
+        decay = np.negative(S)
         np.exp(decay, out=decay)
-        s += 1.0
-        s *= self.signal_scale**2
-        s *= decay
-        return s
+        S += 1.0
+        S *= self.signal_scale**2
+        S *= decay
 
     def state_space(self):
         lam, s2 = np.sqrt(3.0) / self.lengthscale, self.signal_scale**2
@@ -240,11 +255,26 @@ class Matern32(_Matern, family="matern32"):
 # entries of the (d, rows, cols) difference stack of one block of rows: the
 # stack and its running sum stay in cache while the dimensions are added up
 GRAM_BLOCK_ENTRIES = 1 << 16
+# at most this many rows a block, so that even a 150-point matrix has three
+# blocks and its kernel map skips most of the lower triangle
+GRAM_BLOCK_ROWS = 64
+# bytes of squared differences a SquaredDiffStack keeps (2^23 doubles): the
+# NARX tunes' 6.6 MB whole, a large tabular tune only its leading blocks
+STACK_BYTES = 1 << 26
 
 
 def _block_rows(d: int, m: int) -> int:
-    """Rows of a block whose (d, rows, m) difference stack fits the budget."""
-    return max(1, GRAM_BLOCK_ENTRIES // max(1, d * m))
+    """Rows of a block of an m-column Gram build at input dimension d."""
+    return min(GRAM_BLOCK_ROWS, max(1, GRAM_BLOCK_ENTRIES // max(1, d * m)))
+
+
+def _row_blocks(d: int, n: int, m: int, square: bool):
+    """The row blocks of every n x m Gram build at input dimension d, as
+    (start, stop, first): rows start..stop are computed from column
+    ``first`` on, which in the square case is the block's diagonal."""
+    rows = _block_rows(d, m)
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n), start if square else 0
 
 
 class SquaredDiffStack:
@@ -252,84 +282,29 @@ class SquaredDiffStack:
 
     Built once from inputs X (n, d) that stay fixed while the hyperparameters
     change, as over a tune's swarm, and passed to :func:`build_gram` in
-    place of X for the square Gram matrix.  Block b covers the rows s..e of
-    :func:`_scaled_sqdist`'s blocks, from its diagonal to the right: a
-    C-ordered (d, rows * (n - s)) array, so a weighted sum over dimensions is
-    one matrix-vector product per block.  It holds d n (n + rows) / 2
-    doubles, about d/2 times the Gram matrix.
+    place of X for the square Gram matrix.  ``blocks`` holds the leading
+    square blocks of :func:`_row_blocks` as (start, stop, D_b), each from
+    its diagonal to the right: D_b is a C-ordered (d, rows * (n - start))
+    array, so a weighted sum over dimensions is one matrix-vector product.
+    It keeps the leading blocks whose total fits ``STACK_BYTES`` (all of
+    them come to about d/2 Gram matrices); the Gram build computes the rest
+    afresh.
     """
 
     def __init__(self, X):
         self.inputs = _as_matrix(X)
-        self.n, self.dim = self.inputs.shape
+        n, d = self.inputs.shape
         Z = np.ascontiguousarray(self.inputs.T)
-        rows = _block_rows(self.dim, self.n)
         self.blocks = []
-        for start in range(0, self.n, rows):
-            stop = min(start + rows, self.n)
-            block = np.empty((self.dim, stop - start, self.n - start))
+        room = STACK_BYTES
+        for start, stop, _ in _row_blocks(d, n, n, True):
+            room -= 8 * d * (stop - start) * (n - start)
+            if room < 0:
+                break
+            block = np.empty((d, stop - start, n - start))
             np.subtract(Z[:, start:stop, None], Z[:, None, start:], out=block)
             np.square(block, out=block)
-            self.blocks.append((start, stop, block.reshape(self.dim, -1)))
-
-    def scaled_sqdist(self, ell) -> np.ndarray:
-        """sum_k (x_ik - x_jk)^2 / ell_k^2 as an (n, n) matrix.
-
-        Each block's product fills its rows from the diagonal to the right;
-        the entries left of that mirror blocks already built, so the result
-        is exactly symmetric.  Within 1e-13 relative of the plain path, not
-        bit for bit: BLAS adds the dimensions up.
-        """
-        n, d = self.n, self.dim
-        w = np.empty(d)
-        w[...] = 1.0 / np.square(ell)
-        sq = np.empty((n, n))
-        for start, stop, block in self.blocks:
-            out = sq[start:stop, start:]
-            out[...] = (w @ block).reshape(out.shape)
-            if start:
-                sq[start:stop, :start] = sq[:start, start:stop].T
-        return sq
-
-
-def _scaled_sqdist(X, X2, ell) -> np.ndarray:
-    """sum_k (x_k/ell_k - x'_k/ell_k)^2, a block of rows at a time; ``ell``
-    is a scalar or per dimension.  ``X`` may be a :class:`SquaredDiffStack`
-    standing in for ``X2`` as well, which gives the square matrix from it.
-
-    Pairwise differences keep the result independent of BLAS threading,
-    unlike the dot-product identity.  Each block's differences for every
-    dimension are one stack, summed in dimension order, so every entry is the
-    same sum in the same order whichever block it falls in, and ``X2`` passed
-    as a copy of ``X`` gives the same bits as ``X``.  In the square case a
-    block starts at its diagonal; the entries left of that are the mirror of
-    blocks already built, since (a - b)^2 == (b - a)^2 exactly.
-    """
-    if isinstance(X, SquaredDiffStack):
-        return X.scaled_sqdist(ell)
-    Z = np.ascontiguousarray((X / ell).T)
-    Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
-    (d, n), m = Z.shape, Z2.shape[1]
-    rows = _block_rows(d, m)
-    sq = np.empty((n, m))
-    buf = np.empty(d * min(rows, n) * m)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        first = start if X2 is X else 0
-        stack = buf[: d * (stop - start) * (m - first)].reshape(d, stop - start, m - first)
-        np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=stack)
-        np.square(stack, out=stack)
-        acc = stack[0]
-        for k in range(1, d):
-            acc += stack[k]
-        sq[start:stop, first:] = acc
-        if first:
-            sq[start:stop, :first] = sq[:first, start:stop].T
-    return sq
-
-
-def _pairwise_dist(X, X2) -> np.ndarray:
-    return np.sqrt(_scaled_sqdist(X, X2, 1.0))
+            self.blocks.append((start, stop, block.reshape(d, -1)))
 
 
 # family name -> class; importing the package imports every module that
@@ -359,20 +334,58 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     returned.  ``X`` may be a :class:`SquaredDiffStack` of the inputs, for
     the square matrix of a family that ``reads_sqdist``.  Entries are finite
     by construction for valid hyperparameters.
+
+    A squared-distance block is either the stack's cached block weighted by
+    w = 1/scale^2, one BLAS product, or the squared differences of the
+    scaled inputs summed in dimension order.  The latter gives each entry
+    the same sum in the same order whichever block it falls in, so ``X2``
+    passed as a copy of ``X`` gives the same bits as ``X``; the former is
+    within 1e-13 relative of it.  In the square case the entries left of a
+    block's diagonal mirror blocks already built, since (a - b)^2 ==
+    (b - a)^2 exactly.
     """
+    cached = []
     if isinstance(X, SquaredDiffStack):
         if X_prime is not None or not spec.reads_sqdist:
             raise ValueError(f"a difference stack gives only the square Gram matrix of a "
                              f"squared-distance kernel, not {type(spec).__name__}'s")
-        d, X2 = X.dim, X
+        cached, X = X.blocks, X.inputs
+        X2 = X
     else:
         X = _as_matrix(X)
         X2 = X if X_prime is None else _as_matrix(X_prime)
         if X.shape[1] != X2.shape[1]:
             raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
-        d = X.shape[1]
+    (n, d), m = X.shape, X2.shape[0]
     spec.check_input_dim(d)
-    K = spec.gram(X, X2)
+    if cached:
+        w = np.empty(d)
+        w[...] = 1.0 / np.square(spec.sqdist_scale)
+    if spec.reads_sqdist and (not cached or cached[-1][1] < n):  # some blocks afresh
+        ell = spec.sqdist_scale
+        Z = np.ascontiguousarray((X / ell).T)
+        Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
+    K = np.empty((n, m))
+    # one buffer for every block: the first is the largest
+    work = np.empty(d * min(n, _block_rows(d, m)) * m)
+    for i, (start, stop, first) in enumerate(_row_blocks(d, n, m, X2 is X)):
+        out = K[start:stop, first:]
+        block = work[: out.size].reshape(out.shape)
+        if not spec.reads_sqdist:
+            spec.gram_block(X[start:stop], X2[first:], out, block)
+        else:
+            if i < len(cached):
+                np.matmul(w, cached[i][2], out=work[: out.size])
+            else:
+                diffs = work[: d * out.size].reshape((d,) + out.shape)
+                np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=diffs)
+                np.square(diffs, out=diffs)
+                for k in range(1, d):
+                    block += diffs[k]
+            spec.sqdist_map(block)
+            out[...] = block
+        if first:
+            K[start:stop, :first] = K[:first, start:stop].T
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel evaluation produced non-finite entries")
     return K

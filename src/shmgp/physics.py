@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .kernels import Kernel, _block_rows
+from .kernels import Kernel
 from .means import MeanFunction
 
 
@@ -120,25 +120,8 @@ class SdofKernel(Kernel, family="sdof"):
         if d != 1:
             raise ValueError(f"SDOF kernel is defined on 1-D time inputs, got dimension {d}")
 
-    def gram(self, X, X2):
-        # a block of rows at a time into K, like kernels._scaled_sqdist; the
-        # square case starts each block at its diagonal and mirrors the rest.
-        # At most 64 rows a block, so that even a 150-point matrix has three
-        # blocks and its trig skips most of the lower triangle
-        t, t2 = X[:, 0], X2[:, 0]
-        n, m = t.shape[0], t2.shape[0]
-        rows = min(64, _block_rows(1, m))
-        K = np.empty((n, m))
-        work = np.empty(min(rows, n) * m)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            first = start if X2 is X else 0
-            out = K[start:stop, first:]
-            _sdof_into(self.params, t[start:stop, None], t2[None, first:], out,
-                       work[: out.size].reshape(out.shape))
-            if first:
-                K[start:stop, :first] = K[:first, start:stop].T
-        return K
+    def gram_block(self, X, X2, out, work):
+        _sdof_into(self.params, X[:, :1], X2[:, 0], out, work)
 
     def diag(self, X):
         return np.full(X.shape[0], sdof_kernel_eval(self.params, 0.0))

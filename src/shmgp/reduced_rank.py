@@ -163,10 +163,8 @@ class BasisKernel(Kernel):
         if d != self.basis.domain.dim:
             raise ValueError(f"basis is {self.basis.domain.dim}-D, inputs are {d}-D")
 
-    def gram(self, X, X2):
-        Phi = self.basis.evaluate(X)
-        Phi2 = Phi if X2 is X else self.basis.evaluate(X2)
-        return (Phi * self.basis.weights) @ Phi2.T
+    def gram_block(self, X, X2, out, work):
+        out[...] = (self.basis.evaluate(X) * self.basis.weights) @ self.basis.evaluate(X2).T
 
     def diag(self, X):
         Phi = self.basis.evaluate(X)

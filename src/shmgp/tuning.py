@@ -118,10 +118,7 @@ def tune_exact_gp(
 
     # built from the very inputs the swarm fits, and only for a family that
     # reads it, so no stack fault can hide among the objective's inf scores
-    try:
-        stack = SquaredDiffStack(data.inputs) if cls.reads_sqdist else None
-    except MemoryError:  # d/2 Gram matrices' worth does not fit; tune without it
-        stack = None
+    stack = SquaredDiffStack(data.inputs) if cls.reads_sqdist else None
 
     def objective(log_v: np.ndarray) -> float:
         try:

@@ -11,6 +11,7 @@ from shmgp import kernels
 from shmgp.kernels import (
     FAMILIES,
     GRAM_BLOCK_ENTRIES,
+    GRAM_BLOCK_ROWS,
     Matern12,
     Matern32,
     SquaredDiffStack,
@@ -69,13 +70,14 @@ def test_gram_matches_entrywise_loop(spec):
 
 
 def _block_rows(d, m):
-    """Rows of a Gram block whose (d, rows, m) difference stack fits the budget."""
-    return max(1, GRAM_BLOCK_ENTRIES // (d * m))
+    """Rows of a Gram block whose (d, rows, m) difference stack fits the budget,
+    at most GRAM_BLOCK_ROWS."""
+    return min(GRAM_BLOCK_ROWS, max(1, GRAM_BLOCK_ENTRIES // (d * m)))
 
 
 def _square_edge(d):
     """Largest n whose whole n x n Gram matrix at dimension d is one block."""
-    return math.isqrt(GRAM_BLOCK_ENTRIES // d)
+    return min(GRAM_BLOCK_ROWS, math.isqrt(GRAM_BLOCK_ENTRIES // d))
 
 
 E1, E3 = _square_edge(1), _square_edge(3)
@@ -87,6 +89,7 @@ R14 = _block_rows(14, 336)  # rows per block of a NARX cross Gram against 336 tr
     (336, None, 14),  # the NARX tuning size
     (49, 7, 3), (2, 101, 2),  # cross Gram matrices
     (E3 - 1, None, 3), (E3, None, 3), (E3 + 1, None, 3),  # one block, then two
+    (146, None, 3), (147, None, 3), (148, None, 3),  # three blocks, the last ragged
     (R14 - 1, 336, 14), (R14 + 1, 336, 14),
 ])
 @pytest.mark.parametrize("spec", SPECS + [None])  # None: one lengthscale per dimension
@@ -108,13 +111,16 @@ def test_blocked_gram_matches_entrywise_loop(spec, n, m, d):
         np.testing.assert_array_equal(K, build_gram(spec, X, X.copy()))
 
 
-def _per_dimension_sqdist(X, X2, ell):
-    """Scaled squared distances summed one input dimension at a time over
-    the whole matrix: the reference the blocked, stacked build must match."""
+def _per_dimension_gram(spec, X, X2):
+    """The family's map of the scaled squared distances, summed one input
+    dimension at a time over the whole matrix: the reference the blocked
+    build must match."""
+    ell = spec.sqdist_scale
     Z, Z2 = (X / ell).T, (X2 / ell).T
     sq = np.square(np.subtract.outer(Z[0], Z2[0]))
     for k in range(1, Z.shape[0]):
         sq += np.square(np.subtract.outer(Z[k], Z2[k]))
+    spec.sqdist_map(sq)
     return sq
 
 
@@ -127,34 +133,34 @@ ORACLE_SPECS = {
 
 
 @pytest.mark.parametrize("n, m, d", [
-    (1, None, 1), (E1 - 1, None, 1), (E1 + 1, None, 1),
+    (1, None, 1), (E1 - 1, None, 1), (E1 + 1, None, 1), (255, None, 1), (257, None, 1),
     (E3 - 1, None, 3), (E3, None, 3), (E3 + 1, None, 3), (E3 + 1, 5, 3),
+    (146, None, 3), (147, None, 3), (148, None, 3), (148, 5, 3),
     (336, None, 14), (1, 336, 14), (R14, 336, 14), (R14 + 1, 336, 14),
     (100, None, 20), (7, 60, 20),
     (1, None, 8), (5, 1, 14), (5, 1, 20),
 ])
 @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
-def test_gram_matches_per_dimension_loop(monkeypatch, family, n, m, d):
+def test_gram_matches_per_dimension_loop(family, n, m, d):
     """Bit for bit, whatever the block layout and the mirrored triangle."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(n, d))
     X2 = X if m is None else rng.normal(size=(m, d))
     spec = ORACLE_SPECS[family](d)
     K = build_gram(spec, X) if m is None else build_gram(spec, X, X2)
-    monkeypatch.setattr(kernels, "_scaled_sqdist", _per_dimension_sqdist)
-    np.testing.assert_array_equal(K, build_gram(spec, X, X2))
+    np.testing.assert_array_equal(K, _per_dimension_gram(spec, X, X2))
 
 
 @pytest.mark.parametrize("d", [8, 14, 20])
 @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
-def test_point_pair_gram_matches_per_dimension_loop(monkeypatch, family, d):
+def test_point_pair_gram_matches_per_dimension_loop(family, d):
     """1 x 1 Gram matrices, the kernel_eval path, over many point pairs: a
     (d, 1, 1) stack summed pairwise rather than in order differs on some."""
     X, X2 = np.random.default_rng(11).normal(size=(2, 30, d))
     spec = ORACLE_SPECS[family](d)
     K = [build_gram(spec, x[None], x2[None]) for x, x2 in zip(X, X2)]
-    monkeypatch.setattr(kernels, "_scaled_sqdist", _per_dimension_sqdist)
-    np.testing.assert_array_equal(K, [build_gram(spec, x[None], x2[None]) for x, x2 in zip(X, X2)])
+    np.testing.assert_array_equal(K, [_per_dimension_gram(spec, x[None], x2[None])
+                                      for x, x2 in zip(X, X2)])
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
@@ -173,10 +179,11 @@ def test_kernel_eval_equals_gram_entry(family):
 
 
 @pytest.mark.parametrize("n, d", [
-    (1, 1), (E1 - 1, 1), (E1, 1), (E1 + 1, 1),
+    (1, 1), (E1 - 1, 1), (E1, 1), (E1 + 1, 1), (255, 1), (256, 1), (257, 1),
     (2, 3), (E3 - 1, 3), (E3, 3), (E3 + 1, 3),  # one block, then two
+    (146, 3), (147, 3), (148, 3),
     (336, 14),  # the NARX tuning size
-    (_square_edge(14) + 12, 14), (100, 20),
+    (_square_edge(14) + 12, 14), (80, 14), (100, 20),
 ])
 @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
 def test_stack_gram_matches_plain_gram(family, n, d):
@@ -193,14 +200,49 @@ def test_stack_holds_the_upper_triangle_by_row_block():
     n, d = 150, 3
     X = np.random.default_rng(2).normal(size=(n, d))
     stack = SquaredDiffStack(X)
-    rows = _block_rows(d, n)
-    assert [(s, e) for s, e, _ in stack.blocks] == [
-        (s, min(s + rows, n)) for s in range(0, n, rows)]
+    assert [(s, e) for s, e, _ in stack.blocks] == _square_layout(n, d)
     for start, stop, block in stack.blocks:
         assert block.flags.c_contiguous and block.shape == (d, (stop - start) * (n - start))
         expected = np.square(X[start:stop, None, :] - X[None, start:, :])
         np.testing.assert_array_equal(block.reshape(d, stop - start, n - start),
                                       np.moveaxis(expected, 2, 0))
+
+
+def _square_layout(n, d):
+    rows = _block_rows(d, n)
+    return [(s, min(s + rows, n)) for s in range(0, n, rows)]
+
+
+@pytest.mark.parametrize("kept", [0, 1, 2, 3])
+def test_stack_keeps_the_leading_blocks_that_fit(monkeypatch, kept):
+    """A budget one double short of the next block keeps exactly the blocks
+    before it, though a later, narrower block would fit the rest; the Gram
+    build computes the missing blocks afresh."""
+    n, d = 150, 3
+    X = np.random.default_rng(6).normal(size=(n, d))
+    layout = _square_layout(n, d)
+    assert len(layout) == 3
+    sizes = [8 * d * (e - s) * (n - s) for s, e in layout]
+    budget = sum(sizes[:kept]) + (sizes[kept] - 8 if kept < len(sizes) else 0)
+    monkeypatch.setattr(kernels, "STACK_BYTES", budget)
+    stack = SquaredDiffStack(X)
+    assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
+    assert sum(block.nbytes for *_, block in stack.blocks) <= budget
+    for family in sorted(ORACLE_SPECS):
+        spec = ORACLE_SPECS[family](d)
+        K = build_gram(spec, stack)
+        np.testing.assert_array_equal(K, K.T)
+        if kept:
+            np.testing.assert_allclose(K, build_gram(spec, X), rtol=1e-13)
+        else:
+            np.testing.assert_array_equal(K, build_gram(spec, X))
+
+
+def test_stack_holds_the_narx_inputs_whole():
+    n, d = 336, 14
+    stack = SquaredDiffStack(np.random.default_rng(8).normal(size=(n, d)))
+    assert [(s, e) for s, e, _ in stack.blocks] == _square_layout(n, d)
+    assert sum(block.nbytes for *_, block in stack.blocks) <= kernels.STACK_BYTES
 
 
 def test_stack_serves_only_square_squared_distance_grams():
