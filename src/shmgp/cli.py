@@ -50,24 +50,8 @@ def cmd_generate(args) -> int:
     out = resolve_output_dir(None, args.output, f"{spec['generator']}-data")
     out.mkdir(parents=True, exist_ok=True)
 
-    if "columns" in frame:
-        cols = frame["columns"]
-        header = list(cols)
-        model_io.write_csv(out / "data.csv", header, [cols[h] for h in header])
-    elif "sim" in frame:
-        sim = frame["sim"]
-        header = ["time", *(f"{kind}_{dof}" for kind, dof in sim.structure.observed), "force_true"]
-        columns = [sim.time] + [sim.observations[:, i] for i in range(sim.observations.shape[1])]
-        columns.append(sim.force)
-        model_io.write_csv(out / "data.csv", header, columns)
-    else:  # bounded field: separate train/test tables
-        for name in ("train", "test"):
-            ds = frame[name]
-            model_io.write_csv(
-                out / f"{name}.csv",
-                ["index", "x0", "x1", "y"],
-                [np.arange(len(ds), dtype=float), ds.inputs[:, 0], ds.inputs[:, 1], ds.outputs],
-            )
+    for stem, (header, columns) in frame["tables"].items():
+        model_io.write_csv(out / f"{stem}.csv", header, columns)
     model_io.atomic_write_text(out / "generator.json", json.dumps(spec, indent=2) + "\n")
     print(str(out))
     return 0

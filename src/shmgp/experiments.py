@@ -4,14 +4,22 @@
 path to one), builds or loads the data, fits the configured model, scores
 predictions and writes three artifacts into the output directory:
 
-* ``predictions.csv`` -- index/time, truth, posterior mean, variance
+* ``predictions.csv`` -- the index column (``time``, or ``index`` for
+                         reduced_rank), then truth, posterior mean and
+                         variance as ``y_*`` (``force_*`` for latent_force)
 * ``metrics.json``    -- nmse_percent, log_marginal_likelihood,
-                         coverage_percent, wall_ms
+                         coverage_percent, wall_ms, nmse_variance_convention,
+                         task, the task's own extras and, when tuned,
+                         hyperparameters
 * ``config.json``     -- the resolved configuration actually run
 
 plus the fitted model (``model.json`` / ``model.npz``) where the task
 produces one.  All computation happens before any file is touched, and every
 file is written atomically, so failures never leave partial outputs.
+
+Each table a run writes has one home: ``_generate`` names the columns of the
+CSV tables each generator makes (``shmgp generate`` writes them as they are),
+and ``_run_record`` lays out every task's predictions and metrics.
 """
 
 from __future__ import annotations
@@ -104,7 +112,7 @@ def run_experiment(config, output_dir=None) -> MetricsReport:
     model_io.atomic_write_text(
         out / "config.json", json.dumps(config.to_dict(), indent=2) + "\n"
     )
-    if "save_model" in artifacts:
+    if artifacts["save_model"] is not None:
         artifacts["save_model"](out)
     return report
 
@@ -277,8 +285,8 @@ def _data(config: ExperimentConfig, **task_keys) -> dict:
 
 
 def _generated_frame(data: dict) -> dict:
-    """Run a generator spec into named columns (+ side information).  A fault
-    in the spec is a ConfigError; a simulation that diverges is a DataError."""
+    """Run a generator spec into its frame (see ``_generate``).  A fault in the
+    spec is a ConfigError; a simulation that diverges is a DataError."""
     name = data["generator"]
     try:
         return _generate(name, dict(data["params"]))
@@ -287,74 +295,80 @@ def _generated_frame(data: dict) -> dict:
                           f"{type(exc).__name__}: {exc}") from exc
 
 
+def _table(*named) -> tuple[list, list]:
+    """The (header, columns) of a CSV table from (name, column) pairs, in order;
+    a name may repeat."""
+    return [name for name, _ in named], [column for _, column in named]
+
+
 def _generate(name, params: dict) -> dict:
+    """The frame of generator ``name``: under ``tables``, each CSV table that
+    ``shmgp generate`` writes, as file stem -> (header, columns); the model's
+    default ``inputs`` and ``target`` columns where it has them; and the
+    objects tasks read: the wave ``record``, the chain ``sim`` and the field's
+    ``train`` and ``test`` datasets."""
     if name == "trend":
         ds = generate_trend_series(**params)
-        return {
-            "columns": {
-                "time": ds.timestamps,
-                "temperature": ds.inputs[:, 0],
-                "sin_daily": ds.inputs[:, 1],
-                "cos_daily": ds.inputs[:, 2],
-                "y": ds.outputs,
-            },
-            "inputs": ["temperature", "sin_daily", "cos_daily"],
-            "target": "y",
-        }
+        inputs = ["temperature", "sin_daily", "cos_daily"]
+        return {"tables": {"data": _table(("time", ds.timestamps), *zip(inputs, ds.inputs.T),
+                                          ("y", ds.outputs))},
+                "inputs": inputs, "target": "y"}
     if name == "sdof_oscillator":
         seq = simulate_sdof(**params)
-        t = np.arange(len(seq)) * seq.dt
-        return {
-            "columns": {"time": t, "force": seq.u[:, 0], "y": seq.y},
-            "inputs": ["time"],
-            "target": "y",
-        }
+        return {"tables": {"data": _table(("time", np.arange(len(seq)) * seq.dt),
+                                          ("force", seq.u[:, 0]), ("y", seq.y))},
+                "inputs": ["time"], "target": "y"}
     if name == "wave":
         rec = generate_wave_loading(**params)
-        t = np.arange(len(rec.seq)) * rec.seq.dt
-        return {
-            "columns": {"time": t, "U": rec.seq.u[:, 0], "Udot": rec.seq.u[:, 1],
-                        "y": rec.seq.y},
-            "inputs": ["U", "Udot"],
-            "target": "y",
-            "record": rec,
-        }
+        inputs = ["U", "Udot"]
+        return {"tables": {"data": _table(("time", np.arange(len(rec.seq)) * rec.seq.dt),
+                                          *zip(inputs, rec.seq.u.T), ("y", rec.seq.y))},
+                "inputs": inputs, "target": "y", "record": rec}
     if name == "bounded_field":
         train, test = generate_bounded_field(**params)
-        return {"train": train, "test": test}
+        inputs = ["x0", "x1"]
+        return {"tables": {stem: _table(("index", np.arange(len(ds), dtype=float)),
+                                        *zip(inputs, ds.inputs.T), ("y", ds.outputs))
+                           for stem, ds in (("train", train), ("test", test))},
+                "inputs": inputs, "target": "y", "train": train, "test": test}
     if name == "mdof_chain":
         force = band_limited_force(dt=params["dt"], **params.pop("force"))
-        return {"sim": simulate_mdof_chain(force=force, **params)}
+        sim = simulate_mdof_chain(force=force, **params)
+        observed = [(f"{kind}_{dof}", column)
+                    for (kind, dof), column in zip(sim.structure.observed, sim.observations.T)]
+        return {"tables": {"data": _table(("time", sim.time), *observed,
+                                          ("force_true", sim.force))},
+                "sim": sim}
     raise ConfigError(f"unknown generator {name!r}")
 
 
 def _load_tabular(config: ExperimentConfig):
-    """Dataset from a generator or CSV file, with the columns data.inputs and
-    data.target; returns (dataset, input names, target).  A column a generator
-    does not make is a ConfigError, one a CSV file lacks a DataError."""
+    """Dataset from a generator's ``data`` table or a CSV file, with the columns
+    data.inputs and data.target; returns (dataset, input names, target).  A
+    column a generator does not make, or data.inputs that is not a list, is a
+    ConfigError; a column a CSV file lacks is a DataError."""
     data = _data(config, inputs=None, target=None)
     inputs, target = data["inputs"], data["target"]
     if "generator" in data:
         frame = _generated_frame(data)
-        if "columns" not in frame:
+        if "data" not in frame["tables"] or "target" not in frame:
             raise ConfigError("generator does not produce tabular data for this task")
-        cols = frame["columns"]
+        header, columns = frame["tables"]["data"]
+        table = np.column_stack(columns)
         inputs = frame["inputs"] if inputs is None else inputs
         target = frame["target"] if target is None else target
-        try:
-            X, y = np.column_stack([cols[c] for c in inputs]), cols[target]
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ConfigError(f"data.inputs and data.target name columns out of {sorted(cols)}: "
-                              f"{type(exc).__name__}: {exc}") from exc
-        return Dataset(X, y, timestamps=cols["time"]), inputs, target
-    header, table = model_io.read_csv(data["path"])
-    target = "y" if target is None else target
-    if inputs is None:
-        inputs = [h for h in header[1:] if h != target]
+    else:
+        header, table = model_io.read_csv(data["path"])
+        target = "y" if target is None else target
+        if inputs is None:
+            inputs = [h for h in header[1:] if h != target]
     try:
         X = np.column_stack([table[:, header.index(c)] for c in inputs])
         y = table[:, header.index(target)]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        if "generator" in data or isinstance(exc, TypeError):
+            raise ConfigError(f"data.inputs and data.target name columns out of "
+                              f"{sorted(header)}: {type(exc).__name__}: {exc}") from exc
         raise DataError(f"column missing from {data['path']}: {exc}") from exc
     return Dataset(X, y, timestamps=table[:, 0]), inputs, target
 
@@ -372,6 +386,22 @@ def _split(dataset: Dataset, split_cfg: dict | None):
 
 # ---------------------------------------------------------------------------
 # task runners
+
+
+def _run_record(index, prefix: str, truth, mean, var, extras: dict, params=None,
+                save_model=None, **scores):
+    """A run's (MetricsReport, artifacts).  predictions.csv holds ``index`` (name,
+    values), then ``prefix``_true, _mean and _var; the report holds the nMSE of
+    ``mean`` against ``truth``, the other ``scores`` and ``extras``, with the
+    tuned ``params``, if any, last as ``hyperparameters``.  ``save_model(out)``
+    writes the fitted model; it is None where the task has none."""
+    if params:
+        extras = {**extras, "hyperparameters": params}
+    report = MetricsReport(nmse_percent=nmse(truth, mean), squared_errors=(truth - mean) ** 2,
+                           extras=extras, **scores)
+    header = [index[0], *(f"{prefix}_{part}" for part in ("true", "mean", "var"))]
+    return report, {"predictions": (header, [index[1], truth, mean, var]),
+                    "save_model": save_model}
 
 
 def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None,
@@ -401,23 +431,11 @@ def _run_exact_gp(config: ExperimentConfig):
     model, params = _fit_gp_model(config, train, prior, mean, dt=dt, profile_mean=profile_mean)
 
     pred = gp.predict(model, test.inputs)
-    report = MetricsReport(
-        nmse_percent=nmse(test.outputs, pred.mean),
-        log_marginal_likelihood=model.lml,
-        coverage_percent=coverage_metric(train, test),
-        squared_errors=(test.outputs - pred.mean) ** 2,
-        extras={"task": "exact_gp", "n_train": len(train), "n_test": len(test)},
-    )
-    if params:
-        report.extras["hyperparameters"] = params
-    artifacts = {
-        "predictions": (
-            ["time", "y_true", "y_mean", "y_var"],
-            [test.timestamps, test.outputs, pred.mean, pred.var],
-        ),
-        "save_model": lambda out: model_io.save_exact_gp(out, model, input_cols, target),
-    }
-    return report, artifacts
+    return _run_record(
+        ("time", test.timestamps), "y", test.outputs, pred.mean, pred.var,
+        {"task": "exact_gp", "n_train": len(train), "n_test": len(test)}, params,
+        lambda out: model_io.save_exact_gp(out, model, input_cols, target),
+        log_marginal_likelihood=model.lml, coverage_percent=coverage_metric(train, test))
 
 
 def _free_run(model: NarxModel, seq: SequenceData):
@@ -452,27 +470,13 @@ def _run_narx(config: ExperimentConfig):
     model = NarxModel(gp=gp_model, config=cfg, n_channels=seq.u.shape[1])
     X_test, test_targets = build_lag_matrix(test_seq, cfg)
     mean_pred, var_pred = EVALUATIONS[evaluation](model, test_seq)
-
-    report = MetricsReport(
-        nmse_percent=nmse(test_targets, mean_pred),
-        log_marginal_likelihood=gp_model.lml,
-        coverage_percent=coverage_metric(train, Dataset(X_test, test_targets)),
-        squared_errors=(test_targets - mean_pred) ** 2,
-        extras={"task": "narx", "evaluation": evaluation, "level": level},
-    )
-    if params:
-        report.extras["hyperparameters"] = params
     index = np.arange(cfg.first_index, len(test_seq)).astype(float) * seq.dt
-    artifacts = {
-        "predictions": (
-            ["time", "y_true", "y_mean", "y_var"],
-            [index, test_targets, mean_pred, var_pred],
-        ),
-        "save_model": lambda out: model_io.save_narx(
-            out, model, frame["inputs"], frame["target"]
-        ),
-    }
-    return report, artifacts
+    return _run_record(
+        ("time", index), "y", test_targets, mean_pred, var_pred,
+        {"task": "narx", "evaluation": evaluation, "level": level}, params,
+        lambda out: model_io.save_narx(out, model, frame["inputs"], frame["target"]),
+        log_marginal_likelihood=gp_model.lml,
+        coverage_percent=coverage_metric(train, Dataset(X_test, test_targets)))
 
 
 def _run_reduced_rank(config: ExperimentConfig):
@@ -480,7 +484,7 @@ def _run_reduced_rank(config: ExperimentConfig):
     if config.data.get("generator") == "bounded_field":
         frame = _generated_frame(_data(config))
         train, test = frame["train"], frame["test"]
-        input_cols, target = ["x0", "x1"], "y"
+        input_cols, target = frame["inputs"], frame["target"]
     else:
         dataset, input_cols, target = _load_tabular(config)
         train, test = _split(dataset, config.split)
@@ -489,22 +493,11 @@ def _run_reduced_rank(config: ExperimentConfig):
                           f"{train.inputs.shape[1]}")
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)
-
-    report = MetricsReport(
-        nmse_percent=nmse(test.outputs, mean_pred),
-        coverage_percent=coverage_metric(train, test),
-        squared_errors=(test.outputs - mean_pred) ** 2,
-        extras={"task": "reduced_rank", "basis_size": model.basis.size},
-    )
-    index = np.arange(len(test), dtype=float)
-    artifacts = {
-        "predictions": (
-            ["index", "y_true", "y_mean", "y_var"],
-            [index, test.outputs, mean_pred, var_pred],
-        ),
-        "save_model": lambda out: model_io.save_reduced_rank(out, model, input_cols, target),
-    }
-    return report, artifacts
+    return _run_record(
+        ("index", np.arange(len(test), dtype=float)), "y", test.outputs, mean_pred, var_pred,
+        {"task": "reduced_rank", "basis_size": model.basis.size},
+        save_model=lambda out: model_io.save_reduced_rank(out, model, input_cols, target),
+        coverage_percent=coverage_metric(train, test))
 
 
 def _run_latent_force(config: ExperimentConfig):
@@ -522,17 +515,7 @@ def _run_latent_force(config: ExperimentConfig):
     sim = _generated_frame(data)["sim"]
     result = estimate_force(sim.structure, sim.observations, dt=sim.dt, prior=prior,
                             noise_var=noise_var, optimizer=optimizer)
-
-    report = MetricsReport(
-        nmse_percent=nmse(sim.force, result.force_mean),
-        log_marginal_likelihood=result.log_likelihood,
-        squared_errors=(sim.force - result.force_mean) ** 2,
-        extras={"task": "latent_force", "hyperparameters": result.hyperparameters},
-    )
-    artifacts = {
-        "predictions": (
-            ["time", "force_true", "force_mean", "force_var"],
-            [sim.time, sim.force, result.force_mean, result.force_var],
-        ),
-    }
-    return report, artifacts
+    return _run_record(
+        ("time", sim.time), "force", sim.force, result.force_mean, result.force_var,
+        {"task": "latent_force"}, result.hyperparameters,
+        log_marginal_likelihood=result.log_likelihood)

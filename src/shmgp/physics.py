@@ -110,6 +110,9 @@ class SdofKernel(Kernel, family="sdof"):
         # natural frequency up to the sampling Nyquist
         if dt is None:
             dt = float(np.median(np.diff(np.sort(X[:, 0])))) if X.shape[0] > 1 else 1.0
+        if dt == 0.0:
+            raise ValueError("the sample interval of the time input is 0, so the SDOF kernel "
+                             "has no Nyquist frequency to bound omega_n by")
         return {
             "zeta": (1e-3, 0.5),
             "omega_n": (0.1, np.pi / dt),

@@ -168,6 +168,29 @@ class TestGenerate:
         assert main(["generate", str(CONFIGS / spec), "-o", str(out)]) == 0
         assert read_csv(out / "data.csv")[0] == headers[spec]
 
+    @pytest.mark.parametrize("spec, tables", [
+        pytest.param({"generator": "bounded_field", "params": {"seed": 3, "train_grid": 4}},
+                     {"train.csv": ["index", "x0", "x1", "y"],
+                      "test.csv": ["index", "x0", "x1", "y"]}, id="bounded_field"),
+        pytest.param({"generator": "sdof_oscillator",
+                      "params": {"m": 1.0, "c": 0.5, "k": 40.0, "dt": 0.05, "n_samples": 60}},
+                     {"data.csv": ["time", "force", "y"]}, id="sdof_oscillator"),
+        # one dof observed twice keeps both columns
+        pytest.param(_bad_params(FAST_FORCE["data"], {"observed": [["displacement", 0],
+                                                                   ["displacement", 0]]}),
+                     {"data.csv": ["time", "displacement_0", "displacement_0", "force_true"]},
+                     id="mdof-same-dof-twice"),
+    ])
+    def test_generator_writes_its_tables(self, tmp_path, capsys, spec, tables):
+        out = tmp_path / "data"
+        assert main(["generate", str(_write_config(tmp_path, spec, "gen.json")),
+                     "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([*tables, "generator.json"])
+        for name, header in tables.items():
+            got, data = read_csv(out / name)
+            assert got == header
+            assert data.shape[1] == len(header)
+
     @pytest.mark.parametrize("spec, change", BAD_GENERATOR_PARAMS)
     def test_bad_generator_params_exit_2(self, tmp_path, capsys, spec, change):
         path = _write_config(tmp_path, _bad_params(spec, change), "gen.json")
@@ -456,6 +479,56 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", [FAST_FORCE["data"], FIELD["data"]],
+                             ids=["mdof_chain", "bounded_field"])
+    def test_generator_without_a_table_exits_2_before_any_fit(
+            self, tmp_path, monkeypatch, capsys, data):
+        from shmgp import gp
+
+        fits = []
+        fit_exact = gp.fit_exact
+        monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1) or fit_exact(*a, **k))
+        doc = dict(FAST_CONFIG, data=data)
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert "does not produce tabular data" in capsys.readouterr().err
+        assert not fits
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "sdof", "optimize": True},
+        {"family": "sdof", "zeta": 0.05, "omega_n": 3.0, "sigma2": 1.0},
+    ], ids=["tuned", "fixed"])
+    def test_zero_sample_interval_is_a_data_error(self, tmp_path, capsys, kernel):
+        from shmgp.model_io import write_csv
+
+        # every config gets the default box, whose frequency bound is pi / dt
+        write_csv(tmp_path / "data.csv", ["time", "y"], [np.zeros(40), np.sin(np.arange(40.0))])
+        doc = {"task": "exact_gp", "seed": 0,
+               "data": {"path": str(tmp_path / "data.csv"), "inputs": ["time"]},
+               "model": {"kernel": kernel, "noise_var": 0.1},
+               "optimizer": {"particles": 2, "iterations": 1}}
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "interval" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fixed_sdof_kernel_fits_a_descending_time_column(self, tmp_path, capsys):
+        from shmgp.model_io import write_csv
+
+        t = np.linspace(2.0, 0.0, 40)
+        write_csv(tmp_path / "data.csv", ["time", "y"], [t, np.sin(3.0 * t)])
+        doc = {"task": "exact_gp", "seed": 0,
+               "data": {"path": str(tmp_path / "data.csv"), "inputs": ["time"]},
+               "model": {"kernel": {"family": "sdof", "zeta": 0.05, "omega_n": 3.0,
+                                    "sigma2": 1.0},
+                         "noise_var": 0.01}}
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        assert read_csv(out / "predictions.csv")[1].shape == (20, 4)
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # duplicated noise-free observation channel makes the innovation
         # covariance singular
@@ -471,6 +544,60 @@ class TestFit:
         }
         cfg = _write_config(tmp_path, doc)
         assert main(["fit", str(cfg), "-o", str(tmp_path / "out")]) == 4
+
+
+SCORES = ["nmse_percent", "log_marginal_likelihood", "coverage_percent", "wall_ms",
+          "nmse_variance_convention"]
+SWARM = {"particles": 2, "iterations": 1}
+
+
+class TestRunRecord:
+    """The metrics.json keys, in order, and the predictions.csv header of each task."""
+
+    @pytest.mark.parametrize("doc, extras, header", [
+        pytest.param(FAST_CONFIG, ["task", "n_train", "n_test"], ["time", "y"], id="exact_gp"),
+        pytest.param(FAST_TUNED, ["task", "n_train", "n_test", "hyperparameters"],
+                     ["time", "y"], id="exact_gp-tuned"),
+        pytest.param(FAST_NARX, ["task", "evaluation", "level"], ["time", "y"], id="narx"),
+        pytest.param(dict(_with(FAST_NARX, "model",
+                                kernel={"family": "squared_exponential", "optimize": True}),
+                          optimizer=SWARM),
+                     ["task", "evaluation", "level", "hyperparameters"], ["time", "y"],
+                     id="narx-tuned"),
+        pytest.param(FIELD, ["task", "basis_size"], ["index", "y"], id="reduced_rank"),
+        pytest.param(FAST_FORCE, ["task", "hyperparameters"], ["time", "force"],
+                     id="latent_force"),
+        pytest.param(dict(FAST_FORCE, optimizer=SWARM), ["task", "hyperparameters"],
+                     ["time", "force"], id="latent_force-tuned"),
+    ])
+    def test_metrics_keys_and_predictions_header(self, tmp_path, capsys, doc, extras, header):
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics) == SCORES + extras
+        assert list(json.loads(capsys.readouterr().out)) == SCORES + extras
+        index, prefix = header
+        assert read_csv(out / "predictions.csv")[0] == [
+            index, f"{prefix}_true", f"{prefix}_mean", f"{prefix}_var"]
+
+    def test_generated_field_predicts_as_the_fit_did(self, tmp_path, capsys):
+        # the saved model names the columns shmgp generate writes for the field
+        field = dict(FIELD, data={"generator": "bounded_field",
+                                  "params": {"seed": 2, "train_grid": 4}})
+        run = tmp_path / "run"
+        assert main(["fit", str(_write_config(tmp_path, field)), "-o", str(run)]) == 0
+        data = tmp_path / "data"
+        assert main(["generate", str(_write_config(tmp_path, field["data"], "gen.json")),
+                     "-o", str(data)]) == 0
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", str(run), str(data / "test.csv"), "-o", str(pred)]) == 0
+
+        def y_mean(path):
+            header, *rows = path.read_text().splitlines()
+            column = header.split(",").index("y_mean")
+            return [row.split(",")[column] for row in rows]
+
+        assert y_mean(pred) == y_mean(run / "predictions.csv")
 
 
 class TestPredictAndEval:

@@ -8,7 +8,7 @@ import pytest
 
 from shmgp import gp
 from shmgp.config import ExperimentConfig
-from shmgp.errors import ConfigError
+from shmgp.errors import ConfigError, DataError
 from shmgp.experiments import run_experiment
 from shmgp.model_io import load_model, read_csv, save_exact_gp, write_csv
 
@@ -89,6 +89,22 @@ class TestRunExperiment:
         })
         report = run_experiment(cfg, output_dir=tmp_path / "out")
         assert report.nmse_percent < 5.0
+
+    @pytest.mark.parametrize("inputs, error", [(["z"], DataError), (5, ConfigError)],
+                             ids=["column-missing", "inputs-not-a-list"])
+    def test_csv_columns_that_cannot_be_read(self, tmp_path, inputs, error):
+        # a non-list data.inputs used to escape as a TypeError traceback
+        write_csv(tmp_path / "data.csv", ["time", "x", "y"],
+                  [np.arange(4.0), np.arange(4.0), np.ones(4)])
+        cfg = ExperimentConfig.from_dict({
+            "task": "exact_gp",
+            "data": {"path": str(tmp_path / "data.csv"), "inputs": inputs},
+            "model": {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                                 "lengthscales": 1.0}, "noise_var": 0.1},
+        })
+        with pytest.raises(error):
+            run_experiment(cfg, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_split_type(self, tmp_path):
         cfg = dict(FAST_TREND)
