@@ -60,9 +60,9 @@ from .narx import (
     simulate_free_run,
     training_data,
 )
-from .pso import PsoConfig
+from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
-from .statespace import StructuralModel, estimate_force
+from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
 from .tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
@@ -207,31 +207,15 @@ def _force_model(observed, nu=1.5, sigma=1.0, lengthscale=1.0, noise_var=1e-4):
     return prior, noise_var
 
 
-def _bound_box(name: str, value, shape) -> list:
-    """One optimizer.bounds entry: (lower, upper) pairs of the given array
-    ``shape``, each with 0 < lower < upper < inf, as the log-space search needs."""
-    box = np.asarray(value, dtype=float)
-    if box.shape != shape or not np.all((0.0 < box[..., 0]) & (box[..., 0] < box[..., 1])
-                                        & (box[..., 1] < np.inf)):
-        raise ValueError(f"bounds.{name} takes finite (lower, upper) pairs with "
-                         f"0 < lower < upper, of shape {shape}; got {value!r}")
-    return box.tolist()
-
-
-def _optimizer(config: ExperimentConfig, tuned) -> tuple[dict, dict]:
-    """The optimizer section as (bounds by name, swarm settings); a bound must
-    name a parameter out of ``tuned`` (names, or name -> default box, whose
-    shape it then takes), and the swarm checks its settings."""
+def _optimizer(config: ExperimentConfig, box: dict, names=None) -> tuple[dict, dict]:
+    """The optimizer section as (bounds by name, swarm settings); the bounds
+    must override ``box``, out of ``names``, as :func:`override_box` allows,
+    and the swarm checks its settings."""
 
     def read(bounds=EMPTY, seed=config.seed, **swarm):
-        unknown = set(bounds) - set(tuned)
-        if unknown:
-            raise ValueError(f"bounds names {sorted(unknown)} that this model does not tune; "
-                             f"expected some of {sorted(tuned)}")
-        bounds = {k: _bound_box(k, v, np.shape(tuned[k]) if isinstance(tuned, dict) else (2,))
-                  for k, v in dict(bounds).items()}
+        override_box(box, bounds, names)
         PsoConfig(bounds=((0.0, 1.0),), seed=seed, **swarm)
-        return bounds, {"seed": seed, **swarm}
+        return dict(bounds), {"seed": seed, **swarm}
 
     return _checked("optimizer", read, config.optimizer or EMPTY)
 
@@ -344,11 +328,15 @@ def _generate(name, params: dict) -> dict:
 
 def _load_tabular(config: ExperimentConfig):
     """Dataset from a generator's ``data`` table or a CSV file, with the columns
-    data.inputs and data.target; returns (dataset, input names, target).  A
-    column a generator does not make, or data.inputs that is not a list, is a
-    ConfigError; a column a CSV file lacks is a DataError."""
+    data.inputs (a list of names) and data.target (one name); returns (dataset,
+    input names, target).  A column a generator does not make, or a name of
+    another type, is a ConfigError; a column a CSV file lacks is a DataError."""
     data = _data(config, inputs=None, target=None)
     inputs, target = data["inputs"], data["target"]
+    if not (isinstance(inputs, (list, type(None))) and isinstance(target, (str, type(None)))
+            and all(isinstance(c, str) for c in inputs or ())):
+        raise ConfigError(f"data.inputs takes a list of column names and data.target one "
+                          f"name, got {inputs!r} and {target!r}")
     if "generator" in data:
         frame = _generated_frame(data)
         if "data" not in frame["tables"] or "target" not in frame:
@@ -365,8 +353,8 @@ def _load_tabular(config: ExperimentConfig):
     try:
         X = np.column_stack([table[:, header.index(c)] for c in inputs])
         y = table[:, header.index(target)]
-    except (TypeError, ValueError) as exc:
-        if "generator" in data or isinstance(exc, TypeError):
+    except ValueError as exc:
+        if "generator" in data:
             raise ConfigError(f"data.inputs and data.target name columns out of "
                               f"{sorted(header)}: {type(exc).__name__}: {exc}") from exc
         raise DataError(f"column missing from {data['path']}: {exc}") from exc
@@ -427,7 +415,7 @@ def _run_exact_gp(config: ExperimentConfig):
             mean(train.inputs)
         except ValueError as exc:
             raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
-    dt = float(np.median(np.diff(dataset.timestamps))) if len(dataset) > 1 else None
+    dt = float(np.median(np.diff(np.sort(dataset.timestamps)))) if len(dataset) > 1 else None
     model, params = _fit_gp_model(config, train, prior, mean, dt=dt, profile_mean=profile_mean)
 
     pred = gp.predict(model, test.inputs)
@@ -506,15 +494,11 @@ def _run_latent_force(config: ExperimentConfig):
         raise ConfigError("latent_force task ingests the 'mdof_chain' generator")
     observed = data["params"].get("observed", StructuralModel.observed)
     prior, noise_var = _checked("model", _force_model, config.model, observed=observed)
-    optimizer = None
-    if config.optimizer is not None:
-        named, swarm = _optimizer(config, ("sigma", "lengthscale", "noise_var"))
-        # rows in estimate_force's order: sigma, lengthscale, then noise_var if tuned
-        bounds = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2), **named}
-        optimizer = _checked("optimizer", PsoConfig, swarm, bounds=tuple(bounds.values()))
+    bounds, swarm = (_optimizer(config, FORCE_BOUNDS, FORCE_TUNED) if config.optimizer is not None
+                     else (None, {}))
     sim = _generated_frame(data)["sim"]
     result = estimate_force(sim.structure, sim.observations, dt=sim.dt, prior=prior,
-                            noise_var=noise_var, optimizer=optimizer)
+                            noise_var=noise_var, bounds=bounds, **swarm)
     return _run_record(
         ("time", sim.time), "force", sim.force, result.force_mean, result.force_var,
         {"task": "latent_force"}, result.hyperparameters,

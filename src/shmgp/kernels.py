@@ -110,7 +110,8 @@ class Kernel(Registered):
     @staticmethod
     def default_bounds(X: np.ndarray, y_var: float, ard: bool, dt: float | None) -> dict:
         """Likely ranges of the tuned hyperparameters, from inputs and target
-        variance; an ARD ``lengthscale_k`` reads ``lengthscales[k]``."""
+        variance, by name in :meth:`tuning_names` order; the ARD rows
+        ``lengthscale_k`` are the pairs listed under ``lengthscales``."""
         raise NotImplementedError
 
 

@@ -2,8 +2,10 @@
 
 Used for hyperparameter optimisation of every model family in the toolkit:
 the objective is a negative log (marginal) likelihood and the box encodes
-physically plausible parameter ranges.  Global-best PSO with inertia and
-velocity clamping; non-finite objective values are treated as +inf so
+physically plausible parameter ranges, by name: parameter -> positive
+natural-unit (lower, upper) pair or list of pairs, searched in log10 space
+(:func:`override_box`, :func:`log10_box`).  Global-best PSO with inertia
+and velocity clamping; non-finite objective values are treated as +inf so
 unstable hyperparameter combinations are simply avoided.
 """
 
@@ -43,9 +45,42 @@ class PsoConfig:
             raise ValueError("particle and iteration counts must be >= 1")
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
 
-    @property
-    def bounds_array(self) -> np.ndarray:
-        return np.asarray(self.bounds, dtype=float)
+
+def override_box(box: dict, bounds, names=None) -> dict:
+    """``box`` with the entries of ``bounds`` put in by name.  Each must name a
+    parameter out of ``names`` (by default the box's own), pass
+    :func:`log10_box` and have the shape of the entry it replaces, or of one
+    pair where there is none; otherwise ValueError."""
+    bounds = {**(bounds or {})}
+    unknown = set(bounds) - set(box if names is None else names)
+    if unknown:
+        raise ValueError(f"bounds names {sorted(unknown)} that this model does not tune; "
+                         f"expected some of {sorted(box if names is None else names)}")
+    log10_box(bounds)
+    for name, value in bounds.items():
+        shape = np.shape(box.get(name, (0.0, 1.0)))
+        if np.shape(value) != shape:
+            raise ValueError(f"bounds.{name} takes an array of shape {shape}; got {value!r}")
+    return {**box, **bounds}
+
+
+def log10_box(box: dict) -> tuple:
+    """The log10 rows of ``box``, parameter name -> (lower, upper) pair or list
+    of pairs, in key order with a list's pairs in turn.  A row that is not
+    0 < lower < upper < inf raises ValueError naming ``bounds.<name>``."""
+    rows = []
+    for name, value in box.items():
+        try:
+            pairs = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pairs = np.empty(0)
+        if pairs.ndim not in (1, 2) or pairs.shape[-1] != 2 or not np.all(
+                (0.0 < pairs[..., 0]) & (pairs[..., 0] < pairs[..., 1])
+                & (pairs[..., 1] < np.inf)):
+            raise ValueError(f"bounds.{name} takes finite (lower, upper) pairs with "
+                             f"0 < lower < upper; got {value!r}")
+        rows.append(pairs.reshape(-1, 2))
+    return tuple(map(tuple, np.log10(np.concatenate(rows)))) if rows else ()
 
 
 class PsoResult(NamedTuple):
@@ -63,7 +98,7 @@ def pso_minimize(objective: Callable[[np.ndarray], float], cfg: PsoConfig) -> Ps
     NumericalError when no evaluation is finite.
     """
     rng = np.random.default_rng(cfg.seed)
-    bounds = cfg.bounds_array
+    bounds = np.asarray(cfg.bounds)
     lo, hi = bounds[:, 0], bounds[:, 1]
     width = hi - lo
     vmax = 0.5 * width  # keeps particles from thrashing against the box

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
 from .kernels import Kernel, Matern32
-from .pso import PsoConfig, pso_minimize
+from .pso import PsoConfig, log10_box, override_box, pso_minimize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Largest change of an updated-covariance entry between two updates, relative
@@ -84,7 +84,7 @@ class StateSpaceModel:
     """Continuous-time linear SDE dx = A x dt + Lc dW, Var(dW) = q dt,
     observed through y = H x + r with r ~ N(0, R).
 
-    ``Ad``/``Qd`` hold the exact discrete pair for step ``dt`` once
+    ``Ad``/``Qd`` hold the exact discrete pair for one step once
     :func:`discretize` has run.  ``force_index`` marks the state carrying the
     latent force value (None when the model has no force block).
     """
@@ -97,7 +97,6 @@ class StateSpaceModel:
     m0: np.ndarray
     P0: np.ndarray
     force_index: int | None = None
-    dt: float | None = None
     Ad: np.ndarray | None = None
     Qd: np.ndarray | None = None
 
@@ -215,7 +214,7 @@ def discretize(model: StateSpaceModel, dt: float) -> StateSpaceModel:
     Qd = 0.5 * (Qd + Qd.T)
     if not (np.all(np.isfinite(Ad)) and np.all(np.isfinite(Qd))):
         raise NumericalError("discretisation produced non-finite matrices")
-    return dataclasses.replace(model, dt=float(dt), Ad=Ad, Qd=Qd)
+    return dataclasses.replace(model, Ad=Ad, Qd=Qd)
 
 
 @dataclass
@@ -406,49 +405,45 @@ def build_latent_force_model(
     return discretize(model.with_noise(R), dt)
 
 
+# the force prior's default box, natural units, and the names its tune may bound
+FORCE_BOUNDS = {"sigma": (1e-2, 1e2), "lengthscale": (1e-2, 1e2)}
+FORCE_TUNED = (*FORCE_BOUNDS, "noise_var")
+
+
 def estimate_force(
     structural: StructuralModel,
     observations: np.ndarray,
     dt: float,
     prior: Kernel = Matern32(),
     noise_var=1e-4,
-    optimizer: PsoConfig | None = None,
+    bounds: dict | None = None,
+    **swarm,
 ) -> SmootherResult:
     """Joint input-state estimation of the unmeasured force under the GP
     ``prior``, a kernel with a state-space form.
 
-    With ``optimizer`` given, its bounds rows are read as natural-unit
-    ranges for (sigma, lengthscale) or (sigma, lengthscale, noise_var) of the
-    prior's family; the parameters are sought in log10 space by maximising
-    the filter log-likelihood before the final smoothing pass.  The result
-    records the hyperparameters actually used.
+    With ``bounds`` (overriding :data:`FORCE_BOUNDS` by name) or swarm
+    settings (``particles``, ``seed``, ... for :class:`PsoConfig`) given,
+    sigma, lengthscale and, if ``bounds`` names it, noise_var are tuned by
+    maximising the filter log-likelihood before the final smoothing pass.
+    The result records the hyperparameters actually used.
     """
-    if optimizer is not None:
-        bounds = optimizer.bounds_array
-        if bounds.shape[0] not in (2, 3):
-            raise ValueError(
-                "optimizer bounds must cover (sigma, lengthscale) or "
-                "(sigma, lengthscale, noise_var)"
-            )
-        if np.any(bounds <= 0.0):
-            raise ValueError("hyperparameter bounds must be positive")
-        log_cfg = dataclasses.replace(optimizer, bounds=tuple(map(tuple, np.log10(bounds))))
-        tune_noise = bounds.shape[0] == 3
+    if bounds is not None or swarm:
+        box = override_box(FORCE_BOUNDS, bounds, FORCE_TUNED)
 
         def objective(log_params: np.ndarray) -> float:
-            v = 10.0**log_params
-            r = v[2] if tune_noise else noise_var
+            v = dict(zip(box, 10.0**log_params))
             try:
-                model = build_latent_force_model(structural, dt, type(prior)(v[0], v[1]), r)
+                model = build_latent_force_model(structural, dt, type(prior)(
+                    v["sigma"], v["lengthscale"]), v.get("noise_var", noise_var))
                 return -kalman_filter(model, observations).log_likelihood
             except NumericalError:
                 return np.inf
 
-        best = pso_minimize(objective, log_cfg)
-        values = (10.0**best.best_params).tolist()
-        prior = type(prior)(values[0], values[1])
-        if tune_noise:
-            noise_var = values[2]
+        best = pso_minimize(objective, PsoConfig(bounds=log10_box(box), **swarm))
+        tuned = dict(zip(box, (10.0**best.best_params).tolist()))
+        prior = type(prior)(tuned["sigma"], tuned["lengthscale"])
+        noise_var = tuned.get("noise_var", noise_var)
 
     model = build_latent_force_model(structural, dt, prior, noise_var)
     result = smooth(model, observations)

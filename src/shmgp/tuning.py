@@ -19,7 +19,7 @@ from . import gp
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram
 from .means import LinearMean, MeanFunction
-from .pso import PsoConfig, PsoResult, pso_minimize
+from .pso import PsoConfig, PsoResult, log10_box, override_box, pso_minimize
 
 
 @dataclass
@@ -52,7 +52,8 @@ def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
 def default_bounds(
     family: str, data: gp.Dataset, ard: bool = False, dt: float | None = None
 ) -> dict:
-    """Likely hyperparameter ranges for a family, derived from the data."""
+    """Likely hyperparameter ranges for a family, derived from the data: the
+    family's box, in tuning order, then ``noise_var``."""
     y_var = max(float(np.var(data.outputs)), 1e-12)
     box = Kernel.member(family).default_bounds(data.inputs, y_var, ard, dt)
     box["noise_var"] = (1e-8 * y_var, y_var)
@@ -75,12 +76,12 @@ def tune_exact_gp(
     hyperparameters.
 
     ``noise_var`` fixes the observation noise when given; when None it is
-    optimised alongside the kernel.  ``bounds`` entries override the
-    defaults per parameter name.  With ``profile_linear_mean`` the affine
-    prior-mean coefficients are profiled out by GLS at every objective
-    evaluation instead of being supplied through ``mean``.  The other swarm
-    settings (``particles``, ``seed``, ...) go to :class:`PsoConfig`, whose
-    defaults they take.
+    optimised alongside the kernel.  ``bounds`` override the defaults
+    (:func:`default_bounds`) by name, as :func:`pso.override_box` allows.
+    With ``profile_linear_mean`` the affine prior-mean coefficients are
+    profiled out by GLS at every objective evaluation instead of being
+    supplied through ``mean``.  The other swarm settings (``particles``,
+    ``seed``, ...) go to :class:`PsoConfig`, whose defaults they take.
 
     The swarm's fits take the inputs' squared differences from one
     :class:`SquaredDiffStack`, built here for the families that read it;
@@ -88,26 +89,12 @@ def tune_exact_gp(
     at the tuned values, bit for bit.
     """
     cls = Kernel.member(family)
-    names = cls.tuning_names(data.inputs.shape[1], ard)
-    n_kernel = len(names)
-    box = default_bounds(family, data, ard=ard, dt=dt)
-    if bounds:
-        box.update(bounds)
-
-    pairs = []
-    for name in names:
-        if name.startswith("lengthscale_"):
-            pairs.append(box["lengthscales"][int(name.split("_")[-1])])
-        else:
-            pairs.append(box[name])
-    if noise_var is None:
-        names = names + ["noise_var"]
-        pairs.append(box["noise_var"])
-    pairs = np.asarray(pairs, dtype=float)
-    if np.any(pairs <= 0.0):
-        raise ValueError("all tuning bounds must be positive (log-space search)")
-
-    cfg = PsoConfig(bounds=tuple(map(tuple, np.log10(pairs))), iterations=iterations, **swarm)
+    names = cls.tuning_names(data.inputs.shape[1], ard) + ["noise_var"]
+    n_kernel = len(names) - 1
+    box = override_box(default_bounds(family, data, ard=ard, dt=dt), bounds)
+    if noise_var is not None:
+        del box["noise_var"]
+    cfg = PsoConfig(bounds=log10_box(box), iterations=iterations, **swarm)
 
     def fit_at(v: np.ndarray, stack=None) -> gp.TrainedGp:
         sigma_n2 = float(v[-1]) if noise_var is None else float(noise_var)
@@ -130,7 +117,7 @@ def tune_exact_gp(
     best = 10.0**result.best_params
     model = fit_at(best)
     params = {name: float(val) for name, val in zip(names, best)}
-    params["noise_var"] = model.noise_var
+    params["noise_var"] = model.noise_var  # also where noise_var is fixed, so best lacks it
     if profile_linear_mean:
         params["mean_intercept"] = float(model.mean.intercept)
         params["mean_slope"] = np.asarray(model.mean.slope).tolist()

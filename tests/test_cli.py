@@ -529,6 +529,47 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
         assert read_csv(out / "predictions.csv")[1].shape == (20, 4)
 
+    def test_tuned_sdof_kernel_fits_a_descending_time_column(self, tmp_path):
+        from shmgp.model_io import write_csv
+
+        # the sample interval is taken from the sorted times, so the omega_n
+        # box is (0.1, pi / dt) with dt > 0 whatever the row order
+        t = np.linspace(2.0, 0.0, 40)
+        write_csv(tmp_path / "data.csv", ["time", "x", "y"],
+                  [t, np.cos(t), np.sin(3.0 * t)])
+        doc = {"task": "exact_gp", "seed": 0,
+               "data": {"path": str(tmp_path / "data.csv"), "inputs": ["time"]},
+               "model": {"kernel": {"family": "sdof", "optimize": True}, "noise_var": 1e-4},
+               "optimizer": {"particles": 4, "iterations": 2}}
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 0
+        omega_n = json.loads((out / "metrics.json").read_text())["hyperparameters"]["omega_n"]
+        assert 0.1 <= omega_n <= np.pi / (2.0 / 39)
+
+    @pytest.mark.parametrize("source", ["csv", "generator"])
+    @pytest.mark.parametrize("columns", [{"inputs": "xy"}, {"target": ["y"]}],
+                             ids=["inputs-string", "target-list"])
+    def test_column_names_of_the_wrong_type_exit_2_before_any_fit(
+            self, tmp_path, monkeypatch, capsys, source, columns):
+        from shmgp import gp
+        from shmgp.model_io import write_csv
+
+        fits = []
+        fit_exact = gp.fit_exact
+        monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1) or fit_exact(*a, **k))
+        # a string used to be read as a list of one-letter column names
+        t = np.arange(40.0)
+        write_csv(tmp_path / "data.csv", ["time", "x", "y"], [t, np.cos(t), np.sin(t)])
+        data = ({"path": str(tmp_path / "data.csv")} if source == "csv"
+                else dict(FAST_CONFIG["data"], inputs=None))
+        doc = dict(FAST_CONFIG, data={k: v for k, v in {**data, **columns}.items()
+                                      if v is not None})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert "data.inputs takes a list of column names" in capsys.readouterr().err
+        assert not fits
+        assert not out.exists()
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # duplicated noise-free observation channel makes the innovation
         # covariance singular

@@ -21,6 +21,7 @@ from shmgp.kernels import (
     kernel_from_dict,
 )
 from shmgp.physics import SdofKernel, SdofKernelParams, spectral_density
+from shmgp.pso import log10_box
 
 SPECS = [
     SquaredExponential(signal_scale=1.3, lengthscales=0.7),
@@ -319,11 +320,8 @@ def _tuned_example(family, d, ard):
     geometric middle of the family's default box."""
     cls = FAMILIES[family]
     X = np.linspace(0.0, 4.0, 17)[:, None] * np.arange(1, d + 1)
-    box = cls.default_bounds(X, 2.0, ard, None)
-    names = cls.tuning_names(d, ard)
-    pairs = [box["lengthscales"][int(name.split("_")[1])] if name.startswith("lengthscale_")
-             else box[name] for name in names]
-    return X, cls.from_vector(np.sqrt(np.prod(pairs, axis=1)))
+    box = cls.default_bounds(X, 2.0, ard, None)  # in tuning_names order
+    return X, cls.from_vector(10.0 ** np.mean(log10_box(box), axis=1))
 
 
 def test_families_are_exactly_the_four():

@@ -1,14 +1,16 @@
-"""Save/load round trip of every model type, as hypothesis properties.
+"""Save/load round trip of every model type, and of the CSV tables, as
+hypothesis properties.
 
 A loaded model must predict bit for bit what the saved one did, and saving
-it again must write the same model.json.
+it again must write the same model.json; a table read back holds the bits
+that were written.
 """
 
 import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shmgp import gp
@@ -202,3 +204,23 @@ def test_csv_reader_reads_one_row_and_one_column(tmp_path):
     (tmp_path / "row.csv").write_text("t, y\n1.0,2.0\n\n")
     header, data = read_csv(tmp_path / "row.csv")
     assert header == ["t", "y"] and data.tolist() == [[1.0, 2.0]]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True),
+             min_size=width, max_size=width),
+    st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                      min_size=width, max_size=width), min_size=1, max_size=30))))
+@example(table=(["t", "y"], [[-0.0, np.inf], [-np.inf, 5e-324], [np.nan, -2.5e-310]]))
+def test_csv_round_trip_keeps_every_bit(tmp_path_factory, table):
+    header, rows = table
+    rows = np.array(rows, dtype=float)
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, header, list(rows.T))
+    read_header, data = read_csv(path)
+    assert read_header == header
+    assert data.shape == rows.shape
+    nan = np.isnan(rows)
+    np.testing.assert_array_equal(np.isnan(data), nan)
+    assert data[~nan].tobytes() == rows[~nan].tobytes()  # -0.0 and subnormals included

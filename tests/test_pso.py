@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shmgp.errors import NumericalError
-from shmgp.pso import PsoConfig, pso_minimize
+from shmgp.pso import PsoConfig, log10_box, override_box, pso_minimize
 
 
 def sphere(x):
@@ -99,3 +99,33 @@ def test_one_finite_evaluation_is_enough():
     result = pso_minimize(first_only, cfg)
     assert result.best_value == 1.0
     np.testing.assert_array_equal(result.best_params, calls[0])
+
+
+def test_log10_box_rows_follow_the_keys_and_their_pairs():
+    box = {"b": (1e-2, 1e2), "a": [(1.0, 10.0), (1e-3, 1e3)], "c": [0.1, 1.0]}
+    assert log10_box(box) == ((-2.0, 2.0), (0.0, 1.0), (-3.0, 3.0), (-1.0, 0.0))
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0),
+                                  (1.0, np.inf), (np.nan, 1.0), (1.0,), (1.0, 2.0, 3.0),
+                                  "1, 10", [[1.0, 2.0], [3.0]]],
+                         ids=["zero", "negative", "reversed", "equal", "infinite", "nan",
+                              "one-value", "three-values", "string", "ragged"])
+def test_log10_box_error_names_the_bound(pair):
+    with pytest.raises(ValueError, match=r"bounds\.lengthscale takes"):
+        log10_box({"sigma": (0.1, 1.0), "lengthscale": pair})
+
+
+def test_override_box_keeps_the_box_order_and_checks_each_bound():
+    box, names = {"a": (1.0, 2.0), "b": [(1.0, 2.0), (3.0, 4.0)]}, ("a", "b", "c")
+    new = override_box(box, {"c": (5.0, 6.0), "a": (0.5, 1.0)}, names)
+    assert new == {"a": (0.5, 1.0), "b": box["b"], "c": (5.0, 6.0)} and list(new) == list(names)
+    assert override_box(box, None) == box
+    with pytest.raises(ValueError, match=r"bounds names \['c'\]"):
+        override_box(box, {"c": (5.0, 6.0)})
+    with pytest.raises(ValueError, match=r"bounds\.b takes an array of shape \(2, 2\)"):
+        override_box(box, {"b": (1.0, 2.0)})
+    with pytest.raises(ValueError, match=r"bounds\.c takes an array of shape \(2,\)"):
+        override_box(box, {"c": [(1.0, 2.0)]}, names)
+    with pytest.raises(ValueError, match=r"bounds\.a takes finite"):
+        override_box(box, {"a": (2.0, 1.0)})

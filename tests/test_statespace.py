@@ -14,6 +14,7 @@ from shmgp.generators import band_limited_force, simulate_mdof_chain
 from shmgp.gp import Dataset
 from shmgp.kernels import Kernel, Matern12, Matern32, build_gram
 from shmgp.statespace import (
+    FORCE_BOUNDS,
     FilterResult,
     StateSpaceModel,
     StructuralModel,
@@ -196,7 +197,6 @@ def _scalar_model(ad=0.8, qd=0.5, r=0.2, p0=1.0):
         A=np.array([[np.log(ad)]]), Lc=np.eye(1), q=qd, H=np.eye(1),
         R=np.array([[r]]), m0=np.zeros(1), P0=np.array([[p0]]), force_index=0,
     )
-    model.dt = 1.0
     model.Ad = np.array([[ad]])
     model.Qd = np.array([[qd]])
     return model
@@ -437,43 +437,60 @@ class TestEstimateForce:
         assert result.hyperparameters["lengthscale"] == 0.8
 
     def test_swarm_keeps_the_prior_family(self, monkeypatch):
-        from shmgp import statespace
-        from shmgp.pso import PsoConfig
-
         priors = []
         build = statespace.build_latent_force_model
         monkeypatch.setattr(statespace, "build_latent_force_model",
                             lambda *a: priors.append(a[2]) or build(*a))
         structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
-        pso = PsoConfig(bounds=((0.1, 10.0), (0.1, 2.0)), particles=3, iterations=2, seed=0)
         result = estimate_force(structural, np.zeros((20, 1)), dt=0.05, prior=Matern12(),
-                                optimizer=pso)
+                                bounds={"sigma": (0.1, 10.0), "lengthscale": (0.1, 2.0)},
+                                particles=3, iterations=2, seed=0)
         assert len(priors) > 1  # the swarm evaluations and the final pass
         assert {type(p) for p in priors} == {Matern12}
         assert result.hyperparameters["nu"] == 0.5
 
     def test_optimizer_can_include_noise_variance(self):
-        from shmgp.pso import PsoConfig
-
         rng = np.random.default_rng(7)
         structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
         Y = 0.05 * rng.standard_normal((30, 1))
-        pso = PsoConfig(bounds=((0.1, 10.0), (0.1, 2.0), (1e-6, 1.0)),
-                        particles=6, iterations=8, seed=0)
-        result = estimate_force(structural, Y, dt=0.05, noise_var=1e-4, optimizer=pso)
+        bounds = {"sigma": (0.1, 10.0), "lengthscale": (0.1, 2.0), "noise_var": (1e-6, 1.0)}
+        result = estimate_force(structural, Y, dt=0.05, noise_var=1e-4, bounds=bounds,
+                                particles=6, iterations=8, seed=0)
         tuned = np.asarray(result.hyperparameters["noise_var"])
         assert tuned != 1e-4  # picked from the box, not the fallback
         assert 1e-6 <= float(tuned) <= 1.0
 
     def test_all_infeasible_swarm_raises(self, monkeypatch):
-        from shmgp import statespace
-        from shmgp.pso import PsoConfig
-
         class NanFilter:
             log_likelihood = np.nan
 
         monkeypatch.setattr(statespace, "kalman_filter", lambda model, Y: NanFilter())
         structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
-        pso = PsoConfig(bounds=((0.1, 10.0), (0.1, 2.0)), particles=4, iterations=3, seed=0)
         with pytest.raises(NumericalError):
-            estimate_force(structural, np.zeros((20, 1)), dt=0.05, optimizer=pso)
+            estimate_force(structural, np.zeros((20, 1)), dt=0.05,
+                           bounds={"sigma": (0.1, 10.0), "lengthscale": (0.1, 2.0)},
+                           particles=4, iterations=3, seed=0)
+
+    def test_empty_bounds_tune_inside_the_default_box(self, monkeypatch):
+        priors = []
+        build = statespace.build_latent_force_model
+        monkeypatch.setattr(statespace, "build_latent_force_model",
+                            lambda *a: priors.append(a[2:]) or build(*a))
+        structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
+        result = estimate_force(structural, 0.01 * np.ones((20, 1)), dt=0.05, noise_var=1e-3,
+                                bounds={}, particles=3, iterations=2, seed=0)
+        assert len(priors) == 3 * (2 + 1) + 1
+        for prior, noise_var in priors:
+            assert FORCE_BOUNDS["sigma"][0] <= prior.signal_scale <= FORCE_BOUNDS["sigma"][1]
+            assert (FORCE_BOUNDS["lengthscale"][0] <= prior.lengthscale
+                    <= FORCE_BOUNDS["lengthscale"][1])
+            assert noise_var == 1e-3  # not tuned unless bounds name it
+        assert result.hyperparameters["sigma"] == priors[-1][0].signal_scale
+
+    @pytest.mark.parametrize("bounds", [{"signal_scale": (0.1, 1.0)}, {"nosie_var": (0.1, 1.0)}],
+                             ids=["signal_scale", "nosie_var"])
+    def test_unknown_bound_name_rejected(self, bounds):
+        structural = StructuralModel(mass=[[1.0]], damping=[[0.3]], stiffness=[[4.0]])
+        with pytest.raises(ValueError, match="bounds names"):
+            estimate_force(structural, np.zeros((20, 1)), dt=0.05, bounds=bounds,
+                           particles=2, iterations=1)

@@ -100,3 +100,47 @@ def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, a
     for field in ("chol", "alpha", "residual"):
         np.testing.assert_array_equal(getattr(result.model, field), getattr(plain, field))
     assert result.model.lml == plain.lml and result.model.jitter == plain.jitter
+
+
+def test_ard_bounds_reach_their_dimensions():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 3.0, size=(30, 2))
+    data = Dataset(X, np.sin(2 * X[:, 0]) + 0.1 * X[:, 1])
+    result = tune_exact_gp(data, "squared_exponential", ard=True, noise_var=0.01,
+                           bounds={"lengthscales": [[0.1, 0.2], [5.0, 6.0]]},
+                           particles=6, iterations=5, seed=0)
+    assert 0.1 <= result.params["lengthscale_0"] <= 0.2
+    assert 5.0 <= result.params["lengthscale_1"] <= 6.0
+
+
+@pytest.mark.parametrize("ard", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_default_box_lists_the_tuning_names_in_order(family, ard):
+    # a list of pairs under "<name>s" gives the rows "<name>_0", "<name>_1", ...
+    d = 1 if family == "sdof" else 3
+    X = np.linspace(0.0, 4.0, 17)[:, None] * np.arange(1, d + 1)
+    box = default_bounds(family, Dataset(X, np.sin(X[:, 0])), ard=ard)
+    rows = []
+    for key, value in box.items():
+        if np.ndim(value) == 2:
+            rows += [f"{key[:-1]}_{k}" for k in range(len(value))]
+        else:
+            rows.append(key)
+    assert rows == FAMILIES[family].tuning_names(d, ard) + ["noise_var"]
+
+
+@pytest.mark.parametrize("bounds", [{"lengthscal": (0.1, 1.0)}, {"lengthscales": [(0.1, 1.0)]}],
+                         ids=["misspelt", "ard-box-of-an-isotropic-kernel"])
+def test_unknown_bound_name_rejected(bounds):
+    with pytest.raises(ValueError, match="bounds names"):
+        tune_exact_gp(_dataset(), "squared_exponential", bounds=bounds, particles=2, iterations=1)
+
+
+@pytest.mark.parametrize("bounds, name", [
+    ({"noise_var": (0.0, 1.0)}, "noise_var"),
+    ({"lengthscales": [(0.1, 1.0), (0.1, 1.0)]}, "lengthscales"),  # two pairs, one input
+], ids=["zero-lower", "ard-pair-count"])
+def test_a_bad_bound_names_itself(bounds, name):
+    with pytest.raises(ValueError, match=rf"bounds\.{name} takes"):
+        tune_exact_gp(_dataset(), "squared_exponential", ard=True, bounds=bounds,
+                      particles=2, iterations=1)
