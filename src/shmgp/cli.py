@@ -98,9 +98,9 @@ def cmd_predict(args) -> int:
         mean, var = predict_osa(model, SequenceData(u=inputs, y=column(target), dt=dt))
         index = index[model.config.first_index :]
 
-    header_out, columns = ["time", "y_mean", "y_var"], [index, mean, var]
+    header_out, columns = [header[0], "y_mean", "y_var"], [index, mean, var]
     if kind != "narx" and target in header:
-        header_out = ["time", "y_true", "y_mean", "y_var"]
+        header_out = [header[0], "y_true", "y_mean", "y_var"]
         columns = [index, column(target), mean, var]
 
     out = Path(args.output) if args.output else Path(args.model_dir) / "predictions.csv"

@@ -63,7 +63,7 @@ from .narx import (
 from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
 from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
-from .tuning import default_bounds, gls_linear_mean, tune_exact_gp
+from .tuning import default_bounds, gls_linear_mean, kernel_tuning_names, tune_exact_gp
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
 DEFAULT_FAMILY = "squared_exponential"  # when model.kernel names no family
@@ -145,13 +145,15 @@ def _noise_var(value) -> float:
     return float(value)
 
 
-def _kernel(optimize=False, ard=False, **entry):
+def _kernel(optimize=False, **entry):
     """model.kernel as (kernel, ard); a kernel to optimize is its family's class."""
     entry = {"family": DEFAULT_FAMILY, **entry}
     if not optimize:
-        return Kernel.from_dict(entry), ard
+        return Kernel.from_dict(entry), False
+    ard = entry.pop("ard", False)
     if len(entry) > 1:
         raise ValueError(f"a kernel to optimize takes only 'family' and 'ard', got {sorted(entry)}")
+    kernel_tuning_names(entry["family"], 1, ard)  # a ValueError where ard would change nothing
     return Kernel.member(entry["family"]), ard
 
 
@@ -334,9 +336,9 @@ def _load_tabular(config: ExperimentConfig):
     data = _data(config, inputs=None, target=None)
     inputs, target = data["inputs"], data["target"]
     if not (isinstance(inputs, (list, type(None))) and isinstance(target, (str, type(None)))
-            and all(isinstance(c, str) for c in inputs or ())):
-        raise ConfigError(f"data.inputs takes a list of column names and data.target one "
-                          f"name, got {inputs!r} and {target!r}")
+            and all(isinstance(c, str) for c in inputs or ()) and inputs != []):
+        raise ConfigError(f"data.inputs takes a list of column names, at least one, and "
+                          f"data.target one name, got {inputs!r} and {target!r}")
     if "generator" in data:
         frame = _generated_frame(data)
         if "data" not in frame["tables"] or "target" not in frame:

@@ -115,6 +115,14 @@ class Kernel(Registered):
         raise NotImplementedError
 
 
+def companion(stiffness, damping) -> np.ndarray:
+    """Drift [[0, I], [-K, -C]] of x'' + C x' + K x = w in the state [x; x']."""
+    p = len(stiffness)
+    A = np.zeros((2 * p, 2 * p))
+    A[:p, p:], A[p:, :p], A[p:, p:] = np.eye(p), np.negative(stiffness), np.negative(damping)
+    return A
+
+
 @dataclass(frozen=True)
 class SquaredExponential(Kernel, family="squared_exponential"):
     """k(x, x') = signal_scale^2 exp(-1/2 sum_k ((x_k - x'_k)/l_k)^2).
@@ -249,7 +257,7 @@ class Matern32(_Matern, family="matern32"):
 
     def state_space(self):
         lam, s2 = np.sqrt(3.0) / self.lengthscale, self.signal_scale**2
-        A = np.array([[0.0, 1.0], [-(lam**2), -2.0 * lam]])
+        A = companion([[lam**2]], [[2.0 * lam]])
         return A, np.array([[0.0], [1.0]]), 4.0 * s2 * lam**3, np.diag([s2, s2 * lam**2])
 
 

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .kernels import Kernel
+from .kernels import Kernel, companion
 from .means import MeanFunction
 
 
@@ -128,6 +128,13 @@ class SdofKernel(Kernel, family="sdof"):
 
     def diag(self, X):
         return np.full(X.shape[0], sdof_kernel_eval(self.params, 0.0))
+
+    def state_space(self):
+        # the oscillator itself: x'' + 2 zeta w_n x' + w_n^2 x = w, with Var(w) = sigma2
+        p = self.params
+        zwn, s2 = p.zeta * p.omega_n, p.sigma2
+        Pinf = np.diag([s2 / (4.0 * zwn * p.omega_n**2), s2 / (4.0 * zwn)])
+        return companion([[p.omega_n**2]], [[2.0 * zwn]]), np.array([[0.0], [1.0]]), s2, Pinf
 
 
 @dataclass(frozen=True)

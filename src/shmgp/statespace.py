@@ -23,7 +23,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
-from .kernels import Kernel, Matern32
+from .kernels import Kernel, Matern32, companion
 from .pso import PsoConfig, log10_box, override_box, pso_minimize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -137,60 +137,28 @@ def stationary_covariance(model: StateSpaceModel) -> np.ndarray:
 def augment(structural: StructuralModel, force_fragment: StateSpaceModel) -> StateSpaceModel:
     """Join a structural model and a force prior into one state-space model.
 
-    States are [displacements; velocities; force states].  The force states
-    evolve autonomously and feed the velocity derivatives through the force
-    selection vector, scaled by the inverse mass matrix.  Observation rows
-    follow ``structural.observed``; acceleration rows include the
-    force-to-acceleration feedthrough.
+    States are [displacements; velocities; force states].  The structure's
+    drift is the companion form of M^-1 K and M^-1 C; the force states evolve
+    autonomously and feed the velocity derivatives of ``force_dof`` through
+    the inverse mass matrix.  Observation rows follow ``structural.observed``:
+    a row of the identity, or for an acceleration the drift's row of that
+    velocity, force feedthrough included.
     """
     p = structural.ndof
+    n = 2 * p + force_fragment.state_dim
     Minv = np.linalg.inv(structural.mass)
-    MinvK = Minv @ structural.stiffness
-    MinvC = Minv @ structural.damping
-
-    s = force_fragment.state_dim
-    sel = np.zeros(p)
-    sel[structural.force_dof] = 1.0
+    A, Lc, P0 = np.zeros((n, n)), np.zeros((n, force_fragment.Lc.shape[1])), np.zeros((n, n))
+    A[: 2 * p, : 2 * p] = companion(Minv @ structural.stiffness, Minv @ structural.damping)
     # force value -> acceleration of each dof
-    gain = Minv @ np.outer(sel, force_fragment.H[0])  # (p, s)
+    A[p : 2 * p, 2 * p :] = np.outer(Minv[:, structural.force_dof], force_fragment.H[0])
+    f = slice(2 * p, n)  # the force states
+    A[f, f], Lc[f], P0[f, f] = force_fragment.A, force_fragment.Lc, force_fragment.P0
 
-    n = 2 * p + s
-    A = np.zeros((n, n))
-    A[:p, p : 2 * p] = np.eye(p)
-    A[p : 2 * p, :p] = -MinvK
-    A[p : 2 * p, p : 2 * p] = -MinvC
-    A[p : 2 * p, 2 * p :] = gain
-    A[2 * p :, 2 * p :] = force_fragment.A
-
-    Lc = np.zeros((n, force_fragment.Lc.shape[1]))
-    Lc[2 * p :, :] = force_fragment.Lc
-
-    rows = []
-    for kind, dof in structural.observed:
-        row = np.zeros(n)
-        if kind == "displacement":
-            row[dof] = 1.0
-        elif kind == "velocity":
-            row[p + dof] = 1.0
-        else:  # acceleration
-            row[:p] = -MinvK[dof]
-            row[p : 2 * p] = -MinvC[dof]
-            row[2 * p :] = gain[dof]
-        rows.append(row)
-    H = np.vstack(rows)
-
-    P0 = np.zeros((n, n))
-    P0[2 * p :, 2 * p :] = force_fragment.P0
-    return StateSpaceModel(
-        A=A,
-        Lc=Lc,
-        q=force_fragment.q,
-        H=H,
-        R=np.zeros((len(rows), len(rows))),
-        m0=np.zeros(n),
-        P0=P0,
-        force_index=2 * p,
-    )
+    eye = np.eye(n)
+    rows = {"displacement": eye[:p], "velocity": eye[p : 2 * p], "acceleration": A[p : 2 * p]}
+    H = np.vstack([rows[kind][dof] for kind, dof in structural.observed])
+    return StateSpaceModel(A=A, Lc=Lc, q=force_fragment.q, H=H, R=np.zeros((len(H), len(H))),
+                           m0=np.zeros(n), P0=P0, force_index=2 * p)
 
 
 def discretize(model: StateSpaceModel, dt: float) -> StateSpaceModel:
@@ -253,15 +221,17 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
     """Forward pass: predict/update recursions with Joseph-form updates.
 
     The state prior (m0, P0) applies at the first observation time, so step
-    zero is an update without a preceding predict.  Rows of all-NaN are
-    treated as missing and skip the update.  The log-likelihood sums the
-    per-step innovation log densities.
+    zero is an update without a preceding predict.  NaN entries are missing:
+    a row of all-NaN skips the update, and a partly missing row updates on
+    its observed channels only.  The log-likelihood sums the per-step
+    innovation log densities.
 
     The model is time-invariant, so its covariances converge.  Once an
     update moves no covariance entry P_ij by more than ``STEADY_RTOL``
-    sqrt(P_ii P_jj), the filter keeps that covariance, its gain, the inverse
-    of S and log|S|, and updates only the mean and the likelihood up to the
-    next missing row, where the exact recursion resumes.
+    sqrt(P_ii P_jj), and it and the previous update saw every channel, the
+    filter keeps that covariance, its gain, the inverse of S and log|S|, and
+    updates only the mean and the likelihood up to the next row with a
+    missing entry, where the exact recursion resumes.
     """
     if model.Ad is None or model.Qd is None:
         raise ValueError("model must be discretized before filtering")
@@ -271,10 +241,7 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
             f"observations have {Y.shape[1]} channels, model defines {model.H.shape[0]}"
         )
     missing = np.isnan(Y)
-    skip = missing.all(axis=1)
-    mixed = np.flatnonzero(missing.any(axis=1) & ~skip)
-    if mixed.size:
-        raise ValueError(f"observation row {mixed[0]} mixes NaN and finite entries")
+    full, skip = ~missing.any(axis=1), missing.all(axis=1)
     T, n = Y.shape[0], model.state_dim
     Ad, Qd, H, R = model.Ad, model.Qd, model.H, model.R
     eye = np.eye(n)
@@ -287,7 +254,7 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
     steady = []
 
     m, P = model.m0.copy(), model.P0.copy()
-    P_prev = None  # the previous step's updated covariance, if it had an update
+    P_prev = None  # the previous step's updated covariance, if it observed every channel
     t = 0
     while t < T:
         if t > 0:
@@ -295,37 +262,41 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
             P = Ad @ P @ Ad.T + Qd
             P = 0.5 * (P + P.T)
         pred_means[t], pred_covs[t] = m, P
-        if skip[t]:
+        if skip[t]:  # nothing to update on (LAPACK takes no 0 x 0 factor)
             means[t], covs[t] = m, P
             P_prev = None
             t += 1
             continue
+        y, Ht, Rt = Y[t], H, R
+        if not full[t]:  # update on the observed channels only
+            seen = np.flatnonzero(~missing[t])
+            y, Ht, Rt = Y[t, seen], H[seen], R[np.ix_(seen, seen)]
 
-        v = Y[t] - H @ m
+        v = y - Ht @ m
         # LAPACK reads only the lower triangle of S, and passes NaN through
-        L, info = dpotrf(H @ P @ H.T + R, lower=1)
+        L, info = dpotrf(Ht @ P @ Ht.T + Rt, lower=1)
         half_logdet = np.log(L.diagonal()).sum() if info == 0 else np.nan
         if not np.isfinite(half_logdet):
             raise NumericalError(f"innovation covariance not positive definite at step {t}")
         L_inv, _ = dtrtri(L, lower=1)
         S_inv = L_inv.T @ L_inv
-        K = P @ H.T @ S_inv
+        K = P @ Ht.T @ S_inv
         m = m + K @ v
-        IKH = eye - K @ H
-        P = IKH @ P @ IKH.T + K @ R @ K.T
+        IKH = eye - K @ Ht
+        P = IKH @ P @ IKH.T + K @ Rt @ K.T
         P = 0.5 * (P + P.T)
         loglik += -0.5 * (v @ S_inv @ v + v.size * LOG_2PI) - half_logdet
         means[t], covs[t] = m, P
-        t += 1
 
         # |dP_ij| <= tol sqrt(P_ii P_jj), squared: no state's scale hides another's
-        converged = (STEADY_RTOL > 0.0 and P_prev is not None and np.all(
+        converged = (STEADY_RTOL > 0.0 and full[t] and P_prev is not None and np.all(
             np.square(P - P_prev) <= STEADY_RTOL**2 * np.outer(P.diagonal(), P.diagonal())))
-        P_prev = P
+        P_prev = P if full[t] else None
+        t += 1
         if not converged:
             continue
-        # steady state: reuse this step's moments up to the next missing row
-        gaps = np.flatnonzero(skip[t:])
+        # steady state: reuse this step's moments up to the next row with a missing entry
+        gaps = np.flatnonzero(~full[t:])
         end = t + gaps[0] if gaps.size else T
         if end > t:
             F = IKH @ Ad  # mean transition of an update with gain K

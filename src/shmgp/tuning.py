@@ -60,6 +60,17 @@ def default_bounds(
     return box
 
 
+def kernel_tuning_names(family: str, d: int, ard: bool) -> list[str]:
+    """The tuned hyperparameters of ``family`` for d-dimensional inputs.
+    ``ard`` asks for one lengthscale per input: a ValueError for a family
+    whose names it does not change."""
+    cls = Kernel.member(family)
+    names = cls.tuning_names(d, ard)
+    if ard and names == cls.tuning_names(d, False):
+        raise ValueError(f"'ard' asks for a lengthscale per input; {family} has one for all")
+    return names
+
+
 def tune_exact_gp(
     data: gp.Dataset,
     family: str,
@@ -75,6 +86,7 @@ def tune_exact_gp(
     """Maximise the marginal likelihood over kernel (and optionally noise)
     hyperparameters.
 
+    ``ard`` tunes one lengthscale per input (:func:`kernel_tuning_names`).
     ``noise_var`` fixes the observation noise when given; when None it is
     optimised alongside the kernel.  ``bounds`` override the defaults
     (:func:`default_bounds`) by name, as :func:`pso.override_box` allows.
@@ -89,7 +101,7 @@ def tune_exact_gp(
     at the tuned values, bit for bit.
     """
     cls = Kernel.member(family)
-    names = cls.tuning_names(data.inputs.shape[1], ard) + ["noise_var"]
+    names = kernel_tuning_names(family, data.inputs.shape[1], ard) + ["noise_var"]
     n_kernel = len(names) - 1
     box = override_box(default_bounds(family, data, ard=ard, dt=dt), bounds)
     if noise_var is not None:

@@ -109,14 +109,18 @@ def test_acceptance_likelihood_identity():
     )
 
 
-@pytest.mark.parametrize("nu,kernel_cls", [(0.5, Matern12), (1.5, Matern32)])
+@pytest.mark.parametrize("nu,kernel_cls", [(0.5, Matern12), (1.5, Matern32),
+                                           pytest.param(None, SdofKernel, id="sdof")])
 def test_acceptance_batch_state_space_duality(nu, kernel_cls):
     start = time.perf_counter()
     rng = np.random.default_rng(33)
     n, dt, noise = 200, 0.1, 0.1
     sigma, ell = 1.3, 0.7
     t = np.arange(n) * dt
-    spec = kernel_cls(signal_scale=sigma, lengthscale=ell)
+    if nu is None:
+        spec = SdofKernel(SdofKernelParams(zeta=0.1, omega_n=3.0, sigma2=1.0))
+    else:
+        spec = kernel_cls(signal_scale=sigma, lengthscale=ell)
     K = build_gram(spec, t.reshape(-1, 1))
     y = np.linalg.cholesky(K + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
     y += np.sqrt(noise) * rng.standard_normal(n)
@@ -131,7 +135,7 @@ def test_acceptance_batch_state_space_duality(nu, kernel_cls):
     ll_err = abs(result.log_likelihood - batch.lml) / abs(batch.lml)
     elapsed = time.perf_counter() - start
     _report(
-        f"batch/state-space duality (Matern nu={nu})",
+        f"batch/state-space duality ({'SDOF' if nu is None else f'Matern nu={nu}'})",
         mean_err <= 1e-6 and ll_err <= 1e-6 and elapsed < 2.0,
         f"mean rel err {mean_err:.2e}, loglik rel err {ll_err:.2e}, {elapsed:.2f}s",
     )

@@ -547,8 +547,8 @@ class TestFit:
         assert 0.1 <= omega_n <= np.pi / (2.0 / 39)
 
     @pytest.mark.parametrize("source", ["csv", "generator"])
-    @pytest.mark.parametrize("columns", [{"inputs": "xy"}, {"target": ["y"]}],
-                             ids=["inputs-string", "target-list"])
+    @pytest.mark.parametrize("columns", [{"inputs": "xy"}, {"target": ["y"]}, {"inputs": []}],
+                             ids=["inputs-string", "target-list", "inputs-empty"])
     def test_column_names_of_the_wrong_type_exit_2_before_any_fit(
             self, tmp_path, monkeypatch, capsys, source, columns):
         from shmgp import gp
@@ -567,6 +567,30 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert "data.inputs takes a list of column names" in capsys.readouterr().err
+        assert not fits
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "squared_exponential", "signal_scale": 1.0, "lengthscales": 1.0, "ard": True},
+        {"family": "matern32", "optimize": True, "ard": True},
+        {"family": "sdof", "optimize": True, "ard": True},
+    ], ids=["fixed", "matern32", "sdof"])
+    def test_ard_that_would_change_nothing_exits_2_before_any_fit(
+            self, tmp_path, monkeypatch, capsys, kernel):
+        from shmgp import gp
+        from shmgp.model_io import write_csv
+
+        fits = []
+        fit_exact = gp.fit_exact
+        monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1) or fit_exact(*a, **k))
+        t = np.arange(40.0)
+        write_csv(tmp_path / "data.csv", ["time", "x", "y"], [t, np.cos(t), np.sin(t)])
+        doc = {"task": "exact_gp", "seed": 0,
+               "data": {"path": str(tmp_path / "data.csv"), "inputs": ["time"]},
+               "model": {"kernel": kernel, "noise_var": 1e-4}, "optimizer": SWARM}
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert "'ard'" in capsys.readouterr().err
         assert not fits
         assert not out.exists()
 
@@ -632,13 +656,8 @@ class TestRunRecord:
                      "-o", str(data)]) == 0
         pred = tmp_path / "pred.csv"
         assert main(["predict", str(run), str(data / "test.csv"), "-o", str(pred)]) == 0
-
-        def y_mean(path):
-            header, *rows = path.read_text().splitlines()
-            column = header.split(",").index("y_mean")
-            return [row.split(",")[column] for row in rows]
-
-        assert y_mean(pred) == y_mean(run / "predictions.csv")
+        # the index column keeps the table's name, index, as the fit's file does
+        assert pred.read_bytes() == (run / "predictions.csv").read_bytes()
 
 
 class TestPredictAndEval:

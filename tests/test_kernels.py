@@ -30,6 +30,20 @@ SPECS = [
 ]
 
 
+def test_companion_is_the_drift_of_a_second_order_system():
+    # x'' + C x' + K x = 0 in the state [x; x']
+    K = np.array([[2.0, -1.0], [-1.0, 3.0]])
+    C = np.array([[0.2, 0.1], [0.1, 0.3]])
+    np.testing.assert_array_equal(kernels.companion(K, C),
+                                  np.block([[np.zeros((2, 2)), np.eye(2)], [-K, -C]]))
+    for s in np.linalg.eigvals(kernels.companion([[8.0]], [[0.6]])):
+        assert abs(s**2 + 0.6 * s + 8.0) == pytest.approx(0.0, abs=1e-12)
+    # the Matern-3/2 drift keeps the bits of its literal form
+    lam = np.sqrt(3.0) / 0.7
+    np.testing.assert_array_equal(Matern32(1.2, 0.7).state_space()[0],
+                                  [[0.0, 1.0], [-(lam**2), -2.0 * lam]])
+
+
 def test_se_unit_at_zero_lag():
     spec = SquaredExponential(signal_scale=1.0, lengthscales=1.0)
     assert kernel_eval(spec, [0.0], [0.0]) == 1.0

@@ -1,5 +1,6 @@
 """State-space models: SDE forms, exact discretisation, filtering, smoothing."""
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -139,6 +140,38 @@ class TestAugment:
         np.testing.assert_array_equal(model.H[0, :4], [0.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(model.H[1, :4], [0.0, 0.0, 1.0, 0.0])
 
+    def test_rows_of_the_identity_or_the_drift(self):
+        # a coupled 3-dof chain against the per-kind construction the drift replaced
+        M = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+        C = np.array([[0.5, -0.2, 0.0], [-0.2, 0.4, -0.1], [0.0, -0.1, 0.3]])
+        K = np.array([[30.0, -12.0, 0.0], [-12.0, 25.0, -9.0], [0.0, -9.0, 9.0]])
+        structural = StructuralModel(
+            mass=M, damping=C, stiffness=K, force_dof=1,
+            observed=(("displacement", 2), ("velocity", 0), ("acceleration", 1)),
+        )
+        frag = kernel_to_ss(Matern32(1.3, 0.6))
+        model = augment(structural, frag)
+
+        p, n = 3, 3 * 2 + frag.state_dim
+        Minv = np.linalg.inv(M)
+        MinvK, MinvC = Minv @ K, Minv @ C
+        sel = np.zeros(p)
+        sel[1] = 1.0
+        gain = Minv @ np.outer(sel, frag.H[0])
+        A = np.zeros((n, n))
+        A[:p, p : 2 * p] = np.eye(p)
+        A[p : 2 * p, :p] = -MinvK
+        A[p : 2 * p, p : 2 * p] = -MinvC
+        A[p : 2 * p, 2 * p :] = gain
+        A[2 * p :, 2 * p :] = frag.A
+        H = np.zeros((3, n))
+        H[0, 2] = 1.0
+        H[1, p] = 1.0
+        H[2, :p], H[2, p : 2 * p], H[2, 2 * p :] = -MinvK[1], -MinvC[1], gain[1]
+        assert np.array_equal(model.A, A)
+        assert np.array_equal(model.H, H)
+        assert model.R.shape == (3, 3)
+
     def test_singular_mass_rejected(self):
         with pytest.raises(ValueError):
             StructuralModel(mass=[[0.0]], damping=[[0.0]], stiffness=[[1.0]])
@@ -264,15 +297,23 @@ class TestKalmanFilter:
         ll2 = kalman_filter(model2, Y[:, ::-1]).log_likelihood
         assert ll2 == pytest.approx(ll, rel=1e-12)
 
-    def test_row_mixing_nan_and_finite_rejected(self):
+    def test_partly_missing_row_updates_on_its_observed_channels(self):
         model = build_latent_force_model(
             StructuralModel(mass=np.eye(2), damping=0.2 * np.eye(2), stiffness=2.0 * np.eye(2),
                             observed=(("displacement", 0), ("displacement", 1))),
-            0.05, Matern32(), 1e-4)
-        Y = np.zeros((30, 2))
+            0.05, Matern32(), [1e-4, 2e-4])
+        Y = np.random.default_rng(5).standard_normal((30, 2))
         Y[20, 1] = np.nan
-        with pytest.raises(ValueError, match="row 20 mixes NaN"):
-            kalman_filter(model, Y)
+        filt = kalman_filter(model, Y)
+        # one update on channel 0 alone, from the same predicted moments
+        one = kalman_filter(dataclasses.replace(
+            model, H=model.H[:1], R=model.R[:1, :1], m0=filt.pred_means[20],
+            P0=filt.pred_covs[20]), Y[20:21, :1])
+        np.testing.assert_array_equal(filt.means[20], one.means[0])
+        np.testing.assert_array_equal(filt.covs[20], one.covs[0])
+        head = kalman_filter(model, Y[:20]).log_likelihood
+        assert kalman_filter(model, Y[:21]).log_likelihood == head + one.log_likelihood
+        assert np.all(np.isfinite(filt.means)) and np.isfinite(filt.log_likelihood)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +383,32 @@ class TestSteadyState:
         _assert_close(filt.means, exact.means)
         steady_force = rts_smoother(model, filt).force_mean
         _assert_close(steady_force, _exact(monkeypatch, rts_smoother, model, exact).force_mean)
+
+    def test_partly_missing_row_resumes_exact_recursion(self, latent_force_3dof, monkeypatch):
+        sim, _, _ = latent_force_3dof
+        model = _force_model(latent_force_3dof, 4.6, 2.33)
+        switch = kalman_filter(model, sim.observations).steady[0][0]
+        Y = sim.observations.copy()
+        gap = switch + 50
+        Y[gap, 1] = np.nan
+        filt = kalman_filter(model, Y)
+        exact = _exact(monkeypatch, kalman_filter, model, Y)
+        assert filt.steady[0] == (switch, gap)
+        assert filt.steady[1][0] > gap + 1
+        assert filt.log_likelihood == pytest.approx(exact.log_likelihood, rel=1e-9)
+        _assert_close(filt.means, exact.means)
+        steady_force = rts_smoother(model, filt).force_mean
+        _assert_close(steady_force, _exact(monkeypatch, rts_smoother, model, exact).force_mean)
+
+    def test_smooths_through_partly_missing_rows(self, latent_force_3dof):
+        sim, _, _ = latent_force_3dof
+        model = _force_model(latent_force_3dof, 4.6, 2.33)
+        Y = sim.observations.copy()
+        Y[np.random.default_rng(6).random(Y.shape) < 0.2] = np.nan
+        result = smooth(model, Y)
+        for moments in (result.smoothed_means, result.smoothed_covs, result.force_var):
+            assert np.all(np.isfinite(moments))
+        _assert_close(result.force_mean, smooth(model, sim.observations).force_mean, tol=1e-2)
 
     @pytest.mark.filterwarnings("error")  # no log of a failed factor's diagonal
     @pytest.mark.parametrize("r", [-5.0, np.nan])

@@ -102,6 +102,17 @@ def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, a
     assert result.model.lml == plain.lml and result.model.jitter == plain.jitter
 
 
+@pytest.mark.parametrize("family", ["matern12", "matern32", "sdof"])
+def test_ard_of_a_family_with_one_lengthscale_rejected(monkeypatch, family):
+    fits = []
+    monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1))
+    t = np.arange(40) * 0.1
+    with pytest.raises(ValueError, match="'ard'"):
+        tune_exact_gp(Dataset(t[:, None], np.sin(3 * t)), family, ard=True, noise_var=0.01,
+                      particles=4, iterations=2, seed=0)
+    assert not fits
+
+
 def test_ard_bounds_reach_their_dimensions():
     rng = np.random.default_rng(4)
     X = rng.uniform(0.0, 3.0, size=(30, 2))
