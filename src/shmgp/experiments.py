@@ -331,8 +331,9 @@ def _generate(name, params: dict) -> dict:
 def _load_tabular(config: ExperimentConfig):
     """Dataset from a generator's ``data`` table or a CSV file, with the columns
     data.inputs (a list of names) and data.target (one name); returns (dataset,
-    input names, target).  A column a generator does not make, or a name of
-    another type, is a ConfigError; a column a CSV file lacks is a DataError."""
+    input names, target, name of the first column, which holds the timestamps).
+    A column a generator does not make, or a name of another type, is a
+    ConfigError; a column a CSV file lacks is a DataError."""
     data = _data(config, inputs=None, target=None)
     inputs, target = data["inputs"], data["target"]
     if not (isinstance(inputs, (list, type(None))) and isinstance(target, (str, type(None)))
@@ -360,7 +361,7 @@ def _load_tabular(config: ExperimentConfig):
             raise ConfigError(f"data.inputs and data.target name columns out of "
                               f"{sorted(header)}: {type(exc).__name__}: {exc}") from exc
         raise DataError(f"column missing from {data['path']}: {exc}") from exc
-    return Dataset(X, y, timestamps=table[:, 0]), inputs, target
+    return Dataset(X, y, timestamps=table[:, 0]), inputs, target, header[0]
 
 
 def _split(dataset: Dataset, split_cfg: dict | None):
@@ -410,7 +411,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None
 
 def _run_exact_gp(config: ExperimentConfig):
     prior, mean, profile_mean = _checked("model", _exact_gp_model, config.model)
-    dataset, input_cols, target = _load_tabular(config)
+    dataset, input_cols, target, index_col = _load_tabular(config)
     train, test = _split(dataset, config.split)
     if mean is not None:
         try:
@@ -422,7 +423,7 @@ def _run_exact_gp(config: ExperimentConfig):
 
     pred = gp.predict(model, test.inputs)
     return _run_record(
-        ("time", test.timestamps), "y", test.outputs, pred.mean, pred.var,
+        (index_col, test.timestamps), "y", test.outputs, pred.mean, pred.var,
         {"task": "exact_gp", "n_train": len(train), "n_test": len(test)}, params,
         lambda out: model_io.save_exact_gp(out, model, input_cols, target),
         log_marginal_likelihood=model.lml, coverage_percent=coverage_metric(train, test))
@@ -476,7 +477,7 @@ def _run_reduced_rank(config: ExperimentConfig):
         train, test = frame["train"], frame["test"]
         input_cols, target = frame["inputs"], frame["target"]
     else:
-        dataset, input_cols, target = _load_tabular(config)
+        dataset, input_cols, target, _ = _load_tabular(config)
         train, test = _split(dataset, config.split)
     if domain.dim != train.inputs.shape[1]:
         raise ConfigError(f"model.domain is {domain.dim}-D but data.inputs have dimension "

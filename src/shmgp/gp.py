@@ -84,15 +84,18 @@ class Prediction(NamedTuple):
     cov: np.ndarray | None
 
 
-def chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
+def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A with an escalating diagonal jitter.
 
     The jitter starts at 1e-10 mean(diag A) and grows tenfold up to
     1e-4 mean(diag A); failure beyond that signals genuinely
     ill-conditioned hyperparameters rather than roundoff.  ``A`` itself is
-    left unchanged; a non-finite entry raises ``ValueError``.
+    left unchanged; a non-finite entry raises ``ValueError``.  With
+    ``check_finite=False`` only the diagonal is scanned, for a caller whose
+    other entries are known finite: a :func:`build_gram` matrix plus a
+    diagonal term.
     """
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(A if check_finite else np.diag(A))):
         raise ValueError("array must not contain infs or NaNs")
     base = float(np.mean(np.diag(A)))
     if base <= 0.0 or not np.isfinite(base):
@@ -145,7 +148,7 @@ def fit_exact(
         raise ValueError("prior mean is not finite at the training inputs")
     K = build_gram(kernel, X if stack is None else stack)
     add_to_diag(K, noise_var)
-    L, jitter = chol_with_jitter(K)
+    L, jitter = chol_with_jitter(K, check_finite=False)  # build_gram scanned K
     alpha = cho_solve((L, True), residual, check_finite=False)
     lml = _log_marginal(residual, alpha, L)
     return TrainedGp(

@@ -64,6 +64,8 @@ class StructuralModel:
             raise ValueError("stiffness matrix must be positive semi-definite")
         if not 0 <= self.force_dof < p:
             raise ValueError(f"force_dof {self.force_dof} outside 0..{p - 1}")
+        if len(self.observed) == 0:
+            raise ValueError("observed lists no (kind, dof) pair; at least one is measured")
         for kind, dof in self.observed:
             if kind not in ("displacement", "velocity", "acceleration"):
                 raise ValueError(f"unknown observed quantity {kind!r}")

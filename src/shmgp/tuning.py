@@ -15,7 +15,7 @@ import numpy as np
 
 from scipy.linalg import cho_solve
 
-from . import gp
+from . import blas, gp
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram
 from .means import LinearMean, MeanFunction
@@ -42,7 +42,7 @@ def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
     X, y = data.inputs, data.outputs
     K = build_gram(kernel, X if stack is None else stack)
     gp.add_to_diag(K, noise_var)
-    L, _ = gp.chol_with_jitter(K)
+    L, _ = gp.chol_with_jitter(K, check_finite=False)  # build_gram scanned K
     A = np.column_stack([np.ones(len(data)), X])
     W = cho_solve((L, True), A, check_finite=False)
     theta = np.linalg.solve(A.T @ W, W.T @ y)
@@ -98,7 +98,10 @@ def tune_exact_gp(
     The swarm's fits take the inputs' squared differences from one
     :class:`SquaredDiffStack`, built here for the families that read it;
     the model returned is refit without it, so it is :func:`gp.fit_exact`'s
-    at the tuned values, bit for bit.
+    at the tuned values on one BLAS thread, bit for bit.  The swarm, its GLS
+    profiles and the refit all run in :func:`blas.single_thread`: the fits
+    are many small serial BLAS calls, which a second thread makes no faster.
+    The caller's thread counts come back when the tune returns or raises.
     """
     cls = Kernel.member(family)
     names = kernel_tuning_names(family, data.inputs.shape[1], ard) + ["noise_var"]
@@ -125,9 +128,10 @@ def tune_exact_gp(
         except (NumericalError, ValueError):
             return np.inf
 
-    result = pso_minimize(objective, cfg)
-    best = 10.0**result.best_params
-    model = fit_at(best)
+    with blas.single_thread():
+        result = pso_minimize(objective, cfg)
+        best = 10.0**result.best_params
+        model = fit_at(best)
     params = {name: float(val) for name, val in zip(names, best)}
     params["noise_var"] = model.noise_var  # also where noise_var is fixed, so best lacks it
     if profile_linear_mean:

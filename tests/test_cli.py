@@ -389,6 +389,14 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert not out.exists()
 
+    def test_empty_observed_exits_2_naming_it(self, tmp_path, capsys):
+        doc = dict(FAST_FORCE, data=_bad_params(FAST_FORCE["data"], {"observed": []}))
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "observed" in err.split(":", 2)[2]
+        assert not out.exists()
+
     def test_noise_var_per_observed_channel_is_accepted(self, tmp_path):
         observed = [["displacement", 0], ["velocity", 1]]
         doc = dict(FAST_FORCE, data=_bad_params(FAST_FORCE["data"], {"observed": observed}),
@@ -644,6 +652,25 @@ class TestRunRecord:
         index, prefix = header
         assert read_csv(out / "predictions.csv")[0] == [
             index, f"{prefix}_true", f"{prefix}_mean", f"{prefix}_var"]
+
+    def test_csv_fit_predicts_as_shmgp_predict_does(self, tmp_path, capsys):
+        # the index column keeps the CSV's first name, index, in both files
+        from shmgp.model_io import write_csv
+
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-2.0, 2.0, 40)
+        columns = [np.arange(40.0), x, np.sin(x) + 0.1 * rng.standard_normal(40)]
+        write_csv(tmp_path / "data.csv", ["index", "x", "y"], columns)
+        write_csv(tmp_path / "test.csv", ["index", "x", "y"], [c[20:] for c in columns])
+        doc = {"task": "exact_gp", "seed": 0, "data": {"path": str(tmp_path / "data.csv")},
+               "split": {"type": "head_fraction", "fraction": 0.5},
+               "model": {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                                    "lengthscales": 1.0}, "noise_var": 0.01}}
+        run = tmp_path / "run"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(run)]) == 0
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", str(run), str(tmp_path / "test.csv"), "-o", str(pred)]) == 0
+        assert pred.read_bytes() == (run / "predictions.csv").read_bytes()
 
     def test_generated_field_predicts_as_the_fit_did(self, tmp_path, capsys):
         # the saved model names the columns shmgp generate writes for the field

@@ -13,10 +13,20 @@ from shmgp.gp import (
     log_marginal_likelihood,
     predict,
 )
-from shmgp.kernels import SquaredDiffStack, SquaredExponential, build_gram
+from shmgp.kernels import Kernel, SquaredDiffStack, SquaredExponential, build_gram
 from shmgp.means import LinearMean, ZeroMean
 
 SE = SquaredExponential
+
+
+class _Table(Kernel):
+    """k(i, j) = table[i, j] at integer inputs i, j."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def gram_block(self, X, X2, out, work):
+        out[...] = self.table[np.ix_(X[:, 0].astype(int), X2[:, 0].astype(int))]
 
 
 def _random_problem(seed, n=20, d=2, noise=0.1):
@@ -79,6 +89,20 @@ class TestFit:
         A[2, 0] = np.nan
         with pytest.raises(ValueError):
             chol_with_jitter(A)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [(1, 1), (2, 0), (0, 2)],
+                             ids=["diagonal", "below", "above"])
+    def test_nonfinite_entry_raises_value_error_where_it_is_built_and_factored(
+            self, value, entry):
+        # a fit scans its Gram matrix once; each of the two functions still
+        # refuses a non-finite entry when called on its own
+        A = np.eye(3) + 0.1
+        A[entry] = value
+        with pytest.raises(ValueError):
+            chol_with_jitter(A)
+        with pytest.raises(ValueError):
+            build_gram(_Table(A), np.arange(3.0))
 
     def test_fit_leaves_data_unchanged(self):
         data, kernel, noise = _random_problem(4)

@@ -176,6 +176,10 @@ class TestAugment:
         with pytest.raises(ValueError):
             StructuralModel(mass=[[0.0]], damping=[[0.0]], stiffness=[[1.0]])
 
+    def test_nothing_observed_rejected(self):
+        with pytest.raises(ValueError, match="observed"):
+            StructuralModel(mass=[[1.0]], damping=[[0.1]], stiffness=[[1.0]], observed=())
+
 
 class TestDiscretize:
     def test_zero_drift_limit(self):

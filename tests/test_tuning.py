@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shmgp import gp
+from shmgp import blas, gp, tuning
 from shmgp.gp import Dataset, fit_exact
 from shmgp.kernels import FAMILIES, Matern32, SquaredExponential, build_gram
 from shmgp.tuning import default_bounds, gls_linear_mean, tune_exact_gp
@@ -75,7 +75,8 @@ def test_gls_mean_ignores_kernel_correlated_deviation():
 ])
 def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, ard, profile):
     """The swarm's fits read the tune's difference stack; the model returned
-    is refit from the inputs, so it is fit_exact's at the tuned values, bit for bit."""
+    is refit from the inputs, so it is fit_exact's at the tuned values on one
+    BLAS thread, bit for bit."""
     rng = np.random.default_rng(8)
     t = np.arange(40) * 0.1
     X = t[:, None] if family == "sdof" else np.column_stack([t, rng.uniform(-1, 1, 40)])
@@ -95,11 +96,29 @@ def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, a
     names = cls.tuning_names(X.shape[1], ard)
     kernel = cls.from_vector(np.array([result.params[name] for name in names]))
     noise = result.params["noise_var"]
-    mean = gls_linear_mean(data, kernel, noise) if profile else None
-    plain = fit(data, kernel, mean=mean, noise_var=noise)
+    with blas.single_thread():
+        mean = gls_linear_mean(data, kernel, noise) if profile else None
+        plain = fit(data, kernel, mean=mean, noise_var=noise)
     for field in ("chol", "alpha", "residual"):
         np.testing.assert_array_equal(getattr(result.model, field), getattr(plain, field))
     assert result.model.lml == plain.lml and result.model.jitter == plain.jitter
+
+
+def test_tune_fits_on_one_blas_thread(monkeypatch, two_threads):
+    """Every fit of the tune, the GLS profile's Gram build included, runs on
+    one BLAS thread; the caller's count is back once the tune returns."""
+    seen = []
+
+    def spy(fn):
+        return lambda *a, **k: seen.append([get() for get, _ in blas._openblas()]) or fn(*a, **k)
+
+    monkeypatch.setattr(gp, "fit_exact", spy(gp.fit_exact))
+    monkeypatch.setattr(tuning, "build_gram", spy(tuning.build_gram))
+    tune_exact_gp(_dataset(n=40), "squared_exponential", profile_linear_mean=True,
+                  particles=3, iterations=2, seed=0)
+    assert len(seen) == 2 * (3 * (2 + 1) + 1)  # a GLS profile and a fit per evaluation
+    assert all(counts == [1] * two_threads for counts in seen)
+    assert [get() for get, _ in blas._openblas()] == [2] * two_threads
 
 
 @pytest.mark.parametrize("family", ["matern12", "matern32", "sdof"])
