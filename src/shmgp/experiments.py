@@ -4,9 +4,10 @@
 path to one), builds or loads the data, fits the configured model, scores
 predictions and writes three artifacts into the output directory:
 
-* ``predictions.csv`` -- the index column (``time``, or ``index`` for
-                         reduced_rank), then truth, posterior mean and
-                         variance as ``y_*`` (``force_*`` for latent_force)
+* ``predictions.csv`` -- the index column (the data table's first column
+                         for exact_gp and reduced_rank, else ``time``), then
+                         truth, posterior mean and variance as ``y_*``
+                         (``force_*`` for latent_force)
 * ``metrics.json``    -- nmse_percent, log_marginal_likelihood,
                          coverage_percent, wall_ms, nmse_variance_convention,
                          task, the task's own extras and, when tuned,
@@ -476,16 +477,18 @@ def _run_reduced_rank(config: ExperimentConfig):
         frame = _generated_frame(_data(config))
         train, test = frame["train"], frame["test"]
         input_cols, target = frame["inputs"], frame["target"]
+        index = ("index", np.arange(len(test), dtype=float))
     else:
-        dataset, input_cols, target, _ = _load_tabular(config)
+        dataset, input_cols, target, index_col = _load_tabular(config)
         train, test = _split(dataset, config.split)
+        index = (index_col, test.timestamps)
     if domain.dim != train.inputs.shape[1]:
         raise ConfigError(f"model.domain is {domain.dim}-D but data.inputs have dimension "
                           f"{train.inputs.shape[1]}")
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)
     return _run_record(
-        ("index", np.arange(len(test), dtype=float)), "y", test.outputs, mean_pred, var_pred,
+        index, "y", test.outputs, mean_pred, var_pred,
         {"task": "reduced_rank", "basis_size": model.basis.size},
         save_model=lambda out: model_io.save_reduced_rank(out, model, input_cols, target),
         coverage_percent=coverage_metric(train, test))

@@ -16,7 +16,9 @@ those come from explicit pairwise differences, so results do not depend on
 BLAS parallelism.  A tune, whose inputs stay fixed while the
 hyperparameters move, takes the leading blocks of those squared differences
 once into a :class:`SquaredDiffStack` of bounded size; each cached block's
-scaled squared distance is then one matrix-vector product.
+scaled squared distance is then one matrix-vector product.  A 1-D stack
+keeps each distinct squared lag once, so a build maps each lag once and
+fills its cached blocks by index: times on a grid repeat few lags.
 """
 
 from __future__ import annotations
@@ -298,6 +300,11 @@ class SquaredDiffStack:
     It keeps the leading blocks whose total fits ``STACK_BYTES`` (all of
     them come to about d/2 Gram matrices); the Gram build computes the rest
     afresh.
+
+    In one dimension, where inputs on a grid repeat few lags, ``values``
+    (1, u) holds each distinct squared difference of the cached blocks once,
+    sorted, and D_b is instead the (rows, n - start) array of each entry's
+    index into it; at d > 1 ``values`` is None.
     """
 
     def __init__(self, X):
@@ -314,6 +321,14 @@ class SquaredDiffStack:
             np.subtract(Z[:, start:stop, None], Z[:, None, start:], out=block)
             np.square(block, out=block)
             self.blocks.append((start, stop, block.reshape(d, -1)))
+        self.values = None
+        if d == 1 and self.blocks:
+            values, index = np.unique(np.concatenate([D[0] for *_, D in self.blocks]),
+                                      return_inverse=True)
+            self.values = values[None]
+            parts = np.split(index, np.cumsum([D.size for *_, D in self.blocks])[:-1])
+            self.blocks = [(start, stop, part.reshape(stop - start, -1))
+                           for (start, stop, _), part in zip(self.blocks, parts)]
 
 
 # family name -> class; importing the package imports every module that
@@ -345,20 +360,21 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     by construction for valid hyperparameters.
 
     A squared-distance block is either the stack's cached block weighted by
-    w = 1/scale^2, one BLAS product, or the squared differences of the
-    scaled inputs summed in dimension order.  The latter gives each entry
-    the same sum in the same order whichever block it falls in, so ``X2``
-    passed as a copy of ``X`` gives the same bits as ``X``; the former is
-    within 1e-13 relative of it.  In the square case the entries left of a
-    block's diagonal mirror blocks already built, since (a - b)^2 ==
-    (b - a)^2 exactly.
+    w = 1/scale^2, one BLAS product (at d = 1, the stack's distinct values
+    weighted and mapped once, then taken by index), or the squared
+    differences of the scaled inputs summed in dimension order.  The latter
+    gives each entry the same sum in the same order whichever block it falls
+    in, so ``X2`` passed as a copy of ``X`` gives the same bits as ``X``; the
+    former is within 1e-13 relative of it.  In the square case the entries
+    left of a block's diagonal mirror blocks already built, since
+    (a - b)^2 == (b - a)^2 exactly.
     """
-    cached = []
+    cached, values = [], None
     if isinstance(X, SquaredDiffStack):
         if X_prime is not None or not spec.reads_sqdist:
             raise ValueError(f"a difference stack gives only the square Gram matrix of a "
                              f"squared-distance kernel, not {type(spec).__name__}'s")
-        cached, X = X.blocks, X.inputs
+        cached, values, X = X.blocks, X.values, X.inputs
         X2 = X
     else:
         X = _as_matrix(X)
@@ -370,6 +386,9 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     if cached:
         w = np.empty(d)
         w[...] = 1.0 / np.square(spec.sqdist_scale)
+        if values is not None:  # each distinct squared lag mapped once
+            mapped = np.matmul(w, values)
+            spec.sqdist_map(mapped)
     if spec.reads_sqdist and (not cached or cached[-1][1] < n):  # some blocks afresh
         ell = spec.sqdist_scale
         Z = np.ascontiguousarray((X / ell).T)
@@ -382,6 +401,8 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
         block = work[: out.size].reshape(out.shape)
         if not spec.reads_sqdist:
             spec.gram_block(X[start:stop], X2[first:], out, block)
+        elif i < len(cached) and values is not None:
+            np.take(mapped, cached[i][2], out=out, mode="clip")  # unbuffered; indices in range
         else:
             if i < len(cached):
                 np.matmul(w, cached[i][2], out=work[: out.size])

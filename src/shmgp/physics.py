@@ -55,40 +55,26 @@ def sdof_kernel_eval(params: SdofKernelParams, tau) -> float | np.ndarray:
     Even in tau; k(0) = sigma2 / (4 zeta w_n^3).
     """
     tau = np.asarray(tau, dtype=float)
-    value = np.empty(tau.shape)
-    _sdof_into(params, tau, 0.0, value, np.empty(tau.shape))
-    return value if value.ndim else float(value)
+    value = np.abs(np.atleast_1d(tau))
+    _sdof_into(params, value)
+    return value.reshape(tau.shape) if tau.ndim else float(value[0])
 
 
-def _sdof_into(params: SdofKernelParams, t, t2, out: np.ndarray, work: np.ndarray) -> None:
-    """k(t - t2) written into ``out``, with ``work`` (same shape) as the only
-    scratch: the lag |t - t2| is formed again each time it is needed.
-
-    The cosine takes w_d |tau|, which has the bits of cos(w_d tau) because
-    cosine is even, so the value depends on |tau| alone and a square Gram
-    matrix is exactly symmetric.
-    """
+def _sdof_into(params: SdofKernelParams, lag: np.ndarray) -> None:
+    """Overwrite the lags |tau| in ``lag`` with k(tau); the cosine of w_d |tau|
+    has the bits of cos(w_d tau) because cosine is even."""
     zwn = params.zeta * params.omega_n
     wd = params.omega_d
     scale = params.sigma2 / (4.0 * zwn * params.omega_n**2)
-
-    def lag(buf):
-        np.subtract(t, t2, out=buf)
-        return np.abs(buf, out=buf)
-
-    sine = lag(work)
-    sine *= wd
-    np.sin(sine, out=sine)
+    wave = lag * wd
+    sine = np.sin(wave)
     sine *= zwn / wd
-    wave = lag(out)
-    wave *= wd
     np.cos(wave, out=wave)
     wave += sine
-    envelope = lag(work)
-    envelope *= -zwn
-    np.exp(envelope, out=envelope)
-    envelope *= scale
-    wave *= envelope
+    lag *= -zwn
+    np.exp(lag, out=lag)
+    lag *= scale
+    lag *= wave
 
 
 @dataclass(frozen=True)
@@ -97,6 +83,8 @@ class SdofKernel(Kernel, family="sdof"):
 
     params: SdofKernelParams
     keys = ("zeta", "omega_n", "sigma2")
+    reads_sqdist = True
+    sqdist_scale = 1.0
 
     def values(self):
         return [getattr(self.params, k) for k in self.keys]
@@ -123,8 +111,11 @@ class SdofKernel(Kernel, family="sdof"):
         if d != 1:
             raise ValueError(f"SDOF kernel is defined on 1-D time inputs, got dimension {d}")
 
-    def gram_block(self, X, X2, out, work):
-        _sdof_into(self.params, X[:, :1], X2[:, 0], out, work)
+    def sqdist_map(self, S):
+        # sqrt(fl(tau * tau)) == |tau| exactly unless the square underflows,
+        # and lags that small give k(0)'s bits either way
+        np.sqrt(S, out=S)
+        _sdof_into(self.params, S)
 
     def diag(self, X):
         return np.full(X.shape[0], sdof_kernel_eval(self.params, 0.0))

@@ -653,24 +653,40 @@ class TestRunRecord:
         assert read_csv(out / "predictions.csv")[0] == [
             index, f"{prefix}_true", f"{prefix}_mean", f"{prefix}_var"]
 
-    def test_csv_fit_predicts_as_shmgp_predict_does(self, tmp_path, capsys):
-        # the index column keeps the CSV's first name, index, in both files
+    @staticmethod
+    def _fit_and_predict_csv(tmp_path, first, task, model):
+        """Fit ``task`` on the first half of a 40-row ``first,x,y`` CSV and run
+        shmgp predict on the second half: (fit's, predict's) predictions.csv."""
         from shmgp.model_io import write_csv
 
         rng = np.random.default_rng(6)
         x = rng.uniform(-2.0, 2.0, 40)
         columns = [np.arange(40.0), x, np.sin(x) + 0.1 * rng.standard_normal(40)]
-        write_csv(tmp_path / "data.csv", ["index", "x", "y"], columns)
-        write_csv(tmp_path / "test.csv", ["index", "x", "y"], [c[20:] for c in columns])
-        doc = {"task": "exact_gp", "seed": 0, "data": {"path": str(tmp_path / "data.csv")},
-               "split": {"type": "head_fraction", "fraction": 0.5},
-               "model": {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
-                                    "lengthscales": 1.0}, "noise_var": 0.01}}
+        write_csv(tmp_path / "data.csv", [first, "x", "y"], columns)
+        write_csv(tmp_path / "test.csv", [first, "x", "y"], [c[20:] for c in columns])
+        doc = {"task": task, "seed": 0, "data": {"path": str(tmp_path / "data.csv")},
+               "split": {"type": "head_fraction", "fraction": 0.5}, "model": model}
         run = tmp_path / "run"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(run)]) == 0
         pred = tmp_path / "pred.csv"
         assert main(["predict", str(run), str(tmp_path / "test.csv"), "-o", str(pred)]) == 0
-        assert pred.read_bytes() == (run / "predictions.csv").read_bytes()
+        return (run / "predictions.csv").read_bytes(), pred.read_bytes()
+
+    def test_csv_fit_predicts_as_shmgp_predict_does(self, tmp_path, capsys):
+        # the index column keeps the CSV's first name, index, in both files
+        model = {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                            "lengthscales": 1.0}, "noise_var": 0.01}
+        fit, pred = self._fit_and_predict_csv(tmp_path, "index", "exact_gp", model)
+        assert pred == fit
+
+    def test_reduced_rank_csv_fit_predicts_as_shmgp_predict_does(self, tmp_path, capsys):
+        # the index column is the CSV's first column, time, by name and value
+        model = {"domain": {"half_widths": [2.5], "boundary": "dirichlet", "basis_counts": [16]},
+                 "kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                            "lengthscales": 1.0}, "noise_var": 0.01}
+        fit, pred = self._fit_and_predict_csv(tmp_path, "time", "reduced_rank", model)
+        assert fit.startswith(b"time,y_true,y_mean,y_var\n20.0,")
+        assert pred == fit
 
     def test_generated_field_predicts_as_the_fit_did(self, tmp_path, capsys):
         # the saved model names the columns shmgp generate writes for the field

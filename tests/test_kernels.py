@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from shmgp import kernels
 from shmgp.kernels import (
@@ -20,8 +22,9 @@ from shmgp.kernels import (
     kernel_eval,
     kernel_from_dict,
 )
-from shmgp.physics import SdofKernel, SdofKernelParams, spectral_density
+from shmgp.physics import SdofKernel, SdofKernelParams, sdof_kernel_eval, spectral_density
 from shmgp.pso import log10_box
+from shmgp.reduced_rank import BasisKernel, DomainSpec, eigenpairs, spectral_weights
 
 SPECS = [
     SquaredExponential(signal_scale=1.3, lengthscales=0.7),
@@ -145,6 +148,8 @@ ORACLE_SPECS = {
     "matern12": lambda d: Matern12(0.8, 1.5),
     "matern32": lambda d: Matern32(2.0, 0.4),
 }
+SDOF = SdofKernel(SdofKernelParams(zeta=0.053, omega_n=9.59, sigma2=1.82))
+SHIPPED_GRID = (np.arange(1200) * 0.025)[::8]  # sdof_kernel_gp's training times
 
 
 @pytest.mark.parametrize("n, m, d", [
@@ -232,25 +237,27 @@ def _square_layout(n, d):
 def test_stack_keeps_the_leading_blocks_that_fit(monkeypatch, kept):
     """A budget one double short of the next block keeps exactly the blocks
     before it, though a later, narrower block would fit the rest; the Gram
-    build computes the missing blocks afresh."""
-    n, d = 150, 3
-    X = np.random.default_rng(6).normal(size=(n, d))
-    layout = _square_layout(n, d)
-    assert len(layout) == 3
-    sizes = [8 * d * (e - s) * (n - s) for s, e in layout]
-    budget = sum(sizes[:kept]) + (sizes[kept] - 8 if kept < len(sizes) else 0)
-    monkeypatch.setattr(kernels, "STACK_BYTES", budget)
-    stack = SquaredDiffStack(X)
-    assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
-    assert sum(block.nbytes for *_, block in stack.blocks) <= budget
-    for family in sorted(ORACLE_SPECS):
-        spec = ORACLE_SPECS[family](d)
-        K = build_gram(spec, stack)
-        np.testing.assert_array_equal(K, K.T)
-        if kept:
-            np.testing.assert_allclose(K, build_gram(spec, X), rtol=1e-13)
-        else:
-            np.testing.assert_array_equal(K, build_gram(spec, X))
+    build computes the missing blocks afresh.  A 1-D stack's blocks are
+    indices into its distinct squared lags, one per entry."""
+    n = 150
+    for d in (1, 3):
+        X = np.random.default_rng(6).normal(size=(n, d))
+        layout = _square_layout(n, d)
+        assert len(layout) == 3
+        sizes = [8 * d * (e - s) * (n - s) for s, e in layout]
+        budget = sum(sizes[:kept]) + (sizes[kept] - 8 if kept < len(sizes) else 0)
+        monkeypatch.setattr(kernels, "STACK_BYTES", budget)
+        stack = SquaredDiffStack(X)
+        assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
+        assert sum(block.nbytes for *_, block in stack.blocks) <= budget
+        specs = [ORACLE_SPECS[family](d) for family in sorted(ORACLE_SPECS)]
+        for spec in specs + [SDOF] * (d == 1):
+            K = build_gram(spec, stack)
+            np.testing.assert_array_equal(K, K.T)
+            if kept and spec is not SDOF:
+                np.testing.assert_allclose(K, build_gram(spec, X), rtol=1e-13)
+            else:
+                np.testing.assert_array_equal(K, build_gram(spec, X))
 
 
 def test_stack_holds_the_narx_inputs_whole():
@@ -260,13 +267,57 @@ def test_stack_holds_the_narx_inputs_whole():
     assert sum(block.nbytes for *_, block in stack.blocks) <= kernels.STACK_BYTES
 
 
+def _unsorted_times():
+    """Times out of order, with repeats and lags below 1e-150, whose squares
+    underflow."""
+    rng = np.random.default_rng(12)
+    t = rng.uniform(0.0, 4.0, 60)
+    return rng.permutation(np.concatenate([t, t[:5], [0.0, 1e-300, 1e-160, 3e-155, -2e-152]]))
+
+
+@pytest.mark.parametrize("t", [SHIPPED_GRID, _unsorted_times()], ids=["grid", "unsorted"])
+def test_sdof_gram_entries_are_the_oscillator_at_each_lag(t):
+    """The oscillator reads the squared lag and takes its root, which gives
+    back |t_i - t_j| exactly, so every route keeps sdof_kernel_eval's bits."""
+    expected = sdof_kernel_eval(SDOF.params, np.subtract.outer(t, t))
+    X = t[:, None]
+    np.testing.assert_array_equal(build_gram(SDOF, X), expected)
+    np.testing.assert_array_equal(build_gram(SDOF, SquaredDiffStack(X)), expected)
+    np.testing.assert_array_equal(build_gram(SDOF, X[:7], X), expected[:7])
+
+
+@given(st.floats(min_value=2.0**-511, max_value=2.0**511), st.booleans())
+@example(2.0**-511, True).via("smallest magnitude whose square is normal")
+@example(np.nextafter(2.0**512, 0.0), False).via("largest whose square is finite")
+def test_root_of_a_rounded_square_is_the_magnitude(magnitude, negative):
+    x = np.float64(-magnitude if negative else magnitude)
+    assert np.sqrt(x * x) == abs(x)
+
+
+def test_one_dimensional_stack_keeps_each_squared_lag_once():
+    """The shipped grid's 11,325 upper entries hold 479 distinct squared lags:
+    the stack keeps those once, sorted, and each cached block indexes them."""
+    n = len(SHIPPED_GRID)
+    stack = SquaredDiffStack(SHIPPED_GRID)
+    values = stack.values[0]
+    upper = np.square(np.subtract.outer(SHIPPED_GRID, SHIPPED_GRID))[np.triu_indices(n)]
+    assert upper.size == 11325 and values.size == 479
+    np.testing.assert_array_equal(values, np.unique(upper))
+    assert [(s, e) for s, e, _ in stack.blocks] == _square_layout(n, 1)
+    for start, stop, index in stack.blocks:
+        np.testing.assert_array_equal(
+            values[index], np.square(np.subtract.outer(SHIPPED_GRID[start:stop],
+                                                       SHIPPED_GRID[start:])))
+
+
 def test_stack_serves_only_square_squared_distance_grams():
     X = np.random.default_rng(4).normal(size=(6, 1))
     stack = SquaredDiffStack(X)
     with pytest.raises(ValueError):
         build_gram(SPECS[0], stack, X)
-    with pytest.raises(ValueError):
-        build_gram(SdofKernel(SdofKernelParams(zeta=0.1, omega_n=5.0, sigma2=1.0)), stack)
+    with pytest.raises(ValueError):  # a family that writes its own blocks
+        basis = spectral_weights(eigenpairs(DomainSpec([3.0], basis_counts=8)), SPECS[0])
+        build_gram(BasisKernel(basis), stack)
     with pytest.raises(ValueError):  # two lengthscales, one input dimension
         build_gram(SquaredExponential(1.0, [1.0, 2.0]), stack)
 
