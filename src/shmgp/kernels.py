@@ -1,24 +1,24 @@
 """Stationary covariance functions.
 
 Each kernel is a small frozen dataclass carrying its hyperparameters and
-knowing how to evaluate one block of its Gram matrix.  A kernel family is
-one class registered in :data:`FAMILIES` (the oscillator family lives in
-:mod:`shmgp.physics`).  The module-level helpers :func:`kernel_eval` and
-:func:`build_gram` are the entry points used by the regression code; they
-normalise input shapes and enforce dimension checks.
+knowing how to map squared distances of its inputs to covariances.  A
+kernel family is one class registered in :data:`FAMILIES` (the oscillator
+family lives in :mod:`shmgp.physics`).  The module-level helpers
+:func:`kernel_eval` and :func:`build_gram` are the entry points used by the
+regression code; they normalise input shapes and enforce dimension checks.
 
 :func:`build_gram` holds the one loop over blocks of rows, with one layout
 (:func:`_row_blocks`) for every family.  Each block is computed into its
 own buffer, from the diagonal to the right in the square case, and mirrored
-from there, so a training Gram matrix is exactly symmetric.  The
-squared-distance families map a block of scaled squared distances in place;
-those come from explicit pairwise differences, so results do not depend on
-BLAS parallelism.  A tune, whose inputs stay fixed while the
-hyperparameters move, takes the leading blocks of those squared differences
-once into a :class:`SquaredDiffStack` of bounded size; each cached block's
-scaled squared distance is then one matrix-vector product.  A 1-D stack
-keeps each distinct squared lag once, so a build maps each lag once and
-fills its cached blocks by index: times on a grid repeat few lags.
+from there, so a training Gram matrix is exactly symmetric.  Each family
+maps a block of scaled squared distances in place; those come from explicit
+pairwise differences, so results do not depend on BLAS parallelism.  A
+tune, whose inputs stay fixed while the hyperparameters move, takes the
+leading blocks of those squared differences once into a
+:class:`SquaredDiffStack` of bounded size; each cached block's scaled
+squared distance is then one matrix-vector product.  A 1-D stack keeps each
+distinct squared lag once, so a build maps each lag once and fills its
+cached blocks by index: times on a grid repeat few lags.
 """
 
 from __future__ import annotations
@@ -55,30 +55,24 @@ class Kernel(Registered):
     its JSON form (``keys`` lists the entries besides ``family``), spectral
     density, tuned hyperparameters and their default box.
 
-    :func:`build_gram` asks a family for one block of rows at a time.  A
-    squared-distance family (``reads_sqdist``) turns a block of squared
-    distances of the inputs divided by ``sqdist_scale`` into covariances in
-    place (:meth:`sqdist_map`), so a :class:`SquaredDiffStack` can stand in
-    for its inputs; any other family writes its block from the inputs
-    (:meth:`gram_block`).
+    Every family is stationary: it supplies :meth:`sqdist_map`, which turns
+    squared distances of the inputs divided by ``sqdist_scale`` into
+    covariances in place, and :func:`build_gram` does the rest, so a
+    :class:`SquaredDiffStack` can stand in for the inputs of any family.
     """
 
     tag = "family"
-    reads_sqdist = False
+    sqdist_scale = 1.0
 
     def sqdist_map(self, S: np.ndarray) -> None:
         """Overwrite scaled squared distances S with the covariances."""
         raise NotImplementedError
 
-    def gram_block(self, X: np.ndarray, X2: np.ndarray, out: np.ndarray,
-                   work: np.ndarray) -> None:
-        """Write the covariances between the rows of X (r, d) and X2 (c, d)
-        into ``out`` (r, c), with ``work`` (r, c) as scratch."""
-        raise NotImplementedError
-
     def diag(self, X: np.ndarray) -> np.ndarray:
-        """k(x, x) for each row of X."""
-        raise NotImplementedError
+        """k(x, x) for each row of X: the map at squared distance 0."""
+        k0 = np.zeros(1)
+        self.sqdist_map(k0)
+        return np.full(X.shape[0], k0[0])
 
     def check_input_dim(self, d: int) -> None:
         """Raise if the kernel cannot act on d-dimensional inputs."""
@@ -137,7 +131,6 @@ class SquaredExponential(Kernel, family="squared_exponential"):
     signal_scale: float = 1.0
     lengthscales: float | np.ndarray = 1.0
     keys = ("signal_scale", "lengthscales")
-    reads_sqdist = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -160,9 +153,6 @@ class SquaredExponential(Kernel, family="squared_exponential"):
         S *= -0.5
         np.exp(S, out=S)
         S *= self.signal_scale**2
-
-    def diag(self, X):
-        return np.full(X.shape[0], self.signal_scale**2)
 
     def spectral_density(self, lam):
         # exact product form over dimensions, so per-dimension lengthscales work
@@ -203,15 +193,10 @@ class _Matern(Kernel):
     signal_scale: float = 1.0
     lengthscale: float = 1.0
     keys = ("signal_scale", "lengthscale")
-    reads_sqdist = True
-    sqdist_scale = 1.0
 
     def __post_init__(self):
         _require_positive(self.signal_scale, "signal_scale")
         _require_positive(self.lengthscale, "lengthscale")
-
-    def diag(self, X):
-        return np.full(X.shape[0], self.signal_scale**2)
 
     def spectral_density(self, lam):
         # isotropic: a function of |omega|^2 only
@@ -269,8 +254,8 @@ GRAM_BLOCK_ENTRIES = 1 << 16
 # at most this many rows a block, so that even a 150-point matrix has three
 # blocks and its kernel map skips most of the lower triangle
 GRAM_BLOCK_ROWS = 64
-# bytes of squared differences a SquaredDiffStack keeps (2^23 doubles): the
-# NARX tunes' 6.6 MB whole, a large tabular tune only its leading blocks
+# bytes a SquaredDiffStack keeps (2^23 doubles): the NARX tunes' 6.6 MB of
+# squared differences whole, a large tabular tune only its leading blocks
 STACK_BYTES = 1 << 26
 
 
@@ -304,31 +289,41 @@ class SquaredDiffStack:
     In one dimension, where inputs on a grid repeat few lags, ``values``
     (1, u) holds each distinct squared difference of the cached blocks once,
     sorted, and D_b is instead the (rows, n - start) array of each entry's
-    index into it; at d > 1 ``values`` is None.
+    index into it; at d > 1 ``values`` is None.  An entry then costs one
+    index and at most one value, and both count toward ``STACK_BYTES``.
     """
 
     def __init__(self, X):
         self.inputs = _as_matrix(X)
         n, d = self.inputs.shape
         Z = np.ascontiguousarray(self.inputs.T)
-        self.blocks = []
-        room = STACK_BYTES
+        layout, room = [], STACK_BYTES
         for start, stop, _ in _row_blocks(d, n, n, True):
-            room -= 8 * d * (stop - start) * (n - start)
+            # at d = 1 an entry is one index and at most one distinct value
+            room -= 8 * max(d, 2) * (stop - start) * (n - start)
             if room < 0:
                 break
-            block = np.empty((d, stop - start, n - start))
+            layout.append((start, stop))
+        # every cached block is a view of one buffer: at d = 1, of all the lags
+        flat = np.empty(d * sum((stop - start) * (n - start) for start, stop in layout))
+        self.blocks, offset = [], 0
+        for start, stop in layout:
+            size = d * (stop - start) * (n - start)
+            block = flat[offset : offset + size].reshape(d, stop - start, n - start)
             np.subtract(Z[:, start:stop, None], Z[:, None, start:], out=block)
             np.square(block, out=block)
             self.blocks.append((start, stop, block.reshape(d, -1)))
+            offset += size
         self.values = None
         if d == 1 and self.blocks:
-            values, index = np.unique(np.concatenate([D[0] for *_, D in self.blocks]),
-                                      return_inverse=True)
+            # a sorted copy gives the distinct values, then each lag's place
+            # among them: about three copies of the lags at the peak
+            lags = np.sort(flat)
+            values = lags[np.concatenate(([True], lags[1:] != lags[:-1]))]
+            del lags
             self.values = values[None]
-            parts = np.split(index, np.cumsum([D.size for *_, D in self.blocks])[:-1])
-            self.blocks = [(start, stop, part.reshape(stop - start, -1))
-                           for (start, stop, _), part in zip(self.blocks, parts)]
+            self.blocks = [(start, stop, np.searchsorted(values, D[0]).reshape(stop - start, -1))
+                           for start, stop, D in self.blocks]
 
 
 # family name -> class; importing the package imports every module that
@@ -356,12 +351,12 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
 
     With ``X_prime`` omitted, the (symmetric) training Gram matrix is
     returned.  ``X`` may be a :class:`SquaredDiffStack` of the inputs, for
-    the square matrix of a family that ``reads_sqdist``.  Entries are finite
-    by construction for valid hyperparameters.
+    the square matrix.  Entries are finite by construction for valid
+    hyperparameters and finite inputs.
 
-    A squared-distance block is either the stack's cached block weighted by
-    w = 1/scale^2, one BLAS product (at d = 1, the stack's distinct values
-    weighted and mapped once, then taken by index), or the squared
+    A block of squared distances is either the stack's cached block weighted
+    by w = 1/scale^2, one BLAS product (at d = 1, the stack's distinct
+    values weighted and mapped once, then taken by index), or the squared
     differences of the scaled inputs summed in dimension order.  The latter
     gives each entry the same sum in the same order whichever block it falls
     in, so ``X2`` passed as a copy of ``X`` gives the same bits as ``X``; the
@@ -371,9 +366,8 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     """
     cached, values = [], None
     if isinstance(X, SquaredDiffStack):
-        if X_prime is not None or not spec.reads_sqdist:
-            raise ValueError(f"a difference stack gives only the square Gram matrix of a "
-                             f"squared-distance kernel, not {type(spec).__name__}'s")
+        if X_prime is not None:
+            raise ValueError("a difference stack gives only the square Gram matrix")
         cached, values, X = X.blocks, X.values, X.inputs
         X2 = X
     else:
@@ -383,14 +377,14 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
             raise ValueError(f"input dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
     (n, d), m = X.shape, X2.shape[0]
     spec.check_input_dim(d)
+    ell = spec.sqdist_scale
     if cached:
         w = np.empty(d)
-        w[...] = 1.0 / np.square(spec.sqdist_scale)
+        w[...] = 1.0 / np.square(ell)
         if values is not None:  # each distinct squared lag mapped once
             mapped = np.matmul(w, values)
             spec.sqdist_map(mapped)
-    if spec.reads_sqdist and (not cached or cached[-1][1] < n):  # some blocks afresh
-        ell = spec.sqdist_scale
+    if not cached or cached[-1][1] < n:  # some blocks afresh
         Z = np.ascontiguousarray((X / ell).T)
         Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
     K = np.empty((n, m))
@@ -398,12 +392,10 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     work = np.empty(d * min(n, _block_rows(d, m)) * m)
     for i, (start, stop, first) in enumerate(_row_blocks(d, n, m, X2 is X)):
         out = K[start:stop, first:]
-        block = work[: out.size].reshape(out.shape)
-        if not spec.reads_sqdist:
-            spec.gram_block(X[start:stop], X2[first:], out, block)
-        elif i < len(cached) and values is not None:
+        if i < len(cached) and values is not None:
             np.take(mapped, cached[i][2], out=out, mode="clip")  # unbuffered; indices in range
         else:
+            block = work[: out.size].reshape(out.shape)
             if i < len(cached):
                 np.matmul(w, cached[i][2], out=work[: out.size])
             else:

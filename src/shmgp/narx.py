@@ -25,11 +25,10 @@ from .registry import Registered
 
 class NarxMode(Registered):
     """How physics enters the model: a subclass declared with ``name="..."``
-    owns its JSON form, its prior mean, the ``n_extra`` regressor columns it
-    appends after the lags and the exogenous channels it needs."""
+    owns its JSON form, its prior mean, the regressor columns it appends
+    after the lags and the exogenous channels it needs."""
 
     tag = "name"
-    n_extra = 0
 
     @property
     def mean(self) -> MeanFunction:
@@ -77,8 +76,6 @@ class ResidualMean(_MorisonMode, name="residual_morison"):
 class InputAugmentation(_MorisonMode, name="augmented_morison"):
     """Morison output appended as an extra regressor."""
 
-    n_extra = 1
-
     def extra_columns(self, u):
         return morison_force(self.morison, u[:, 0], u[:, 1])[:, None]
 
@@ -108,9 +105,6 @@ class NarxConfig:
     @property
     def first_index(self) -> int:
         return max(self.exog_lags, self.auto_lags)
-
-    def regressor_dim(self, n_channels: int) -> int:
-        return (self.exog_lags + 1) * n_channels + self.auto_lags + self.mode.n_extra
 
 
 @dataclass(frozen=True)

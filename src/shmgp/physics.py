@@ -83,8 +83,6 @@ class SdofKernel(Kernel, family="sdof"):
 
     params: SdofKernelParams
     keys = ("zeta", "omega_n", "sigma2")
-    reads_sqdist = True
-    sqdist_scale = 1.0
 
     def values(self):
         return [getattr(self.params, k) for k in self.keys]
@@ -116,9 +114,6 @@ class SdofKernel(Kernel, family="sdof"):
         # and lags that small give k(0)'s bits either way
         np.sqrt(S, out=S)
         _sdof_into(self.params, S)
-
-    def diag(self, X):
-        return np.full(X.shape[0], sdof_kernel_eval(self.params, 0.0))
 
     def state_space(self):
         # the oscillator itself: x'' + 2 zeta w_n x' + w_n^2 x = w, with Var(w) = sigma2

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import DomainError
 from .gp import Dataset, _predict_rows, chol_with_jitter
@@ -143,32 +143,6 @@ def approx_gram(basis: ReducedRankBasis, spec: Kernel, X, X2=None) -> np.ndarray
     Phi = basis.evaluate(X)
     Phi2 = Phi if X2 is None else basis.evaluate(X2)
     return (Phi * basis.weights) @ Phi2.T
-
-
-@dataclass(frozen=True)
-class BasisKernel(Kernel):
-    """Reduced-rank approximation wrapped as an explicit kernel.
-
-    Lets the exact-GP machinery run on the approximate covariance, which is
-    how the weight-space/function-space duality is checked.
-    """
-
-    basis: ReducedRankBasis
-
-    def __post_init__(self):
-        if self.basis.weights is None:
-            raise ValueError("basis must have spectral weights bound")
-
-    def check_input_dim(self, d: int) -> None:
-        if d != self.basis.domain.dim:
-            raise ValueError(f"basis is {self.basis.domain.dim}-D, inputs are {d}-D")
-
-    def gram_block(self, X, X2, out, work):
-        out[...] = (self.basis.evaluate(X) * self.basis.weights) @ self.basis.evaluate(X2).T
-
-    def diag(self, X):
-        Phi = self.basis.evaluate(X)
-        return np.sum(Phi * Phi * self.basis.weights, axis=1)
 
 
 @dataclass(frozen=True)

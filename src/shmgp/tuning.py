@@ -96,9 +96,9 @@ def tune_exact_gp(
     ``seed``, ...) go to :class:`PsoConfig`, whose defaults they take.
 
     The swarm's fits take the inputs' squared differences from one
-    :class:`SquaredDiffStack`, built here for the families that read it;
-    the model returned is refit without it, so it is :func:`gp.fit_exact`'s
-    at the tuned values on one BLAS thread, bit for bit.  The swarm, its GLS
+    :class:`SquaredDiffStack`, built here once for every family; the model
+    returned is refit without it, so it is :func:`gp.fit_exact`'s at the
+    tuned values on one BLAS thread, bit for bit.  The swarm, its GLS
     profiles and the refit all run in :func:`blas.single_thread`: the fits
     are many small serial BLAS calls, which a second thread makes no faster.
     The caller's thread counts come back when the tune returns or raises.
@@ -118,9 +118,9 @@ def tune_exact_gp(
                    else mean)
         return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2, stack=stack)
 
-    # built from the very inputs the swarm fits, and only for a family that
-    # reads it, so no stack fault can hide among the objective's inf scores
-    stack = SquaredDiffStack(data.inputs) if cls.reads_sqdist else None
+    # built from the very inputs the swarm fits, outside the objective, so no
+    # stack fault can hide among its inf scores
+    stack = SquaredDiffStack(data.inputs)
 
     def objective(log_v: np.ndarray) -> float:
         try:

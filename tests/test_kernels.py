@@ -24,7 +24,6 @@ from shmgp.kernels import (
 )
 from shmgp.physics import SdofKernel, SdofKernelParams, sdof_kernel_eval, spectral_density
 from shmgp.pso import log10_box
-from shmgp.reduced_rank import BasisKernel, DomainSpec, eigenpairs, spectral_weights
 
 SPECS = [
     SquaredExponential(signal_scale=1.3, lengthscales=0.7),
@@ -228,6 +227,12 @@ def test_stack_holds_the_upper_triangle_by_row_block():
                                       np.moveaxis(expected, 2, 0))
 
 
+def _kept_bytes(stack):
+    """Bytes a stack holds: its cached blocks and, at d = 1, their values."""
+    kept = sum(block.nbytes for *_, block in stack.blocks)
+    return kept + (0 if stack.values is None else stack.values.nbytes)
+
+
 def _square_layout(n, d):
     rows = _block_rows(d, n)
     return [(s, min(s + rows, n)) for s in range(0, n, rows)]
@@ -238,18 +243,19 @@ def test_stack_keeps_the_leading_blocks_that_fit(monkeypatch, kept):
     """A budget one double short of the next block keeps exactly the blocks
     before it, though a later, narrower block would fit the rest; the Gram
     build computes the missing blocks afresh.  A 1-D stack's blocks are
-    indices into its distinct squared lags, one per entry."""
+    indices into its distinct squared lags, one per entry, so an entry is
+    budgeted at one index and at most one distinct value."""
     n = 150
     for d in (1, 3):
         X = np.random.default_rng(6).normal(size=(n, d))
         layout = _square_layout(n, d)
         assert len(layout) == 3
-        sizes = [8 * d * (e - s) * (n - s) for s, e in layout]
+        sizes = [8 * max(d, 2) * (e - s) * (n - s) for s, e in layout]
         budget = sum(sizes[:kept]) + (sizes[kept] - 8 if kept < len(sizes) else 0)
         monkeypatch.setattr(kernels, "STACK_BYTES", budget)
         stack = SquaredDiffStack(X)
         assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
-        assert sum(block.nbytes for *_, block in stack.blocks) <= budget
+        assert _kept_bytes(stack) <= budget
         specs = [ORACLE_SPECS[family](d) for family in sorted(ORACLE_SPECS)]
         for spec in specs + [SDOF] * (d == 1):
             K = build_gram(spec, stack)
@@ -310,14 +316,22 @@ def test_one_dimensional_stack_keeps_each_squared_lag_once():
                                                        SHIPPED_GRID[start:])))
 
 
+@pytest.mark.parametrize("budget", [155_000, 200_000])
+def test_one_dimensional_stack_keeps_its_values_within_the_budget(monkeypatch, budget):
+    """Times that share no lags have a distinct squared lag for nearly every
+    entry, so the values cost as much as the indices: both count."""
+    t = np.cumsum(np.random.default_rng(14).uniform(0.5, 1.5, 150))
+    monkeypatch.setattr(kernels, "STACK_BYTES", budget)
+    stack = SquaredDiffStack(t)
+    assert stack.blocks and _kept_bytes(stack) <= budget
+    np.testing.assert_array_equal(build_gram(SDOF, stack), build_gram(SDOF, t))
+
+
 def test_stack_serves_only_square_squared_distance_grams():
     X = np.random.default_rng(4).normal(size=(6, 1))
     stack = SquaredDiffStack(X)
     with pytest.raises(ValueError):
         build_gram(SPECS[0], stack, X)
-    with pytest.raises(ValueError):  # a family that writes its own blocks
-        basis = spectral_weights(eigenpairs(DomainSpec([3.0], basis_counts=8)), SPECS[0])
-        build_gram(BasisKernel(basis), stack)
     with pytest.raises(ValueError):  # two lengthscales, one input dimension
         build_gram(SquaredExponential(1.0, [1.0, 2.0]), stack)
 
@@ -407,6 +421,15 @@ def test_family_contract(family, ard):
                    {k: v for k, v in list(doc.items())[:-1]}):
         with pytest.raises(ValueError):
             kernel_from_dict(broken)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_diag_is_the_kernel_at_zero_lag(family):
+    """Bit for bit the Gram diagonal and the point-pair value, in every family."""
+    X, kernel = _tuned_example(family, 1 if family == "sdof" else 3, False)
+    k0 = kernel.diag(X)
+    np.testing.assert_array_equal(k0, np.diag(build_gram(kernel, X)))
+    np.testing.assert_array_equal(k0, [kernel_eval(kernel, x, x) for x in X])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

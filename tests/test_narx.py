@@ -66,7 +66,7 @@ class TestBuildLagMatrix:
         seq = _morison_sequence(n=30)
         cfg = NarxConfig(exog_lags=2, auto_lags=3)
         X, _ = build_lag_matrix(seq, cfg)
-        assert X.shape[1] == cfg.regressor_dim(2) == (2 + 1) * 2 + 3
+        assert X.shape[1] == (2 + 1) * 2 + 3
 
     def test_augmented_dimension_one_more_than_blackbox(self):
         seq = _morison_sequence(n=30)

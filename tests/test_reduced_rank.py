@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
 from shmgp import gp
 from shmgp.errors import DomainError
 from shmgp.gp import Dataset
 from shmgp.kernels import SquaredExponential, build_gram, kernel_eval
 from shmgp.reduced_rank import (
-    BasisKernel,
     DomainSpec,
     approx_gram,
     eigenpairs,
@@ -22,6 +22,17 @@ SE = SquaredExponential
 
 def _basis_1d(boundary="dirichlet", L=1.0, m=12):
     return eigenpairs(DomainSpec(half_widths=[L], boundary=boundary, basis_counts=m))
+
+
+def _function_space_posterior(basis, spec, data, noise_var, X_star):
+    """Posterior mean and variance of an exact GP whose covariance is the
+    reduced-rank kernel, from its dense Gram matrices."""
+    K = approx_gram(basis, spec, data.inputs) + noise_var * np.eye(len(data))
+    L, _ = gp.chol_with_jitter(K)
+    Ks = approx_gram(basis, spec, X_star, data.inputs)
+    V = solve_triangular(L, Ks.T, lower=True)
+    var = np.diag(approx_gram(basis, spec, X_star)) - np.sum(V * V, axis=0)
+    return Ks @ cho_solve((L, True), data.outputs), np.clip(var, 0.0, None)
 
 
 class TestEigenpairs:
@@ -161,12 +172,11 @@ class TestFitPredict:
         spec = SE(signal_scale=1.1, lengthscales=0.35)
         noise = 0.05**2
         model = fit_reduced(data, domain, spec, noise)
-        explicit = gp.fit_exact(data, BasisKernel(model.basis), noise_var=noise)
         Xs = np.linspace(-1.2, 1.2, 30).reshape(-1, 1)
         mean_w, var_w = predict_reduced(model, Xs)
-        pred = gp.predict(explicit, Xs)
-        np.testing.assert_allclose(mean_w, pred.mean, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(var_w, pred.var, rtol=1e-6, atol=1e-10)
+        mean_f, var_f = _function_space_posterior(model.basis, spec, data, noise, Xs)
+        np.testing.assert_allclose(mean_w, mean_f, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(var_w, var_f, rtol=1e-6, atol=1e-10)
 
     def test_boundary_prediction_pinned_to_zero(self):
         data = self._problem()
@@ -226,12 +236,11 @@ def test_zero_noise_variance_matches_exact_gp_with_fewer_points_than_modes():
     domain = DomainSpec([3.0], basis_counts=64)
     spec = SE(1.0, 0.5)
     reduced = fit_reduced(data, domain, spec, noise_var=0.0)
-    exact = gp.fit_exact(data, BasisKernel(spectral_weights(eigenpairs(domain), spec)),
-                         noise_var=0.0)
     X_star = np.array([[1.5], [-2.2], [0.0]])
     _, var = predict_reduced(reduced, X_star)
     assert var[0] > 0.5
-    np.testing.assert_allclose(var, gp.predict(exact, X_star).var, rtol=1e-6, atol=1e-9)
+    _, var_f = _function_space_posterior(eigenpairs(domain), spec, data, 0.0, X_star)
+    np.testing.assert_allclose(var, var_f, rtol=1e-6, atol=1e-9)
 
 
 def test_spectral_weights_match_1d_density():
