@@ -13,14 +13,7 @@ from .gp import Dataset, TrainedGp, fit_exact, log_marginal_likelihood, predict
 from .kernels import Matern12, Matern32, SquaredExponential, build_gram, kernel_eval
 from .means import LinearMean, ZeroMean
 from .metrics import nmse
-from .physics import (
-    MorisonParams,
-    SdofKernel,
-    SdofKernelParams,
-    morison_force,
-    sdof_kernel_eval,
-    spectral_density,
-)
+from .physics import SdofKernel, morison_force, sdof_kernel_eval, spectral_density
 from .pso import PsoConfig, pso_minimize
 
 __all__ = [
@@ -37,9 +30,7 @@ __all__ = [
     "ZeroMean",
     "LinearMean",
     "SdofKernel",
-    "SdofKernelParams",
     "sdof_kernel_eval",
-    "MorisonParams",
     "morison_force",
     "spectral_density",
     "PsoConfig",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model_io
+from . import gp, model_io, narx, reduced_rank
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import (
@@ -81,21 +81,15 @@ def cmd_predict(args) -> int:
     inputs = np.column_stack([column(c) for c in doc["input_columns"]])
     index = data[:, 0]
     if kind == "exact_gp":
-        from .gp import predict
-
-        pred = predict(model, inputs)
+        pred = gp.predict(model, inputs)
         mean, var = pred.mean, pred.var
     elif kind == "reduced_rank":
-        from .reduced_rank import predict_reduced
-
-        mean, var = predict_reduced(model, inputs)
+        mean, var = reduced_rank.predict_reduced(model, inputs)
     else:  # narx: one-step-ahead over a sequence file
-        from .narx import SequenceData, predict_osa
-
         dt = float(np.median(np.diff(index))) if len(index) > 1 else 1.0
         if len(index) > 1 and np.abs(np.diff(index) - dt).max() > 1e-6 * abs(dt):
             raise DataError(f"{args.data}: lagged models need uniformly sampled time")
-        mean, var = predict_osa(model, SequenceData(u=inputs, y=column(target), dt=dt))
+        mean, var = narx.predict_osa(model, narx.SequenceData(u=inputs, y=column(target), dt=dt))
         index = index[model.config.first_index :]
 
     header_out, columns = [header[0], "y_mean", "y_var"], [index, mean, var]

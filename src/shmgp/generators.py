@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DataError
 from .gp import Dataset
 from .narx import SequenceData
-from .physics import MorisonParams, morison_force
+from .physics import MorisonMean, morison_force
 from .statespace import StructuralModel
 
 
@@ -264,7 +264,7 @@ class WaveRecord:
     """Wave-loading record with train windows of decreasing input coverage."""
 
     seq: SequenceData
-    morison: MorisonParams
+    morison: MorisonMean
     train_windows: dict  # nominal coverage level (%) -> slice into seq
     test_window: slice
 
@@ -306,8 +306,8 @@ def generate_wave_loading(
     U = envelope * base
     Udot = envelope * base_dot
 
-    params = MorisonParams(drag=drag, inertia=inertia)
-    white_box = morison_force(params, U, Udot)
+    morison = MorisonMean(drag=drag, inertia=inertia)
+    white_box = morison_force(morison, U, Udot)
     memory = np.zeros(n_total)
     memory[3:] = U[:-3] * np.abs(U[:-3])
     residual = 0.12 * U**3 + 0.18 * memory
@@ -318,7 +318,7 @@ def generate_wave_loading(
     }
     return WaveRecord(
         seq=SequenceData(u=np.column_stack([U, Udot]), y=y, dt=dt),
-        morison=params,
+        morison=morison,
         train_windows=windows,
         test_window=slice(len(scales) * segment, n_total),
     )

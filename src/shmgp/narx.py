@@ -11,7 +11,7 @@ sets how physics enters: not at all (black box), as the prior mean
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import gp
 from .gp import Dataset, TrainedGp
 from .kernels import Kernel
 from .means import MeanFunction, ZeroMean
-from .physics import MorisonMean, MorisonParams, morison_force
+from .physics import MorisonMean, morison_force
 from .registry import Registered
 
 
@@ -49,7 +49,9 @@ class BlackBox(NarxMode, name="blackbox"):
 
 @dataclass(frozen=True)
 class _MorisonMode(NarxMode):
-    morison: MorisonParams
+    """A mode that holds the Morison model; its JSON form adds that model's keys."""
+
+    morison: MorisonMean
     keys = MorisonMean.keys
 
     def check_channels(self, c):
@@ -58,11 +60,11 @@ class _MorisonMode(NarxMode):
                              f"(velocity, acceleration), got {c}")
 
     def values(self):
-        return astuple(self.morison)
+        return self.morison.values()
 
     @classmethod
     def from_values(cls, drag, inertia):
-        return cls(MorisonParams(drag, inertia))
+        return cls(MorisonMean(drag, inertia))
 
 
 class ResidualMean(_MorisonMode, name="residual_morison"):
@@ -70,7 +72,7 @@ class ResidualMean(_MorisonMode, name="residual_morison"):
 
     @property
     def mean(self):
-        return MorisonMean(self.morison)
+        return self.morison
 
 
 class InputAugmentation(_MorisonMode, name="augmented_morison"):

@@ -10,7 +10,7 @@ d-dimensional density.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,35 +18,7 @@ from .kernels import Kernel, companion
 from .means import MeanFunction
 
 
-@dataclass(frozen=True)
-class SdofKernelParams:
-    """Parameters of the white-noise-driven SDOF oscillator covariance.
-
-    Mass is fixed at 1: the covariance only ever contains sigma2 / m^2, so
-    mass and forcing magnitude are not jointly identifiable and sigma2
-    absorbs the mass.  Requires an underdamped oscillator (0 < zeta < 1) so
-    the damped natural frequency is real.
-    """
-
-    zeta: float
-    omega_n: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.zeta < 1.0):
-            raise ValueError(f"damping ratio must lie in (0, 1), got {self.zeta!r}")
-        if not (np.isfinite(self.omega_n) and self.omega_n > 0.0):
-            raise ValueError(f"natural frequency must be positive, got {self.omega_n!r}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"forcing magnitude sigma2 must be positive, got {self.sigma2!r}")
-
-    @property
-    def omega_d(self) -> float:
-        """Damped natural frequency."""
-        return self.omega_n * np.sqrt(1.0 - self.zeta**2)
-
-
-def sdof_kernel_eval(params: SdofKernelParams, tau) -> float | np.ndarray:
+def sdof_kernel_eval(kernel: SdofKernel, tau) -> float | np.ndarray:
     """Autocovariance of the SDOF response at time lag ``tau`` (seconds).
 
     k(tau) = sigma2/(4 zeta w_n^3) exp(-zeta w_n |tau|)
@@ -56,16 +28,16 @@ def sdof_kernel_eval(params: SdofKernelParams, tau) -> float | np.ndarray:
     """
     tau = np.asarray(tau, dtype=float)
     value = np.abs(np.atleast_1d(tau))
-    _sdof_into(params, value)
+    _sdof_into(kernel, value)
     return value.reshape(tau.shape) if tau.ndim else float(value[0])
 
 
-def _sdof_into(params: SdofKernelParams, lag: np.ndarray) -> None:
+def _sdof_into(kernel: SdofKernel, lag: np.ndarray) -> None:
     """Overwrite the lags |tau| in ``lag`` with k(tau); the cosine of w_d |tau|
     has the bits of cos(w_d tau) because cosine is even."""
-    zwn = params.zeta * params.omega_n
-    wd = params.omega_d
-    scale = params.sigma2 / (4.0 * zwn * params.omega_n**2)
+    zwn = kernel.zeta * kernel.omega_n
+    wd = kernel.omega_d
+    scale = kernel.sigma2 / (4.0 * zwn * kernel.omega_n**2)
     wave = lag * wd
     sine = np.sin(wave)
     sine *= zwn / wd
@@ -79,17 +51,32 @@ def _sdof_into(params: SdofKernelParams, lag: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SdofKernel(Kernel, family="sdof"):
-    """Oscillator-response covariance as a 1-D (time-input) GP kernel."""
+    """Response covariance of a white-noise-driven SDOF oscillator as a 1-D
+    (time-input) GP kernel.
 
-    params: SdofKernelParams
+    Mass is fixed at 1: the covariance only ever contains sigma2 / m^2, so
+    mass and forcing magnitude are not jointly identifiable and sigma2
+    absorbs the mass.  Requires an underdamped oscillator (0 < zeta < 1) so
+    the damped natural frequency is real.
+    """
+
+    zeta: float
+    omega_n: float
+    sigma2: float
     keys = ("zeta", "omega_n", "sigma2")
 
-    def values(self):
-        return [getattr(self.params, k) for k in self.keys]
+    def __post_init__(self):
+        if not (0.0 < self.zeta < 1.0):
+            raise ValueError(f"damping ratio must lie in (0, 1), got {self.zeta!r}")
+        if not (np.isfinite(self.omega_n) and self.omega_n > 0.0):
+            raise ValueError(f"natural frequency must be positive, got {self.omega_n!r}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
+            raise ValueError(f"forcing magnitude sigma2 must be positive, got {self.sigma2!r}")
 
-    @classmethod
-    def from_vector(cls, v):
-        return cls(SdofKernelParams(*v))
+    @property
+    def omega_d(self) -> float:
+        """Damped natural frequency."""
+        return self.omega_n * np.sqrt(1.0 - self.zeta**2)
 
     @staticmethod
     def default_bounds(X, y_var, ard, dt):
@@ -113,56 +100,42 @@ class SdofKernel(Kernel, family="sdof"):
         # sqrt(fl(tau * tau)) == |tau| exactly unless the square underflows,
         # and lags that small give k(0)'s bits either way
         np.sqrt(S, out=S)
-        _sdof_into(self.params, S)
+        _sdof_into(self, S)
 
     def state_space(self):
         # the oscillator itself: x'' + 2 zeta w_n x' + w_n^2 x = w, with Var(w) = sigma2
-        p = self.params
-        zwn, s2 = p.zeta * p.omega_n, p.sigma2
-        Pinf = np.diag([s2 / (4.0 * zwn * p.omega_n**2), s2 / (4.0 * zwn)])
-        return companion([[p.omega_n**2]], [[2.0 * zwn]]), np.array([[0.0], [1.0]]), s2, Pinf
+        zwn, s2 = self.zeta * self.omega_n, self.sigma2
+        Pinf = np.diag([s2 / (4.0 * zwn * self.omega_n**2), s2 / (4.0 * zwn)])
+        return companion([[self.omega_n**2]], [[2.0 * zwn]]), np.array([[0.0], [1.0]]), s2, Pinf
 
 
-@dataclass(frozen=True)
-class MorisonParams:
-    """Drag and inertia coefficients of the simplified Morison equation."""
-
-    drag: float
-    inertia: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.drag) and np.isfinite(self.inertia)):
-            raise ValueError("Morison coefficients must be finite")
-
-
-def morison_force(params: MorisonParams, velocity, acceleration):
+def morison_force(model: MorisonMean, velocity, acceleration):
     """Wave force C_d U|U| + C_m dU/dt; odd in U, linear in dU/dt."""
     U = np.asarray(velocity, dtype=float)
     Ud = np.asarray(acceleration, dtype=float)
-    out = params.drag * U * np.abs(U) + params.inertia * Ud
+    out = model.drag * U * np.abs(U) + model.inertia * Ud
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class MorisonMean(MeanFunction, form="morison"):
-    """Morison force as a prior mean over regressors whose first two columns
-    are the current wave velocity and acceleration."""
+    """Drag and inertia coefficients of the simplified Morison equation, and
+    the Morison force as a prior mean over regressors whose first two
+    columns are the current wave velocity and acceleration."""
 
-    params: MorisonParams
+    drag: float
+    inertia: float
     keys = ("drag", "inertia")
 
-    def values(self):
-        return astuple(self.params)
-
-    @classmethod
-    def from_values(cls, drag, inertia):
-        return cls(MorisonParams(drag, inertia))
+    def __post_init__(self):
+        if not (np.isfinite(self.drag) and np.isfinite(self.inertia)):
+            raise ValueError("Morison coefficients must be finite")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] < 2:
             raise ValueError("Morison mean needs velocity and acceleration columns")
-        return morison_force(self.params, X[:, 0], X[:, 1])
+        return morison_force(self, X[:, 0], X[:, 1])
 
 
 def spectral_density(spec: Kernel, omega) -> float | np.ndarray:

@@ -14,7 +14,6 @@ from scipy import integrate
 from scipy.stats import multivariate_normal
 
 from shmgp import gp
-from shmgp.config import ExperimentConfig
 from shmgp.experiments import run_experiment
 from shmgp.generators import generate_wave_loading
 from shmgp.gp import Dataset
@@ -31,9 +30,7 @@ from shmgp.narx import (
     simulate_free_run,
 )
 from shmgp.physics import (
-    MorisonMean,
     SdofKernel,
-    SdofKernelParams,
     sdof_kernel_eval,
     spectral_density,
 )
@@ -118,7 +115,7 @@ def test_acceptance_batch_state_space_duality(nu, kernel_cls):
     sigma, ell = 1.3, 0.7
     t = np.arange(n) * dt
     if nu is None:
-        spec = SdofKernel(SdofKernelParams(zeta=0.1, omega_n=3.0, sigma2=1.0))
+        spec = SdofKernel(zeta=0.1, omega_n=3.0, sigma2=1.0)
     else:
         spec = kernel_cls(signal_scale=sigma, lengthscale=ell)
     K = build_gram(spec, t.reshape(-1, 1))
@@ -180,7 +177,7 @@ def test_acceptance_narx_coverage_trend():
         for name, mode in (("blackbox", BlackBox()), ("residual", ResidualMean(rec.morison))):
             cfg = NarxConfig(exog_lags=4, auto_lags=4, mode=mode)
             X, targets = build_lag_matrix(train_seq, cfg)
-            mean = MorisonMean(rec.morison) if name == "residual" else ZeroMean()
+            mean = rec.morison if name == "residual" else ZeroMean()
             tuned = tune_exact_gp(Dataset(X, targets), "squared_exponential", mean=mean,
                                   ard=True, noise_var=None,
                                   particles=12, iterations=30, seed=3)
@@ -275,13 +272,13 @@ def test_acceptance_sdof_kernel_positive_semidefinite():
     rng = np.random.default_rng(55)
     worst = 0.0
     for _ in range(100):
-        params = SdofKernelParams(
+        params = SdofKernel(
             zeta=float(rng.uniform(0.01, 0.95)),
             omega_n=float(rng.uniform(0.5, 30.0)),
             sigma2=float(10.0 ** rng.uniform(-2, 2)),
         )
         t = np.sort(rng.uniform(0.0, 20.0, 50)).reshape(-1, 1)
-        K = build_gram(SdofKernel(params), t)
+        K = build_gram(params, t)
         ratio = np.linalg.eigvalsh(K).min() / sdof_kernel_eval(params, 0.0)
         worst = min(worst, ratio)
     _report(

@@ -18,7 +18,7 @@ from shmgp.gp import Dataset, fit_exact, predict
 from shmgp.kernels import SquaredExponential, build_gram
 from shmgp.means import LinearMean
 from shmgp.narx import BlackBox, NarxConfig, SequenceData, fit_narx, predict_osa
-from shmgp.physics import SdofKernel, SdofKernelParams
+from shmgp.physics import SdofKernel
 from shmgp.reduced_rank import DomainSpec, fit_reduced, predict_reduced
 
 ONE_BLOCK = 1 << 40
@@ -51,7 +51,7 @@ def _sdof_model():
     rng = np.random.default_rng(1)
     t = np.arange(0.0, 30.0, 0.05)
     y = np.exp(-0.2 * t) * np.cos(6.0 * t) + 0.01 * rng.standard_normal(t.size)
-    kernel = SdofKernel(SdofKernelParams(0.05, 6.0, 2.0))
+    kernel = SdofKernel(0.05, 6.0, 2.0)
     model = fit_exact(Dataset(t[::5, None], y[::5]), kernel, noise_var=1e-4)
     return model, t[:, None]
 

@@ -1,7 +1,6 @@
 """Experiment harness: configs, artifacts, persistence round-trips."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +141,7 @@ class TestModelPersistence:
         from shmgp.model_io import save_narx
         from shmgp.narx import (NarxConfig, ResidualMean, SequenceData, fit_narx,
                                 predict_osa)
-        from shmgp.physics import MorisonParams
+        from shmgp.physics import MorisonMean
 
         rng = np.random.default_rng(2)
         n = 60
@@ -150,7 +149,7 @@ class TestModelPersistence:
         Ud = np.gradient(U, 0.1)
         yv = U * np.abs(U) + 0.5 * Ud
         seq = SequenceData(u=np.column_stack([U, Ud]), y=yv, dt=0.1)
-        cfg = NarxConfig(2, 2, ResidualMean(MorisonParams(1.0, 0.5)))
+        cfg = NarxConfig(2, 2, ResidualMean(MorisonMean(1.0, 0.5)))
         model = fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=1e-4)
         save_narx(tmp_path, model, ["U", "Udot"], "y")
         _, loaded = load_model(tmp_path)

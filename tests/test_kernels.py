@@ -22,7 +22,7 @@ from shmgp.kernels import (
     kernel_eval,
     kernel_from_dict,
 )
-from shmgp.physics import SdofKernel, SdofKernelParams, sdof_kernel_eval, spectral_density
+from shmgp.physics import SdofKernel, sdof_kernel_eval, spectral_density
 from shmgp.pso import log10_box
 
 SPECS = [
@@ -72,7 +72,7 @@ def test_argument_swap_symmetry(spec):
 
 
 def test_sdof_argument_swap_symmetry():
-    spec = SdofKernel(SdofKernelParams(zeta=0.1, omega_n=5.0, sigma2=1.0))
+    spec = SdofKernel(zeta=0.1, omega_n=5.0, sigma2=1.0)
     assert kernel_eval(spec, 0.3, 1.7) == kernel_eval(spec, 1.7, 0.3)
 
 
@@ -147,7 +147,7 @@ ORACLE_SPECS = {
     "matern12": lambda d: Matern12(0.8, 1.5),
     "matern32": lambda d: Matern32(2.0, 0.4),
 }
-SDOF = SdofKernel(SdofKernelParams(zeta=0.053, omega_n=9.59, sigma2=1.82))
+SDOF = SdofKernel(zeta=0.053, omega_n=9.59, sigma2=1.82)
 SHIPPED_GRID = (np.arange(1200) * 0.025)[::8]  # sdof_kernel_gp's training times
 
 
@@ -285,7 +285,7 @@ def _unsorted_times():
 def test_sdof_gram_entries_are_the_oscillator_at_each_lag(t):
     """The oscillator reads the squared lag and takes its root, which gives
     back |t_i - t_j| exactly, so every route keeps sdof_kernel_eval's bits."""
-    expected = sdof_kernel_eval(SDOF.params, np.subtract.outer(t, t))
+    expected = sdof_kernel_eval(SDOF, np.subtract.outer(t, t))
     X = t[:, None]
     np.testing.assert_array_equal(build_gram(SDOF, X), expected)
     np.testing.assert_array_equal(build_gram(SDOF, SquaredDiffStack(X)), expected)
@@ -376,12 +376,6 @@ def test_nonpositive_hyperparameters_rejected(bad):
         SquaredExponential(signal_scale=bad, lengthscales=1.0)
     with pytest.raises(ValueError):
         Matern32(signal_scale=1.0, lengthscale=bad)
-
-
-def test_diag_matches_zero_lag():
-    X = np.linspace(0, 3, 7).reshape(-1, 1)
-    for spec in SPECS:
-        np.testing.assert_allclose(spec.diag(X), np.diag(build_gram(spec, X)), rtol=1e-14)
 
 
 # kernel keys of model.json as written before the families owned their JSON

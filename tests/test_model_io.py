@@ -35,7 +35,7 @@ from shmgp.narx import (
     fit_narx,
     predict_osa,
 )
-from shmgp.physics import MorisonMean, MorisonParams
+from shmgp.physics import MorisonMean
 from shmgp.reduced_rank import DomainSpec, fit_reduced, predict_reduced
 
 ROUND_TRIP = settings(max_examples=15, deadline=None, database=None)
@@ -43,7 +43,7 @@ ROUND_TRIP = settings(max_examples=15, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
 positive = st.floats(0.2, 5.0)
 noise = st.floats(1e-3, 1.0)
-morison = st.builds(MorisonParams, drag=st.floats(-3.0, 3.0), inertia=st.floats(-3.0, 3.0))
+morison = st.builds(MorisonMean, drag=st.floats(-3.0, 3.0), inertia=st.floats(-3.0, 3.0))
 modes = st.one_of(st.just(BlackBox()), st.builds(ResidualMean, morison),
                   st.builds(InputAugmentation, morison))
 
@@ -53,7 +53,7 @@ def _means(d):
                        st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
     forms = [st.just(ZeroMean()), linear]
     if d >= 2:  # the Morison mean reads the first two input columns
-        forms.append(st.builds(MorisonMean, morison))
+        forms.append(morison)
     return st.one_of(forms)
 
 

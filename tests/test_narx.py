@@ -19,9 +19,9 @@ from shmgp.narx import (
     predict_osa,
     simulate_free_run,
 )
-from shmgp.physics import MorisonParams, morison_force
+from shmgp.physics import MorisonMean, morison_force
 
-MORISON = MorisonParams(drag=1.0, inertia=0.5)
+MORISON = MorisonMean(drag=1.0, inertia=0.5)
 
 
 def _ar1_sequence(n=60, coef=0.5, y0=8.0):

@@ -8,9 +8,8 @@ from scipy import integrate
 from shmgp.kernels import Matern12, Matern32, SquaredExponential, build_gram
 from shmgp.means import LinearMean
 from shmgp.physics import (
-    MorisonParams,
+    MorisonMean,
     SdofKernel,
-    SdofKernelParams,
     morison_force,
     sdof_kernel_eval,
     spectral_density,
@@ -19,11 +18,11 @@ from shmgp.physics import (
 
 class TestSdofKernel:
     def test_zero_lag_closed_form(self):
-        p = SdofKernelParams(zeta=0.2, omega_n=3.0, sigma2=2.5)
+        p = SdofKernel(zeta=0.2, omega_n=3.0, sigma2=2.5)
         assert sdof_kernel_eval(p, 0.0) == pytest.approx(2.5 / (4 * 0.2 * 27.0), rel=1e-14)
 
     def test_even_in_lag(self):
-        p = SdofKernelParams(zeta=0.1, omega_n=2 * np.pi, sigma2=1.0)
+        p = SdofKernel(zeta=0.1, omega_n=2 * np.pi, sigma2=1.0)
         taus = np.linspace(0.0, 5.0, 41)
         np.testing.assert_allclose(
             sdof_kernel_eval(p, taus), sdof_kernel_eval(p, -taus), rtol=1e-14
@@ -31,7 +30,7 @@ class TestSdofKernel:
 
     def test_term_by_term_extended_precision(self):
         # independent evaluation of the covariance with 50-digit arithmetic
-        p = SdofKernelParams(zeta=0.1, omega_n=2 * np.pi, sigma2=1.0)
+        p = SdofKernel(zeta=0.1, omega_n=2 * np.pi, sigma2=1.0)
         with mpmath.workdps(50):
             zeta, wn, s2, tau = map(mpmath.mpf, ("0.1", str(2 * np.pi), "1", "0.1"))
             wd = wn * mpmath.sqrt(1 - zeta**2)
@@ -54,38 +53,37 @@ class TestSdofKernel:
 
         rng = np.random.default_rng(8)
         for n, m in ((1, 1), (150, 70), (300, 1000), (65, 2)):
-            p = SdofKernelParams(rng.uniform(0.01, 0.9), rng.uniform(0.5, 30.0),
-                                 10.0 ** rng.uniform(-2, 2))
+            p = SdofKernel(rng.uniform(0.01, 0.9), rng.uniform(0.5, 30.0),
+                           10.0 ** rng.uniform(-2, 2))
             t = np.sort(rng.uniform(0.0, 40.0, n))[:, None]
             t2 = rng.uniform(-5.0, 45.0, (m, 1))
-            K = build_gram(SdofKernel(p), t)
+            K = build_gram(p, t)
             np.testing.assert_array_equal(K, closed_form(p, t - t.T))
             np.testing.assert_array_equal(K, K.T)
-            np.testing.assert_array_equal(build_gram(SdofKernel(p), t, t2),
-                                          closed_form(p, t - t2.T))
+            np.testing.assert_array_equal(build_gram(p, t, t2), closed_form(p, t - t2.T))
             for tau in (0.0, -0.0, float(t[0, 0] - t2[0, 0]), -1.7):
                 assert sdof_kernel_eval(p, tau) == float(closed_form(p, np.float64(tau)))
 
     @pytest.mark.parametrize("zeta", [0.0, 1.0, 1.2, -0.1])
     def test_damping_ratio_bounds(self, zeta):
         with pytest.raises(ValueError):
-            SdofKernelParams(zeta=zeta, omega_n=1.0, sigma2=1.0)
+            SdofKernel(zeta=zeta, omega_n=1.0, sigma2=1.0)
 
     def test_positive_semidefinite_gram(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            p = SdofKernelParams(
+            p = SdofKernel(
                 zeta=rng.uniform(0.02, 0.9),
                 omega_n=rng.uniform(0.5, 20.0),
                 sigma2=10.0 ** rng.uniform(-2, 2),
             )
             t = np.sort(rng.uniform(0.0, 20.0, 50)).reshape(-1, 1)
-            K = build_gram(SdofKernel(p), t)
+            K = build_gram(p, t)
             k0 = sdof_kernel_eval(p, 0.0)
             assert np.linalg.eigvalsh(K).min() >= -1e-8 * k0
 
     def test_envelope_decay_bound(self):
-        p = SdofKernelParams(zeta=0.15, omega_n=4.0, sigma2=3.0)
+        p = SdofKernel(zeta=0.15, omega_n=4.0, sigma2=3.0)
         k0 = sdof_kernel_eval(p, 0.0)
         zwn = p.zeta * p.omega_n
         taus = np.linspace(-12.0, 12.0, 501)
@@ -93,40 +91,40 @@ class TestSdofKernel:
         assert np.all(np.abs(sdof_kernel_eval(p, taus)) <= bound + 1e-15)
 
     def test_uniform_spacing_gives_toeplitz_gram(self):
-        p = SdofKernelParams(zeta=0.05, omega_n=7.0, sigma2=1.0)
+        p = SdofKernel(zeta=0.05, omega_n=7.0, sigma2=1.0)
         t = (np.arange(12) * 0.3).reshape(-1, 1)
-        K = build_gram(SdofKernel(p), t)
+        K = build_gram(p, t)
         for off in range(12):
             diag = np.diagonal(K, offset=off)
             np.testing.assert_allclose(diag, diag[0], rtol=1e-12)
 
     def test_rejects_multidimensional_inputs(self):
-        spec = SdofKernel(SdofKernelParams(zeta=0.1, omega_n=1.0, sigma2=1.0))
+        spec = SdofKernel(zeta=0.1, omega_n=1.0, sigma2=1.0)
         with pytest.raises(ValueError):
             build_gram(spec, np.zeros((3, 2)))
 
 
 class TestMorison:
     def test_zero_input(self):
-        assert morison_force(MorisonParams(1.0, 2.0), 0.0, 0.0) == 0.0
+        assert morison_force(MorisonMean(1.0, 2.0), 0.0, 0.0) == 0.0
 
     def test_odd_in_velocity(self):
-        p = MorisonParams(drag=1.0, inertia=0.0)
+        p = MorisonMean(drag=1.0, inertia=0.0)
         assert morison_force(p, -1.0, 0.0) == -1.0
         assert morison_force(p, 1.0, 0.0) == 1.0
 
     def test_hand_value(self):
         # 1 * 2|2| + 2 * 0.5 = 5
-        assert morison_force(MorisonParams(1.0, 2.0), 2.0, 0.5) == pytest.approx(5.0)
+        assert morison_force(MorisonMean(1.0, 2.0), 2.0, 0.5) == pytest.approx(5.0)
 
     def test_linear_in_acceleration(self):
-        p = MorisonParams(drag=0.7, inertia=1.3)
+        p = MorisonMean(drag=0.7, inertia=1.3)
         base = morison_force(p, 0.0, 1.0)
         assert morison_force(p, 0.0, 4.0) == pytest.approx(4.0 * base)
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            MorisonParams(drag=np.inf, inertia=0.0)
+            MorisonMean(drag=np.inf, inertia=0.0)
 
 
 class TestLinearMean:
@@ -192,6 +190,6 @@ class TestSpectralDensity:
         assert val / (2 * np.pi) == pytest.approx(1.4**2, rel=1e-3)
 
     def test_unsupported_family_raises(self):
-        spec = SdofKernel(SdofKernelParams(zeta=0.1, omega_n=1.0, sigma2=1.0))
+        spec = SdofKernel(zeta=0.1, omega_n=1.0, sigma2=1.0)
         with pytest.raises(ValueError):
             spectral_density(spec, 0.0)
