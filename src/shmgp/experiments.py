@@ -64,7 +64,7 @@ from .narx import (
 from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
 from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
-from .tuning import default_bounds, gls_linear_mean, kernel_tuning_names, tune_exact_gp
+from .tuning import default_bounds, gls_linear_mean, tune_exact_gp, tuned_family
 
 OUTPUT_ROOT_ENV = "SHMGP_OUTPUT_ROOT"
 DEFAULT_FAMILY = "squared_exponential"  # when model.kernel names no family
@@ -154,8 +154,7 @@ def _kernel(optimize=False, **entry):
     ard = entry.pop("ard", False)
     if len(entry) > 1:
         raise ValueError(f"a kernel to optimize takes only 'family' and 'ard', got {sorted(entry)}")
-    kernel_tuning_names(entry["family"], 1, ard)  # a ValueError where ard would change nothing
-    return Kernel.member(entry["family"]), ard
+    return tuned_family(entry["family"], ard), ard
 
 
 def _gp_prior(kernel=EMPTY, noise_var=0.0):

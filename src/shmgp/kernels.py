@@ -28,7 +28,7 @@ from math import gamma as gamma_fn
 
 import numpy as np
 
-from .registry import Registered
+from .registry import Registered, store_numbers
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -53,7 +53,8 @@ class Kernel(Registered):
 
     A kernel family is one subclass declared with ``family="name"``; it owns
     its JSON form (``keys`` lists the entries besides ``family``), spectral
-    density, tuned hyperparameters and their default box.
+    density and the default box of a tune, whose entries are its
+    constructor's arguments in order.
 
     Every family is stationary: it supplies :meth:`sqdist_map`, which turns
     squared distances of the inputs divided by ``sqdist_scale`` into
@@ -77,11 +78,6 @@ class Kernel(Registered):
     def check_input_dim(self, d: int) -> None:
         """Raise if the kernel cannot act on d-dimensional inputs."""
 
-    @classmethod
-    def from_values(cls, *values):
-        # the values in key order, flattened, are the from_vector layout
-        return cls.from_vector(np.hstack(values).astype(float))
-
     def spectral_density(self, lam: np.ndarray) -> np.ndarray:
         """Spectral density at squared per-dimension frequencies ``lam`` (m, d),
         normalised to integrate to (2 pi)^d k(0)."""
@@ -93,21 +89,12 @@ class Kernel(Registered):
         GP value, and Pinf solves A P + P A' + Lc q Lc' = 0."""
         raise ValueError(f"no state-space form available for kernel {type(self).__name__}")
 
-    @classmethod
-    def tuning_names(cls, d: int, ard: bool) -> list[str]:
-        """Names of the tuned hyperparameters for d-dimensional inputs."""
-        return list(cls.keys)
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Kernel":
-        """Kernel from values in :meth:`tuning_names` order."""
-        return cls(*v)
-
     @staticmethod
     def default_bounds(X: np.ndarray, y_var: float, ard: bool, dt: float | None) -> dict:
         """Likely ranges of the tuned hyperparameters, from inputs and target
-        variance, by name in :meth:`tuning_names` order; the ARD rows
-        ``lengthscale_k`` are the pairs listed under ``lengthscales``."""
+        variance: one entry per constructor argument, in order, named after
+        it, a (lower, upper) pair or, for ``ard`` lengthscales, a list of one
+        pair per input."""
         raise NotImplementedError
 
 
@@ -133,6 +120,7 @@ class SquaredExponential(Kernel, family="squared_exponential"):
     keys = ("signal_scale", "lengthscales")
 
     def __post_init__(self):
+        store_numbers(self, "signal_scale")
         object.__setattr__(
             self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         )
@@ -162,16 +150,6 @@ class SquaredExponential(Kernel, family="squared_exponential"):
                 * np.exp(-0.5 * lam @ (ell**2)))
 
     @staticmethod
-    def tuning_names(d, ard):
-        if ard:
-            return ["signal_scale"] + [f"lengthscale_{k}" for k in range(d)]
-        return ["signal_scale", "lengthscale"]
-
-    @classmethod
-    def from_vector(cls, v):
-        return cls(v[0], v[1:])
-
-    @staticmethod
     def default_bounds(X, y_var, ard, dt):
         ranges = X.max(axis=0) - X.min(axis=0)
         ranges = np.where(ranges > 0.0, ranges, 1.0)
@@ -195,6 +173,7 @@ class _Matern(Kernel):
     keys = ("signal_scale", "lengthscale")
 
     def __post_init__(self):
+        store_numbers(self, "signal_scale", "lengthscale")
         _require_positive(self.signal_scale, "signal_scale")
         _require_positive(self.lengthscale, "lengthscale")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import Registered
+from .registry import Registered, store_numbers
 
 
 class MeanFunction(Registered):
@@ -46,6 +46,7 @@ class LinearMean(MeanFunction, form="linear"):
     keys = ("intercept", "slope")
 
     def __post_init__(self):
+        store_numbers(self, "intercept")
         object.__setattr__(self, "slope", np.atleast_1d(np.asarray(self.slope, dtype=float)))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .kernels import Kernel, companion
 from .means import MeanFunction
+from .registry import store_numbers
 
 
 def sdof_kernel_eval(kernel: SdofKernel, tau) -> float | np.ndarray:
@@ -66,11 +67,12 @@ class SdofKernel(Kernel, family="sdof"):
     keys = ("zeta", "omega_n", "sigma2")
 
     def __post_init__(self):
+        store_numbers(self, *self.keys)
         if not (0.0 < self.zeta < 1.0):
             raise ValueError(f"damping ratio must lie in (0, 1), got {self.zeta!r}")
-        if not (np.isfinite(self.omega_n) and self.omega_n > 0.0):
+        if self.omega_n <= 0.0:
             raise ValueError(f"natural frequency must be positive, got {self.omega_n!r}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
+        if self.sigma2 <= 0.0:
             raise ValueError(f"forcing magnitude sigma2 must be positive, got {self.sigma2!r}")
 
     @property
@@ -128,8 +130,7 @@ class MorisonMean(MeanFunction, form="morison"):
     keys = ("drag", "inertia")
 
     def __post_init__(self):
-        if not (np.isfinite(self.drag) and np.isfinite(self.inertia)):
-            raise ValueError("Morison coefficients must be finite")
+        store_numbers(self, *self.keys)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -4,9 +4,10 @@ Used for hyperparameter optimisation of every model family in the toolkit:
 the objective is a negative log (marginal) likelihood and the box encodes
 physically plausible parameter ranges, by name: parameter -> positive
 natural-unit (lower, upper) pair or list of pairs, searched in log10 space
-(:func:`override_box`, :func:`log10_box`).  Global-best PSO with inertia
-and velocity clamping; non-finite objective values are treated as +inf so
-unstable hyperparameter combinations are simply avoided.
+(:func:`override_box`, :func:`log10_box`) and read back by name
+(:func:`decoder`).  Global-best PSO with inertia and velocity clamping;
+non-finite objective values are treated as +inf so unstable
+hyperparameter combinations are simply avoided.
 """
 
 from __future__ import annotations
@@ -81,6 +82,23 @@ def log10_box(box: dict) -> tuple:
                              f"0 < lower < upper; got {value!r}")
         rows.append(pairs.reshape(-1, 2))
     return tuple(map(tuple, np.log10(np.concatenate(rows)))) if rows else ()
+
+
+def decoder(box: dict) -> Callable[[np.ndarray], dict]:
+    """The reader of swarm positions over ``box``'s :func:`log10_box` rows:
+    it takes 10 ** the whole position and returns the natural-unit values by
+    name, a numpy float for a pair and an array for a list of pairs.  The
+    box's layout is read here, once, not at each position."""
+    layout, row = {}, 0
+    for name, value in box.items():
+        layout[name] = slice(row, row + len(value)) if np.ndim(value) == 2 else row
+        row += len(value) if np.ndim(value) == 2 else 1
+
+    def decode(position: np.ndarray) -> dict:
+        values = 10.0**position
+        return {name: values[at] for name, at in layout.items()}
+
+    return decode
 
 
 class PsoResult(NamedTuple):

@@ -9,6 +9,17 @@ family="matern32")``, which adds it to the base's ``registry``.
 import numpy as np
 
 
+def store_numbers(obj, *names: str) -> None:
+    """Store each field ``names`` of the frozen dataclass ``obj`` as a numpy
+    float; a value that is not one finite number is a ValueError naming its
+    field."""
+    for name in names:
+        value = np.asarray(getattr(obj, name))
+        if value.ndim or value.dtype.kind not in "biuf" or not np.isfinite(value):
+            raise ValueError(f"{name} takes one finite number, got {getattr(obj, name)!r}")
+        object.__setattr__(obj, name, np.float64(value))
+
+
 class Registered:
     """A member's JSON form is its tag plus one plain value per key."""
 

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
 from .kernels import Kernel, Matern32, companion
-from .pso import PsoConfig, log10_box, override_box, pso_minimize
+from .pso import PsoConfig, decoder, log10_box, override_box, pso_minimize
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Largest change of an updated-covariance entry between two updates, relative
@@ -81,7 +81,7 @@ class StructuralModel:
         return self.mass.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateSpaceModel:
     """Continuous-time linear SDE dx = A x dt + Lc dW, Var(dW) = q dt,
     observed through y = H x + r with r ~ N(0, R).
@@ -403,9 +403,10 @@ def estimate_force(
     """
     if bounds is not None or swarm:
         box = override_box(FORCE_BOUNDS, bounds, FORCE_TUNED)
+        decode = decoder(box)
 
-        def objective(log_params: np.ndarray) -> float:
-            v = dict(zip(box, 10.0**log_params))
+        def objective(position: np.ndarray) -> float:
+            v = decode(position)
             try:
                 model = build_latent_force_model(structural, dt, type(prior)(
                     v["sigma"], v["lengthscale"]), v.get("noise_var", noise_var))
@@ -414,7 +415,7 @@ def estimate_force(
                 return np.inf
 
         best = pso_minimize(objective, PsoConfig(bounds=log10_box(box), **swarm))
-        tuned = dict(zip(box, (10.0**best.best_params).tolist()))
+        tuned = decode(best.best_params)
         prior = type(prior)(tuned["sigma"], tuned["lengthscale"])
         noise_var = tuned.get("noise_var", noise_var)
 

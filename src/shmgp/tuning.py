@@ -19,7 +19,7 @@ from . import blas, gp
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram
 from .means import LinearMean, MeanFunction
-from .pso import PsoConfig, PsoResult, log10_box, override_box, pso_minimize
+from .pso import PsoConfig, PsoResult, decoder, log10_box, override_box, pso_minimize
 
 
 @dataclass
@@ -53,22 +53,21 @@ def default_bounds(
     family: str, data: gp.Dataset, ard: bool = False, dt: float | None = None
 ) -> dict:
     """Likely hyperparameter ranges for a family, derived from the data: the
-    family's box, in tuning order, then ``noise_var``."""
+    family's box, whose entries are its constructor's arguments in order,
+    then ``noise_var``."""
     y_var = max(float(np.var(data.outputs)), 1e-12)
     box = Kernel.member(family).default_bounds(data.inputs, y_var, ard, dt)
     box["noise_var"] = (1e-8 * y_var, y_var)
     return box
 
 
-def kernel_tuning_names(family: str, d: int, ard: bool) -> list[str]:
-    """The tuned hyperparameters of ``family`` for d-dimensional inputs.
-    ``ard`` asks for one lengthscale per input: a ValueError for a family
-    whose names it does not change."""
+def tuned_family(family: str, ard: bool) -> type:
+    """The class of ``family``.  ``ard`` asks for one lengthscale per input:
+    a ValueError for a family whose JSON keys have no ``lengthscales``."""
     cls = Kernel.member(family)
-    names = cls.tuning_names(d, ard)
-    if ard and names == cls.tuning_names(d, False):
+    if ard and "lengthscales" not in cls.keys:
         raise ValueError(f"'ard' asks for a lengthscale per input; {family} has one for all")
-    return names
+    return cls
 
 
 def tune_exact_gp(
@@ -86,10 +85,13 @@ def tune_exact_gp(
     """Maximise the marginal likelihood over kernel (and optionally noise)
     hyperparameters.
 
-    ``ard`` tunes one lengthscale per input (:func:`kernel_tuning_names`).
+    The box (:func:`default_bounds`) lays out the search: the kernel at a
+    swarm position is the family's constructor applied to its values, read
+    by name through :func:`pso.decoder`, in box order.  ``ard`` tunes one
+    lengthscale per input (:func:`tuned_family`).
     ``noise_var`` fixes the observation noise when given; when None it is
-    optimised alongside the kernel.  ``bounds`` override the defaults
-    (:func:`default_bounds`) by name, as :func:`pso.override_box` allows.
+    optimised alongside the kernel.  ``bounds`` override the defaults by
+    name, as :func:`pso.override_box` allows.
     With ``profile_linear_mean`` the affine prior-mean coefficients are
     profiled out by GLS at every objective evaluation instead of being
     supplied through ``mean``.  The other swarm settings (``particles``,
@@ -103,17 +105,17 @@ def tune_exact_gp(
     are many small serial BLAS calls, which a second thread makes no faster.
     The caller's thread counts come back when the tune returns or raises.
     """
-    cls = Kernel.member(family)
-    names = kernel_tuning_names(family, data.inputs.shape[1], ard) + ["noise_var"]
-    n_kernel = len(names) - 1
+    cls = tuned_family(family, ard)
     box = override_box(default_bounds(family, data, ard=ard, dt=dt), bounds)
     if noise_var is not None:
         del box["noise_var"]
     cfg = PsoConfig(bounds=log10_box(box), iterations=iterations, **swarm)
+    decode = decoder(box)
 
-    def fit_at(v: np.ndarray, stack=None) -> gp.TrainedGp:
-        sigma_n2 = float(v[-1]) if noise_var is None else float(noise_var)
-        kernel = cls.from_vector(v[:n_kernel])
+    def fit_at(stack=None, noise_var=noise_var, **kernel_args) -> gp.TrainedGp:
+        # the box's other entries are the kernel's arguments, in order
+        sigma_n2 = float(noise_var)
+        kernel = cls(*kernel_args.values())
         mean_fn = (gls_linear_mean(data, kernel, sigma_n2, stack) if profile_linear_mean
                    else mean)
         return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2, stack=stack)
@@ -122,17 +124,19 @@ def tune_exact_gp(
     # stack fault can hide among its inf scores
     stack = SquaredDiffStack(data.inputs)
 
-    def objective(log_v: np.ndarray) -> float:
+    def objective(position: np.ndarray) -> float:
         try:
-            return -fit_at(10.0**log_v, stack).lml
+            return -fit_at(stack, **decode(position)).lml
         except (NumericalError, ValueError):
             return np.inf
 
     with blas.single_thread():
         result = pso_minimize(objective, cfg)
-        best = 10.0**result.best_params
-        model = fit_at(best)
-    params = {name: float(val) for name, val in zip(names, best)}
+        best = decode(result.best_params)
+        model = fit_at(**best)
+    # a list of pairs under lengthscales gives lengthscale_0, lengthscale_1, ...
+    params = {f"{name[:-1]}_{k}" if np.ndim(value) else name: float(v)
+              for name, value in best.items() for k, v in enumerate(np.atleast_1d(value))}
     params["noise_var"] = model.noise_var  # also where noise_var is fixed, so best lacks it
     if profile_linear_mean:
         params["mean_intercept"] = float(model.mean.intercept)

@@ -283,6 +283,25 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("base, model, key", [
+        (FAST_NARX, {"morison": {"drag": "x", "inertia": 0.8}}, "drag"),
+        (FAST_NARX, {"morison": {"drag": [1.0, 2.0], "inertia": 0.8}}, "drag"),
+        (FAST_CONFIG, {"kernel": {"family": "sdof", "zeta": "x", "omega_n": 2.0, "sigma2": 1.0}},
+         "zeta"),
+        (FAST_CONFIG, {"kernel": {"family": "sdof", "zeta": 0.1, "omega_n": [1.0, 2.0],
+                                  "sigma2": 1.0}}, "omega_n"),
+        (FAST_CONFIG, {"mean": {"form": "linear", "intercept": "x", "slope": [1.0]}},
+         "intercept"),
+    ], ids=["drag-string", "drag-list", "zeta-string", "omega_n-list", "intercept-string"])
+    def test_a_value_that_is_not_one_number_exits_2_naming_its_key(
+            self, tmp_path, capsys, base, model, key):
+        doc = dict(base, model={**base["model"], **model})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} takes one finite number" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("base, model", [
         (FAST_CONFIG, {"mean": {"form": "bogus"}}),  # unknown form
         (FAST_CONFIG, {"mean": {"form": "linear", "intercept": 1.0}}),  # no slope
@@ -780,6 +799,17 @@ class TestCorruptModel:
         (fitted / "model.json").write_text(json.dumps(doc))
         assert self._predict(fitted) == 3
 
+    @pytest.mark.parametrize("value", ["x", [0.1, 0.2]], ids=["string", "list"])
+    def test_saved_value_that_is_not_one_number_exits_3_naming_its_key(
+            self, fitted, capsys, value):
+        doc = json.loads((fitted / "model.json").read_text())
+        doc["kernel"] = {"family": "sdof", "zeta": value, "omega_n": 2.0, "sigma2": 1.0}
+        (fitted / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._predict(fitted) == 3
+        err = capsys.readouterr().err
+        assert "zeta takes one finite number" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("mean", [
         {"form": "linear", "intercept": 1.0},  # missing slope
         {"form": "linear", "intercept": 1.0, "slope": [0.5], "scale": 2.0},  # extra key
@@ -787,6 +817,7 @@ class TestCorruptModel:
         {"form": "morison", "drag": 1.0},  # missing inertia
         {"form": "bogus"},
         {},
+        {"form": "linear", "intercept": "x", "slope": [0.5]},  # not a number
     ])
     def test_bad_saved_mean_exits_3(self, fitted, mean):
         doc = json.loads((fitted / "model.json").read_text())
@@ -900,6 +931,20 @@ class TestPredictNarx:
         assert main(["predict", str(model_dir), str(tmp_path / "seq.csv"),
                      "-o", str(tmp_path / "osa.csv")]) == 3
         assert not (tmp_path / "osa.csv").exists()
+
+    @pytest.mark.parametrize("drag", ["x", [1.0, 2.0]], ids=["string", "list"])
+    def test_saved_coefficient_that_is_not_one_number_exits_3_naming_it(
+            self, tmp_path, capsys, drag):
+        from shmgp.model_io import write_csv
+
+        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["narx"]["mode"] = {"name": "residual_morison", "drag": drag, "inertia": 0.5}
+        (model_dir / "model.json").write_text(json.dumps(doc))
+        write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
+        assert main(["predict", str(model_dir), str(tmp_path / "seq.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "drag takes one finite number" in err and len(err.strip().splitlines()) == 1
 
     def test_nonuniform_time_exits_3(self, tmp_path):
         from shmgp.model_io import write_csv

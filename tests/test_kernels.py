@@ -23,7 +23,7 @@ from shmgp.kernels import (
     kernel_from_dict,
 )
 from shmgp.physics import SdofKernel, sdof_kernel_eval, spectral_density
-from shmgp.pso import log10_box
+from shmgp.pso import decoder, log10_box
 
 SPECS = [
     SquaredExponential(signal_scale=1.3, lengthscales=0.7),
@@ -389,12 +389,12 @@ SAVED_KEYS = {
 
 
 def _tuned_example(family, d, ard):
-    """A kernel built the way the tuner builds one: from tuning_names, at the
-    geometric middle of the family's default box."""
+    """A kernel built the way the tuner builds one: the family's default box
+    decoded at its geometric middle, its entries the constructor's arguments."""
     cls = FAMILIES[family]
     X = np.linspace(0.0, 4.0, 17)[:, None] * np.arange(1, d + 1)
-    box = cls.default_bounds(X, 2.0, ard, None)  # in tuning_names order
-    return X, cls.from_vector(10.0 ** np.mean(log10_box(box), axis=1))
+    box = cls.default_bounds(X, 2.0, ard, None)
+    return X, cls(*decoder(box)(np.mean(log10_box(box), axis=1)).values())
 
 
 def test_families_are_exactly_the_four():

@@ -127,6 +127,17 @@ class TestMorison:
             MorisonMean(drag=np.inf, inertia=0.0)
 
 
+@pytest.mark.parametrize("value", ["x", [1.0, 2.0], None], ids=["string", "list", "null"])
+def test_a_field_that_takes_one_number_names_itself(value):
+    args = {"zeta": 0.1, "omega_n": 2.0, "sigma2": 1.0}
+    for key in args:
+        with pytest.raises(ValueError, match=rf"^{key} takes one finite number, got "):
+            SdofKernel(**{**args, key: value})
+    for key in ("drag", "inertia"):
+        with pytest.raises(ValueError, match=rf"^{key} takes one finite number, got "):
+            MorisonMean(**{"drag": 1.0, "inertia": 0.5, key: value})
+
+
 class TestLinearMean:
     def test_zero_coefficients(self):
         assert LinearMean(0.0, [0.0, 0.0])([3.0, -1.0])[0] == 0.0

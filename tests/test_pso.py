@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shmgp.errors import NumericalError
-from shmgp.pso import PsoConfig, log10_box, override_box, pso_minimize
+from shmgp.pso import PsoConfig, decoder, log10_box, override_box, pso_minimize
 
 
 def sphere(x):
@@ -129,3 +129,24 @@ def test_override_box_keeps_the_box_order_and_checks_each_bound():
         override_box(box, {"c": [(1.0, 2.0)]}, names)
     with pytest.raises(ValueError, match=r"bounds\.a takes finite"):
         override_box(box, {"a": (2.0, 1.0)})
+
+
+@pytest.mark.parametrize("box", [
+    {"sigma": (1e-2, 1e2), "lengthscale": [0.3, 7.0]},
+    {"signal_scale": (0.05, 3.0), "lengthscales": [(1e-2, 1.0), (0.2, 40.0), (3e-3, 2.0)]},
+    {"lengthscales": [[0.1, 0.2]], "noise_var": [1e-9, 0.1]},  # JSON lists as pairs
+], ids=["pairs", "list-of-pairs", "json-lists"])
+def test_decoder_gives_each_name_its_natural_values(box):
+    rows = np.array(log10_box(box))
+    decode = decoder(box)
+    for side in (0, 1):
+        values = decode(rows[:, side])
+        assert list(values) == list(box)
+        for name, value in values.items():
+            natural = np.asarray(box[name], dtype=float)[..., side]
+            assert isinstance(value, np.float64 if natural.ndim == 0 else np.ndarray)
+            np.testing.assert_allclose(value, natural, rtol=1e-15, atol=0.0)
+    # one 10 ** over the whole position: each value has its row's bits
+    position = rows.mean(axis=1)
+    flat = np.concatenate([np.atleast_1d(v) for v in decode(position).values()])
+    np.testing.assert_array_equal(flat, 10.0**position)

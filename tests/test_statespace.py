@@ -229,15 +229,19 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(kernel_to_ss(Matern12(1.0, 1.0)), 0.0)
 
+    def test_discretized_model_is_immutable(self):
+        # fitted models are shared across threads for prediction
+        model = discretize(kernel_to_ss(Matern12(1.0, 1.0)), 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.Ad = np.eye(1)
+
 
 def _scalar_model(ad=0.8, qd=0.5, r=0.2, p0=1.0):
     model = StateSpaceModel(
         A=np.array([[np.log(ad)]]), Lc=np.eye(1), q=qd, H=np.eye(1),
         R=np.array([[r]]), m0=np.zeros(1), P0=np.array([[p0]]), force_index=0,
     )
-    model.Ad = np.array([[ad]])
-    model.Qd = np.array([[qd]])
-    return model
+    return dataclasses.replace(model, Ad=np.array([[ad]]), Qd=np.array([[qd]]))
 
 
 class TestKalmanFilter:

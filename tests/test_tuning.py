@@ -6,6 +6,7 @@ import pytest
 from shmgp import blas, gp, tuning
 from shmgp.gp import Dataset, fit_exact
 from shmgp.kernels import FAMILIES, Matern32, SquaredExponential, build_gram
+from shmgp.pso import log10_box
 from shmgp.tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
 
@@ -92,9 +93,10 @@ def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, a
     assert len({id(s) for s in stacks[:-1]}) == 1
     assert stacks[0] is not None  # every family reads squared distances
 
-    cls = FAMILIES[family]
-    names = cls.tuning_names(X.shape[1], ard)
-    kernel = cls.from_vector(np.array([result.params[name] for name in names]))
+    # the reported kernel values are the constructor's arguments in order,
+    # ARD lengthscales one by one
+    values = [v for k, v in result.params.items() if k != "noise_var" and "mean" not in k]
+    kernel = FAMILIES[family](*([values[0], values[1:]] if ard else values))
     noise = result.params["noise_var"]
     with blas.single_thread():
         mean = gls_linear_mean(data, kernel, noise) if profile else None
@@ -146,17 +148,26 @@ def test_ard_bounds_reach_their_dimensions():
 @pytest.mark.parametrize("ard", [False, True])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_default_box_lists_the_tuning_names_in_order(family, ard):
-    # a list of pairs under "<name>s" gives the rows "<name>_0", "<name>_1", ...
+    """A tune's params are named after the rows of its box, in order: a list
+    of pairs under "<name>s" gives "<name>_0", "<name>_1", ...; noise_var is
+    last.  ard is open only to a family with lengthscales."""
     d = 1 if family == "sdof" else 3
     X = np.linspace(0.0, 4.0, 17)[:, None] * np.arange(1, d + 1)
-    box = default_bounds(family, Dataset(X, np.sin(X[:, 0])), ard=ard)
+    data = Dataset(X, np.sin(X[:, 0]))
+    if ard and "lengthscales" not in FAMILIES[family].keys:
+        with pytest.raises(ValueError, match="'ard'"):
+            tune_exact_gp(data, family, ard=ard, particles=2, iterations=1, seed=0)
+        return
+    box = default_bounds(family, data, ard=ard)
     rows = []
     for key, value in box.items():
         if np.ndim(value) == 2:
             rows += [f"{key[:-1]}_{k}" for k in range(len(value))]
         else:
             rows.append(key)
-    assert rows == FAMILIES[family].tuning_names(d, ard) + ["noise_var"]
+    assert rows[-1] == "noise_var" and len(rows) == len(log10_box(box))
+    result = tune_exact_gp(data, family, ard=ard, particles=2, iterations=1, seed=0)
+    assert list(result.params) == rows
 
 
 @pytest.mark.parametrize("bounds", [{"lengthscal": (0.1, 1.0)}, {"lengthscales": [(0.1, 1.0)]}],
