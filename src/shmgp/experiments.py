@@ -63,6 +63,7 @@ from .narx import (
 )
 from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
+from .registry import number
 from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
 from .tuning import default_bounds, gls_linear_mean, tune_exact_gp, tuned_family
 
@@ -197,10 +198,10 @@ def _force_model(observed, nu=1.5, sigma=1.0, lengthscale=1.0, noise_var=1e-4):
     """The latent_force model section: the Matern force prior of smoothness
     ``nu`` and the noise variance, one value or one per ``observed`` channel."""
     matern = {c.nu: c for c in FAMILIES.values() if hasattr(c, "nu")}
-    nu = float(nu)
+    nu = float(number("nu", nu))
     if nu not in matern:
         raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
-    prior = matern[nu](float(sigma), float(lengthscale))
+    prior = matern[nu](number("sigma", sigma), number("lengthscale", lengthscale))
     noise_var = np.asarray(noise_var, dtype=float)
     if (noise_var.shape not in ((), (1,), (len(observed),))
             or not np.all(np.isfinite(noise_var) & (noise_var >= 0.0))):

@@ -6,10 +6,13 @@ masses under a band-limited force, a bridge-deck style trend series with a
 declining temperature input, and a wave-loading record with amplitude
 regimes of varying severity.
 
-All generators integrate with a fixed-step 4th-order Runge-Kutta scheme
-rather than exact discretisation, so their output does not share error
-sources with the state-space estimators, and all are bit-reproducible for a
-fixed (seed, parameters) pair.
+The oscillator and the chain integrate with one fixed-step 4th-order
+Runge-Kutta loop rather than exact discretisation, so their output does not
+share error sources with the state-space estimators, and all generators are
+bit-reproducible for a fixed (seed, parameters) pair.  With one degree of
+freedom the loop's state is a Python float rather than a length-1 array;
+every operation, the cube included, rounds as the array route does, so the
+records keep the array route's bits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import DataError
 from .gp import Dataset
 from .narx import SequenceData
 from .physics import MorisonMean, morison_force
+from .registry import count, number
 from .statespace import StructuralModel
 
 
@@ -39,54 +43,79 @@ def _chain_matrix(values) -> np.ndarray:
     return A
 
 
+def _check_steps(dt, substeps) -> None:
+    """ValueError naming the key unless ``dt`` is a positive number and
+    ``substeps`` a positive integer."""
+    if not number("dt", dt) > 0.0:
+        raise ValueError(f"dt takes a positive number, got {dt!r}")
+    count("substeps", substeps, least=1)
+
+
 def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     """Fixed-step RK4 for M y'' + C y' + K y + k3 y^3 = F(t).
 
     ``force`` is a (T, p) series at the sample times; within a sample step
     it is either held (zoh) or linearly interpolated.  Returns displacement,
-    velocity and acceleration arrays of shape (T, p).
+    velocity and acceleration arrays of shape (T, p).  With one degree of
+    freedom the state is a Python float, which gives the array state's bits
+    without a numpy call per operation.
     """
+    _check_steps(dt, substeps)
     T, p = force.shape
     Minv = np.linalg.inv(M)
     y = np.zeros(p) if y0 is None else np.array(y0, dtype=float)
     v = np.zeros(p) if v0 is None else np.array(v0, dtype=float)
-    k3 = np.broadcast_to(np.asarray(k3, dtype=float), (p,))
+    k3 = number("k3", k3)
 
-    def accel(yy, vv, ff):
-        return Minv @ (ff - C @ vv - K @ yy - k3 * yy**3)
+    if p == 1:
+        minv, c, k, k3 = Minv.item(), C.item(), K.item(), float(k3)
+        y, v, rows = y.item(), v.item(), force[:, 0].tolist()
+        cube, three = np.empty(1), np.array(3.0)
+
+        def accel(yy, vv, ff):
+            # numpy's cube of a one-element array: on some builds it is
+            # neither libm's pow nor yy*yy*yy, and those change the records
+            cube[0] = yy
+            np.power(cube, three, out=cube)
+            # + 0.0 turns -0.0 into 0.0, as the 1x1 matrix product does
+            return minv * (ff - c * vv - k * yy - k3 * cube.item()) + 0.0
+    else:
+        rows = force
+
+        def accel(yy, vv, ff):
+            return Minv @ (ff - C @ vv - K @ yy - k3 * yy**3)
 
     Y = np.empty((T, p))
     V = np.empty((T, p))
     A = np.empty((T, p))
     Y[0], V[0] = y, v
-    A[0] = accel(y, v, force[0])
+    A[0] = accel(y, v, rows[0])
     h = dt / substeps
     for i in range(T - 1):
-        f0, f1 = force[i], force[i if zoh else i + 1]
+        f0 = fa = fb = fc = rows[i]
+        df = rows[i + 1] - f0
         for j in range(substeps):
-            if zoh:
-                fa = fb = fc = f0
-            else:
+            if not zoh:
                 a0 = j / substeps
                 a1 = (j + 0.5) / substeps
                 a2 = (j + 1.0) / substeps
-                fa = f0 + a0 * (f1 - f0)
-                fb = f0 + a1 * (f1 - f0)
-                fc = f0 + a2 * (f1 - f0)
+                fa = f0 + a0 * df
+                fb = f0 + a1 * df
+                fc = f0 + a2 * df
             k1v = accel(y, v, fa)
             k1y = v
-            k2v = accel(y + 0.5 * h * k1y, v + 0.5 * h * k1v, fb)
             k2y = v + 0.5 * h * k1v
-            k3v = accel(y + 0.5 * h * k2y, v + 0.5 * h * k2v, fb)
+            k2v = accel(y + 0.5 * h * k1y, k2y, fb)
             k3y = v + 0.5 * h * k2v
-            k4v = accel(y + h * k3y, v + h * k3v, fc)
+            k3v = accel(y + 0.5 * h * k2y, k3y, fb)
             k4y = v + h * k3v
+            k4v = accel(y + h * k3y, k4y, fc)
             y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > 1e12:
+        if not np.abs(y).max() <= 1e12:  # NaN fails too
             raise DataError("simulation diverged; the time step is too large for this system")
         Y[i + 1], V[i + 1] = y, v
-        A[i + 1] = accel(y, v, force[i + 1])
+        A[i + 1] = accel(y, v, rows[i + 1])
     return Y, V, A
 
 
@@ -112,8 +141,9 @@ def simulate_sdof(
     inside steps).  Returns the force as the exogenous channel and the
     displacement as the target.
     """
-    if m <= 0.0 or dt <= 0.0:
-        raise ValueError("mass and time step must be positive")
+    if not number("m", m) > 0.0:
+        raise ValueError(f"m takes a positive number, got {m!r}")
+    _check_steps(dt, substeps)  # before dt scales the noise
     if np.ndim(forcing) == 0:
         rng = np.random.default_rng(seed)
         force = float(forcing) / np.sqrt(dt) * rng.standard_normal(n_samples)
@@ -124,8 +154,8 @@ def simulate_sdof(
             raise ValueError("supplied forcing length must equal n_samples")
         zoh = False
     M = np.array([[float(m)]])
-    C = np.array([[float(c)]])
-    K = np.array([[float(k)]])
+    C = np.array([[number("c", c)]])
+    K = np.array([[number("k", k)]])
     Y, _, _ = _integrate(M, C, K, k3, force[:, None], dt, substeps, zoh,
                          y0=[y0], v0=[v0])
     return SequenceData(u=force[:, None], y=Y[:, 0], dt=dt)
@@ -209,7 +239,7 @@ def band_limited_force(
     omega = rng.uniform(band[0], band[1], n_components)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_components)
     amp = rng.uniform(0.5, 1.0, n_components)
-    t = np.arange(n_samples) * dt
+    t = np.arange(n_samples) * number("dt", dt)
     series = (amp[:, None] * np.cos(omega[:, None] * t[None, :] + phase[:, None])).sum(axis=0)
     return scale * series / np.std(series)
 

@@ -28,7 +28,7 @@ from math import gamma as gamma_fn
 
 import numpy as np
 
-from .registry import Registered, store_numbers
+from .registry import Registered, store_lists, store_numbers
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -44,8 +44,9 @@ def _as_matrix(X) -> np.ndarray:
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not np.all(np.isfinite(value)) or np.any(np.asarray(value) <= 0.0):
-        raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+    """``value`` is finite already, read by ``store_numbers`` or ``store_lists``."""
+    if np.any(value <= 0.0):
+        raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
 
 class Kernel(Registered):
@@ -121,9 +122,7 @@ class SquaredExponential(Kernel, family="squared_exponential"):
 
     def __post_init__(self):
         store_numbers(self, "signal_scale")
-        object.__setattr__(
-            self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
-        )
+        store_lists(self, "lengthscales")
         _require_positive(self.signal_scale, "signal_scale")
         _require_positive(self.lengthscales, "lengthscales")
 

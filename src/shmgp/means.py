@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import Registered, store_numbers
+from .registry import Registered, store_lists, store_numbers
 
 
 class MeanFunction(Registered):
@@ -47,7 +47,7 @@ class LinearMean(MeanFunction, form="linear"):
 
     def __post_init__(self):
         store_numbers(self, "intercept")
-        object.__setattr__(self, "slope", np.atleast_1d(np.asarray(self.slope, dtype=float)))
+        store_lists(self, "slope")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
+from .registry import count
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ class PsoConfig:
             raise ValueError("bounds must be a non-empty sequence of (lower, upper) pairs")
         if not np.all(b[:, 0] < b[:, 1]):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        if self.particles < 1 or self.iterations < 1:
-            raise ValueError("particle and iteration counts must be >= 1")
+        count("particles", self.particles, least=1)
+        count("iterations", self.iterations, least=1)
+        count("seed", self.seed)
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
 
 

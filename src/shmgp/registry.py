@@ -9,15 +9,48 @@ family="matern32")``, which adds it to the base's ``registry``.
 import numpy as np
 
 
+def _array(value) -> np.ndarray:
+    """``value`` as an array; a ragged list as one that no reader takes."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
+def number(name: str, value) -> np.float64:
+    """``value`` as a numpy float; ValueError naming ``name`` unless it is one
+    finite number."""
+    array = _array(value)
+    if array.ndim or array.dtype.kind not in "biuf" or not np.isfinite(array):
+        raise ValueError(f"{name} takes one finite number, got {value!r}")
+    return np.float64(array)
+
+
+def count(name: str, value, least: int = 0) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer, not a bool,
+    of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise ValueError(f"{name} takes {kind} integer, got {value!r}")
+
+
 def store_numbers(obj, *names: str) -> None:
     """Store each field ``names`` of the frozen dataclass ``obj`` as a numpy
-    float; a value that is not one finite number is a ValueError naming its
-    field."""
+    float (:func:`number`)."""
     for name in names:
-        value = np.asarray(getattr(obj, name))
-        if value.ndim or value.dtype.kind not in "biuf" or not np.isfinite(value):
-            raise ValueError(f"{name} takes one finite number, got {getattr(obj, name)!r}")
-        object.__setattr__(obj, name, np.float64(value))
+        object.__setattr__(obj, name, number(name, getattr(obj, name)))
+
+
+def store_lists(obj, *names: str) -> None:
+    """Store each field ``names`` of the frozen dataclass ``obj`` as a 1-D
+    float array; a value that is not one finite number or a list of them is a
+    ValueError naming its field."""
+    for name in names:
+        value = getattr(obj, name)
+        array = _array(value)
+        if array.ndim > 1 or array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+            raise ValueError(f"{name} takes one finite number or a list of them, got {value!r}")
+        object.__setattr__(obj, name, np.atleast_1d(np.asarray(array, dtype=float)))
 
 
 class Registered:

@@ -56,6 +56,8 @@ BAD_GENERATOR_PARAMS = [
     pytest.param(FAST_FORCE["data"], {"observed": [["displacement", 2]]}, id="mdof-observed-dof"),
     pytest.param(FAST_FORCE["data"], {"force_dof": 5}, id="mdof-force_dof"),
     pytest.param(FAST_FORCE["data"], {"dampings": [0.5]}, id="mdof-one-damper"),
+    pytest.param(FAST_FORCE["data"], {"substeps": 0}, id="mdof-substeps-0"),
+    pytest.param(FAST_FORCE["data"], {"dt": -0.05}, id="mdof-dt-negative"),
 ]
 
 TREND = json.loads((CONFIGS / "trend_zero_mean.json").read_text())
@@ -292,7 +294,20 @@ class TestFit:
                                   "sigma2": 1.0}}, "omega_n"),
         (FAST_CONFIG, {"mean": {"form": "linear", "intercept": "x", "slope": [1.0]}},
          "intercept"),
-    ], ids=["drag-string", "drag-list", "zeta-string", "omega_n-list", "intercept-string"])
+        # a list field takes one number or a list of them
+        (FAST_CONFIG, {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                                  "lengthscales": "x"}}, "lengthscales"),
+        (FAST_CONFIG, {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                                  "lengthscales": [[1.0], [1.0, 2.0]]}}, "lengthscales"),
+        (FAST_CONFIG, {"mean": {"form": "linear", "intercept": 0.0, "slope": "x"}}, "slope"),
+        # the latent-force prior, under its config names
+        (FAST_FORCE, {"sigma": "x"}, "sigma"),
+        (FAST_FORCE, {"sigma": [1.0, 2.0]}, "sigma"),
+        (FAST_FORCE, {"lengthscale": None}, "lengthscale"),
+        (FAST_FORCE, {"nu": "smooth"}, "nu"),
+    ], ids=["drag-string", "drag-list", "zeta-string", "omega_n-list", "intercept-string",
+            "lengthscales-string", "lengthscales-ragged", "slope-string", "sigma-string",
+            "sigma-list", "lengthscale-null", "nu-string"])
     def test_a_value_that_is_not_one_number_exits_2_naming_its_key(
             self, tmp_path, capsys, base, model, key):
         doc = dict(base, model={**base["model"], **model})
@@ -360,6 +375,39 @@ class TestFit:
         doc = dict(FAST_NARX, model={**FAST_NARX["model"], "mean": mean})
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        (name, key, value) for name in ("sdof_kernel_gp", "latent_force_3dof")
+        for key, value in (("substeps", 0), ("substeps", -1), ("substeps", 1.5), ("dt", -1.0),
+                           ("dt", 0.0))
+    ] + [("sdof_kernel_gp", "k3", None), ("sdof_kernel_gp", "k3", "x"),
+         ("latent_force_3dof", "dt", "x"), ("latent_force_3dof", "dt", None)])
+    def test_a_step_setting_that_cannot_integrate_exits_2_naming_it(
+            self, tmp_path, capsys, name, key, value):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc["data"]["params"][key] = value
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} takes " in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in CONFIGS.glob("*.json")
+        if "optimizer" in json.loads(path.read_text())))
+    @pytest.mark.parametrize("seed", ["x", [1], {}, -1, True, 1.5],
+                             ids=["string", "list", "object", "negative", "bool", "float"])
+    def test_a_swarm_seed_that_is_not_a_count_exits_2_naming_it(
+            self, tmp_path, capsys, name, seed):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc["optimizer"]["seed"] = seed
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optimizer: seed takes a non-negative integer")
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, change", BAD_GENERATOR_PARAMS)

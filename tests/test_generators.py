@@ -1,5 +1,8 @@
 """Synthetic generators: physical sanity oracles and reproducibility."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,108 @@ from shmgp.generators import (
 from shmgp.gp import Dataset
 from shmgp.narx import NarxConfig, SequenceData, build_lag_matrix, coverage_metric
 from shmgp.physics import morison_force
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _reference_integrate(M, C, K, k3, force, dt, substeps, zoh, y0, v0):
+    """RK4 on numpy arrays for every degree-of-freedom count, stage by stage
+    as the generators have always computed it: the bits they must keep."""
+    T, p = force.shape
+    Minv = np.linalg.inv(M)
+    y, v = np.array(y0, dtype=float), np.array(v0, dtype=float)
+    k3 = np.broadcast_to(np.asarray(k3, dtype=float), (p,))
+
+    def accel(yy, vv, ff):
+        return Minv @ (ff - C @ vv - K @ yy - k3 * yy**3)
+
+    Y, V, A = np.empty((T, p)), np.empty((T, p)), np.empty((T, p))
+    Y[0], V[0] = y, v
+    A[0] = accel(y, v, force[0])
+    h = dt / substeps
+    for i in range(T - 1):
+        f0, f1 = force[i], force[i if zoh else i + 1]
+        for j in range(substeps):
+            if zoh:
+                fa = fb = fc = f0
+            else:
+                fa = f0 + (j / substeps) * (f1 - f0)
+                fb = f0 + ((j + 0.5) / substeps) * (f1 - f0)
+                fc = f0 + ((j + 1.0) / substeps) * (f1 - f0)
+            k1v = accel(y, v, fa)
+            k1y = v
+            k2v = accel(y + 0.5 * h * k1y, v + 0.5 * h * k1v, fb)
+            k2y = v + 0.5 * h * k1v
+            k3v = accel(y + 0.5 * h * k2y, v + 0.5 * h * k2v, fb)
+            k3y = v + 0.5 * h * k2v
+            k4v = accel(y + h * k3y, v + h * k3v, fc)
+            k4y = v + h * k3v
+            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        Y[i + 1], V[i + 1] = y, v
+        A[i + 1] = accel(y, v, force[i + 1])
+    return Y, V, A
+
+
+def _assert_same_bits(got, want):
+    """Equal to the bit, so a -0.0 for a 0.0 fails too."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestReferenceBits:
+    """The generators against :func:`_reference_integrate`, bit for bit.  A
+    pinned hash would tie the records to one CPU's floating-point library;
+    the reference runs on the same one as the generator."""
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_shipped_sdof_record(self, seed):
+        params = json.loads((CONFIGS / "sdof_kernel_gp.json").read_text())["data"]["params"]
+        params = {**params, "seed": seed, "n_samples": 600}
+        assert params["substeps"] == 2 and params["k3"] == 200.0
+        seq = simulate_sdof(**params)
+        force = params["forcing"] / np.sqrt(params["dt"]) * \
+            np.random.default_rng(seed).standard_normal(600)
+        Y, _, _ = _reference_integrate(
+            np.array([[params["m"]]]), np.array([[params["c"]]]), np.array([[params["k"]]]),
+            params["k3"], force[:, None], params["dt"], 2, True, [0.0], [0.0])
+        _assert_same_bits(seq.u[:, 0], force)
+        _assert_same_bits(seq.y, Y[:, 0])
+
+    # a swing of about 1 cubes over a wide range, where a libm pow differs
+    # from numpy's cube at substeps 3
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_supplied_force_from_a_moving_start(self, substeps):
+        force = band_limited_force(300, 0.02, seed=5, band=(0.5, 3.0), scale=20.0)
+        seq = simulate_sdof(1.3, 0.4, 6.0, k3=50.0, forcing=force, dt=0.02, n_samples=300,
+                            substeps=substeps, y0=0.1, v0=-0.2)
+        Y, _, _ = _reference_integrate(np.array([[1.3]]), np.array([[0.4]]),
+                                       np.array([[6.0]]), 50.0, force[:, None], 0.02,
+                                       substeps, False, [0.1], [-0.2])
+        _assert_same_bits(seq.y, Y[:, 0])
+
+    @pytest.mark.parametrize("force", [np.zeros(40), -np.zeros(40)], ids=["+0", "-0"])
+    def test_one_mass_at_rest_from_a_negative_zero(self, force):
+        sim = simulate_mdof_chain([1.0], [0.5], [10.0], force=force, dt=0.01,
+                                  y0=[-0.0], v0=[-0.0])
+        want = _reference_integrate(np.array([[1.0]]), np.array([[0.5]]), np.array([[10.0]]),
+                                    0.0, force[:, None], 0.01, 1, False, [-0.0], [-0.0])
+        for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
+            _assert_same_bits(got, ref)
+
+    def test_three_mass_chain(self):
+        params = json.loads((CONFIGS / "latent_force_3dof.json").read_text())["data"]["params"]
+        force = band_limited_force(dt=params["dt"], **{**params["force"], "n_samples": 150})
+        sim = simulate_mdof_chain(force=force, **{k: v for k, v in params.items() if k != "force"})
+        F = np.zeros((150, 3))
+        F[:, 0] = force
+        s = sim.structure
+        want = _reference_integrate(s.mass, s.damping, s.stiffness, 0.0, F, params["dt"],
+                                    params["substeps"], False, np.zeros(3), np.zeros(3))
+        for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
+            _assert_same_bits(got, ref)
+
 
 
 class TestSimulateSdof:
@@ -57,6 +162,26 @@ class TestSimulateSdof:
         with pytest.raises(DataError):
             simulate_sdof(1.0, 0.0, 1e6, forcing=1.0, dt=0.5, n_samples=2000, seed=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("substeps", 0, "substeps takes a positive integer, got 0"),
+        ("substeps", -1, "substeps takes a positive integer, got -1"),
+        ("substeps", 1.5, "substeps takes a positive integer, got 1.5"),
+        ("substeps", True, "substeps takes a positive integer, got True"),
+        ("dt", 0.0, "dt takes a positive number, got 0.0"),
+        ("dt", -1.0, "dt takes a positive number, got -1.0"),
+        ("dt", "x", "dt takes one finite number, got 'x'"),
+        ("k3", None, "k3 takes one finite number, got None"),
+        ("k3", np.inf, "k3 takes one finite number, got inf"),
+        ("m", 0.0, "m takes a positive number, got 0.0"),
+        ("c", "x", "c takes one finite number, got 'x'"),
+    ])
+    def test_a_setting_that_cannot_integrate_names_its_key(self, key, value, message):
+        args = {"m": 1.0, "c": 0.5, "k": 10.0, "k3": 1.0, "dt": 0.01, "substeps": 2,
+                "n_samples": 50}
+        with pytest.raises(ValueError) as info:
+            simulate_sdof(**{**args, key: value})
+        assert str(info.value) == message
+
 
 class TestSimulateMdofChain:
     def test_zero_force_zero_response(self):
@@ -91,6 +216,13 @@ class TestSimulateMdofChain:
         )
         np.testing.assert_array_equal(sim.observations[:, 0], sim.displacements[:, 2])
         np.testing.assert_array_equal(sim.observations[:, 1], sim.velocities[:, 0])
+
+    @pytest.mark.parametrize("key, value", [("substeps", 0), ("substeps", 2.0), ("dt", -0.02),
+                                            ("dt", None)])
+    def test_a_step_setting_that_cannot_integrate_names_its_key(self, key, value):
+        args = {"dt": 0.02, "substeps": 2, key: value}
+        with pytest.raises(ValueError, match=rf"^{key} takes "):
+            simulate_mdof_chain([1.0, 1.0], [0.1, 0.1], [5.0, 4.0], force=np.zeros(20), **args)
 
     def test_noise_applied_per_channel(self):
         force = band_limited_force(300, 0.02, seed=3)

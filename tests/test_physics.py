@@ -138,6 +138,15 @@ def test_a_field_that_takes_one_number_names_itself(value):
             MorisonMean(**{"drag": 1.0, "inertia": 0.5, key: value})
 
 
+@pytest.mark.parametrize("value", ["x", [[1.0], [1.0, 2.0]], [1.0, None], {}],
+                         ids=["string", "ragged", "null-entry", "object"])
+def test_a_field_that_takes_a_list_names_itself(value):
+    with pytest.raises(ValueError, match=r"^lengthscales takes one finite number or a list"):
+        SquaredExponential(1.0, value)
+    with pytest.raises(ValueError, match=r"^slope takes one finite number or a list"):
+        LinearMean(0.0, value)
+
+
 class TestLinearMean:
     def test_zero_coefficients(self):
         assert LinearMean(0.0, [0.0, 0.0])([3.0, -1.0])[0] == 0.0

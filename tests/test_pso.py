@@ -72,6 +72,15 @@ def test_invalid_bounds_rejected():
         PsoConfig(bounds=[])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("seed", [1]), ("seed", {}), ("seed", -1), ("seed", True), ("seed", 1.5),
+    ("particles", 0), ("particles", 2.5), ("iterations", "x"), ("iterations", False),
+])
+def test_counts_are_integers(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} takes a (non-negative|positive) integer, got "):
+        PsoConfig(bounds=[(-1, 1)], **{key: value})
+
+
 def test_nonfinite_objective_treated_as_infinity():
     def patchy(x):
         return np.nan if x[0] > 0 else sphere(x)
