@@ -9,7 +9,7 @@ kernels and means (:mod:`shmgp.physics`), dynamic GP-NARX models
 (:mod:`shmgp.experiments`, :mod:`shmgp.cli`).
 """
 
-from .gp import Dataset, TrainedGp, fit_exact, log_marginal_likelihood, predict
+from .gp import Dataset, TrainedGp, fit_exact, predict
 from .kernels import Matern12, Matern32, SquaredExponential, build_gram, kernel_eval
 from .means import LinearMean, ZeroMean
 from .metrics import nmse
@@ -21,7 +21,6 @@ __all__ = [
     "TrainedGp",
     "fit_exact",
     "predict",
-    "log_marginal_likelihood",
     "SquaredExponential",
     "Matern12",
     "Matern32",

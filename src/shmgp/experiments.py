@@ -63,7 +63,7 @@ from .narx import (
 )
 from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
-from .registry import number
+from .registry import flag, number
 from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
 from .tuning import default_bounds, gls_linear_mean, tune_exact_gp, tuned_family
 
@@ -142,17 +142,17 @@ def _config_entry(group, where: str, name: str, entry):
 
 
 def _noise_var(value) -> float:
-    if not 0.0 <= float(value) < np.inf:
-        raise ValueError(f"noise_var must be finite and >= 0, got {value!r}")
+    if not number("noise_var", value) >= 0.0:
+        raise ValueError(f"noise_var takes a non-negative number, got {value!r}")
     return float(value)
 
 
 def _kernel(optimize=False, **entry):
     """model.kernel as (kernel, ard); a kernel to optimize is its family's class."""
     entry = {"family": DEFAULT_FAMILY, **entry}
-    if not optimize:
+    if not flag("optimize", optimize):
         return Kernel.from_dict(entry), False
-    ard = entry.pop("ard", False)
+    ard = flag("ard", entry.pop("ard", False))
     if len(entry) > 1:
         raise ValueError(f"a kernel to optimize takes only 'family' and 'ard', got {sorted(entry)}")
     return tuned_family(entry["family"], ard), ard

@@ -144,9 +144,11 @@ def simulate_sdof(
     if not number("m", m) > 0.0:
         raise ValueError(f"m takes a positive number, got {m!r}")
     _check_steps(dt, substeps)  # before dt scales the noise
+    count("n_samples", n_samples, least=1)
+    count("seed", seed)
     if np.ndim(forcing) == 0:
         rng = np.random.default_rng(seed)
-        force = float(forcing) / np.sqrt(dt) * rng.standard_normal(n_samples)
+        force = number("forcing", forcing) / np.sqrt(dt) * rng.standard_normal(n_samples)
         zoh = True
     else:
         force = np.asarray(forcing, dtype=float).reshape(-1)
@@ -157,7 +159,7 @@ def simulate_sdof(
     C = np.array([[number("c", c)]])
     K = np.array([[number("k", k)]])
     Y, _, _ = _integrate(M, C, K, k3, force[:, None], dt, substeps, zoh,
-                         y0=[y0], v0=[v0])
+                         y0=[number("y0", y0)], v0=[number("v0", v0)])
     return SequenceData(u=force[:, None], y=Y[:, 0], dt=dt)
 
 

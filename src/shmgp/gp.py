@@ -3,8 +3,8 @@
 Fitting conditions a GP prior (kernel + mean function) on training data.
 Nonzero prior means are handled by regressing on the residuals y - m(X) and
 adding m(X*) back at prediction time, which is algebraically identical to a
-GP with that prior mean.  A fitted model is immutable and safe to share
-across threads for prediction.
+GP with that prior mean.  A fitted model holds only what prediction reads,
+plus its lml; it is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class TrainedGp:
     mean: MeanFunction
     noise_var: float
     X: np.ndarray
-    y: np.ndarray
-    residual: np.ndarray
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float
@@ -142,43 +140,25 @@ def fit_exact(
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_var!r}")
     mean = mean if mean is not None else ZeroMean()
 
-    X, y = data.inputs, data.outputs
-    residual = y - mean(X)
+    X = data.inputs
+    residual = data.outputs - mean(X)
     if not np.all(np.isfinite(residual)):
         raise ValueError("prior mean is not finite at the training inputs")
     K = build_gram(kernel, X if stack is None else stack)
     add_to_diag(K, noise_var)
     L, jitter = chol_with_jitter(K, check_finite=False)  # build_gram scanned K
     alpha = cho_solve((L, True), residual, check_finite=False)
-    lml = _log_marginal(residual, alpha, L)
+    lml = float(-0.5 * residual @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * len(data) * LOG_2PI)
     return TrainedGp(
         kernel=kernel,
         mean=mean,
         noise_var=float(noise_var),
         X=X,
-        y=y,
-        residual=residual,
         chol=L,
         alpha=alpha,
         jitter=jitter,
         lml=lml,
     )
-
-
-def _log_marginal(residual: np.ndarray, alpha: np.ndarray, L: np.ndarray) -> float:
-    n = residual.shape[0]
-    return float(
-        -0.5 * residual @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI
-    )
-
-
-def log_marginal_likelihood(model: TrainedGp) -> float:
-    """Log marginal likelihood of the training outputs under the prior.
-
-    Recomputed from the stored triangular factor; identical to the value
-    cached at fit time.
-    """
-    return _log_marginal(model.residual, model.alpha, model.chol)
 
 
 def _predict_rows(n: int) -> int:

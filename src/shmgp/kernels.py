@@ -305,10 +305,9 @@ class SquaredDiffStack:
 
 
 # family name -> class; importing the package imports every module that
-# declares a family.  The JSON form's reader raises ValueError on an unknown
-# family or a wrong set of keys.
+# declares a family.  Kernel.from_dict, the JSON form's reader, raises
+# ValueError on an unknown family or a wrong set of keys.
 FAMILIES = Kernel.registry
-kernel_from_dict = Kernel.from_dict
 
 
 def kernel_eval(spec: Kernel, x, x_prime) -> float:

@@ -1,8 +1,10 @@
 """Fitted-model persistence and CSV interchange.
 
 Models are saved as a JSON description (kernel family, mean form, layout)
-next to an .npz holding the arrays.  All files are written to a temporary
-name and renamed into place, so a crash never leaves partial artifacts.
+next to an .npz of the arrays prediction reads; loading picks only those, so
+an .npz with more (earlier versions saved y and residual) still loads.  All
+files are written to a temporary name and renamed into place, so a crash
+never leaves partial artifacts.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ import numpy as np
 
 from .errors import DataError
 from .gp import TrainedGp
-from .kernels import kernel_from_dict
+from .kernels import Kernel
 from .means import MeanFunction
 from .narx import NarxConfig, NarxMode, NarxModel
 from .reduced_rank import DomainSpec, ReducedRankGp, eigenpairs, spectral_weights
+from .registry import count, number
 
 MODEL_JSON = "model.json"
 MODEL_NPZ = "model.npz"
 # arrays saved per model kind, with symbolic shapes checked on load
-GP_ARRAYS = {"X": ("n", "d"), "y": ("n",), "residual": ("n",), "chol": ("n", "n"), "alpha": ("n",)}
+GP_ARRAYS = {"X": ("n", "d"), "chol": ("n", "n"), "alpha": ("n",)}
 REDUCED_RANK_ARRAYS = {"weight_mean": ("M",), "weight_cov": ("M", "M")}
 
 
@@ -157,15 +160,15 @@ def load_model(directory):
 
 def _build_model(doc: dict, arrays: dict):
     kind = doc["type"]
-    kernel = kernel_from_dict(doc["kernel"])
+    kernel = Kernel.from_dict(doc["kernel"])
     if kind in ("exact_gp", "narx"):
         sizes = {"d": len(doc["input_columns"])} if kind == "exact_gp" else {}
         gp_model = TrainedGp(
             kernel=kernel,
             mean=MeanFunction.from_dict(doc["mean"]),
-            noise_var=doc["noise_var"],
-            jitter=doc["jitter"],
-            lml=doc["lml"],
+            noise_var=number("noise_var", doc["noise_var"]),
+            jitter=number("jitter", doc["jitter"]),
+            lml=number("lml", doc["lml"]),
             **_checked(arrays, GP_ARRAYS, sizes),
         )
         if kind == "exact_gp":
@@ -173,13 +176,16 @@ def _build_model(doc: dict, arrays: dict):
         spec = doc["narx"]
         cfg = NarxConfig(exog_lags=spec["exog_lags"], auto_lags=spec["auto_lags"],
                          mode=NarxMode.from_dict(spec["mode"]))
+        count("n_channels", spec["n_channels"], least=1)
+        if spec["n_channels"] != len(doc["input_columns"]):
+            raise ValueError(f"n_channels takes one per input column, got {spec['n_channels']}")
         return NarxModel(gp=gp_model, config=cfg, n_channels=spec["n_channels"])
     if kind == "reduced_rank":
         basis = spectral_weights(eigenpairs(DomainSpec(**doc["domain"])), kernel)
         return ReducedRankGp(
             basis=basis,
             kernel=kernel,
-            noise_var=doc["noise_var"],
+            noise_var=number("noise_var", doc["noise_var"]),
             **_checked(arrays, REDUCED_RANK_ARRAYS, {"M": basis.size}),
         )
     raise DataError(f"unknown model type {kind!r}")

@@ -5,6 +5,7 @@ outputs y_{t-1} ... y_{t-l_y} to y_t.  A grey-box mode (:class:`NarxMode`)
 sets how physics enters: not at all (black box), as the prior mean
 (residual mean) or as an extra regressor (input augmentation).
 
+A run fits the GP to :func:`training_data` as any exact GP, fixed or tuned.
 ``predict_osa`` uses measured output lags (one step ahead);
 ``simulate_free_run`` feeds posterior means back in place of measurements.
 """
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import gp
 from .gp import Dataset, TrainedGp
-from .kernels import Kernel
 from .means import MeanFunction, ZeroMean
 from .physics import MorisonMean, morison_force
 from .registry import Registered
@@ -176,15 +176,6 @@ def training_data(seq: SequenceData, cfg: NarxConfig) -> tuple[Dataset, MeanFunc
     """
     X, targets = build_lag_matrix(seq, cfg)
     return Dataset(X, targets), cfg.mode.mean
-
-
-def fit_narx(
-    seq: SequenceData, cfg: NarxConfig, kernel: Kernel, noise_var: float = 0.0
-) -> NarxModel:
-    """Fit the GP with fixed hyperparameters to :func:`training_data`."""
-    data, mean = training_data(seq, cfg)
-    model = gp.fit_exact(data, kernel, mean=mean, noise_var=noise_var)
-    return NarxModel(gp=model, config=cfg, n_channels=seq.u.shape[1])
 
 
 def predict_osa(model: NarxModel, seq: SequenceData) -> tuple[np.ndarray, np.ndarray]:

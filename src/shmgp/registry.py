@@ -34,6 +34,13 @@ def count(name: str, value, least: int = 0) -> None:
         raise ValueError(f"{name} takes {kind} integer, got {value!r}")
 
 
+def flag(name: str, value) -> bool:
+    """``value``; ValueError naming ``name`` unless it is true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} takes true or false, got {value!r}")
+    return value
+
+
 def store_numbers(obj, *names: str) -> None:
     """Store each field ``names`` of the frozen dataclass ``obj`` as a numpy
     float (:func:`number`)."""

@@ -2,7 +2,23 @@
 
 import pytest
 
-from shmgp import blas
+from shmgp import blas, gp
+from shmgp.narx import NarxModel, training_data
+
+
+@pytest.fixture(scope="session")
+def fit_narx():
+    """A function that fits a NARX model at fixed hyperparameters as a run
+    does: an exact GP on the lag regressors and prior mean of
+    ``training_data``, held with its config.  Session-scoped, so hypothesis
+    tests may take it."""
+
+    def fit(seq, cfg, kernel, noise_var=0.0):
+        data, mean = training_data(seq, cfg)
+        model = gp.fit_exact(data, kernel, mean=mean, noise_var=noise_var)
+        return NarxModel(gp=model, config=cfg, n_channels=seq.u.shape[1])
+
+    return fit
 
 
 @pytest.fixture

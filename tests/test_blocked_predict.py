@@ -17,7 +17,7 @@ from shmgp import gp
 from shmgp.gp import Dataset, fit_exact, predict
 from shmgp.kernels import SquaredExponential, build_gram
 from shmgp.means import LinearMean
-from shmgp.narx import BlackBox, NarxConfig, SequenceData, fit_narx, predict_osa
+from shmgp.narx import BlackBox, NarxConfig, SequenceData, predict_osa
 from shmgp.physics import SdofKernel
 from shmgp.reduced_rank import DomainSpec, fit_reduced, predict_reduced
 
@@ -97,7 +97,7 @@ def test_full_covariance_is_one_block(monkeypatch):
     np.testing.assert_allclose(np.diag(pred.cov), var, rtol=1e-8, atol=1e-12)
 
 
-def test_blocked_narx_one_step_ahead(monkeypatch):
+def test_blocked_narx_one_step_ahead(monkeypatch, fit_narx):
     rng = np.random.default_rng(2)
     T = 700
     U = np.sin(0.3 * np.arange(T)) + 0.1 * rng.standard_normal(T)

@@ -305,9 +305,13 @@ class TestFit:
         (FAST_FORCE, {"sigma": [1.0, 2.0]}, "sigma"),
         (FAST_FORCE, {"lengthscale": None}, "lengthscale"),
         (FAST_FORCE, {"nu": "smooth"}, "nu"),
+        (FAST_CONFIG, {"noise_var": "x"}, "noise_var"),
+        (FAST_TUNED, {"noise_var": [0.1, 0.2]}, "noise_var"),
+        (FIELD, {"noise_var": "x"}, "noise_var"),
     ], ids=["drag-string", "drag-list", "zeta-string", "omega_n-list", "intercept-string",
             "lengthscales-string", "lengthscales-ragged", "slope-string", "sigma-string",
-            "sigma-list", "lengthscale-null", "nu-string"])
+            "sigma-list", "lengthscale-null", "nu-string", "noise_var-string",
+            "noise_var-list-tuned", "reduced_rank-noise_var-string"])
     def test_a_value_that_is_not_one_number_exits_2_naming_its_key(
             self, tmp_path, capsys, base, model, key):
         doc = dict(base, model={**base["model"], **model})
@@ -315,6 +319,20 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{key} takes one finite number" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel, key", [
+        ({"family": "matern32", "optimize": "x"}, "optimize"),
+        ({"family": "matern32", "optimize": 1}, "optimize"),
+        ({"family": "matern32", "optimize": True, "ard": "x"}, "ard"),
+    ], ids=["optimize-string", "optimize-one", "ard-string"])
+    def test_a_switch_that_is_not_true_or_false_exits_2_naming_it(
+            self, tmp_path, capsys, kernel, key):
+        doc = dict(FAST_TUNED, model={**FAST_TUNED["model"], "kernel": kernel})
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} takes true or false" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("base, model", [
@@ -382,7 +400,10 @@ class TestFit:
         for key, value in (("substeps", 0), ("substeps", -1), ("substeps", 1.5), ("dt", -1.0),
                            ("dt", 0.0))
     ] + [("sdof_kernel_gp", "k3", None), ("sdof_kernel_gp", "k3", "x"),
-         ("latent_force_3dof", "dt", "x"), ("latent_force_3dof", "dt", None)])
+         ("latent_force_3dof", "dt", "x"), ("latent_force_3dof", "dt", None)] + [
+        ("sdof_kernel_gp", key, value) for key, value in (
+            ("y0", "x"), ("v0", [1, 2]), ("forcing", "x"), ("n_samples", "x"),
+            ("n_samples", -1), ("seed", "x"))])
     def test_a_step_setting_that_cannot_integrate_exits_2_naming_it(
             self, tmp_path, capsys, name, key, value):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -858,6 +879,16 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert "zeta takes one finite number" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("key, value", [("noise_var", "x"), ("jitter", [1]), ("lml", None)])
+    def test_saved_gp_value_that_is_not_one_number_exits_3_naming_its_key(
+            self, fitted, capsys, key, value):
+        doc = json.loads((fitted / "model.json").read_text())
+        doc[key] = value
+        (fitted / "model.json").write_text(json.dumps(doc))
+        assert self._predict(fitted) == 3
+        err = capsys.readouterr().err
+        assert f"{key} takes one finite number" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("mean", [
         {"form": "linear", "intercept": 1.0},  # missing slope
         {"form": "linear", "intercept": 1.0, "slope": [0.5], "scale": 2.0},  # extra key
@@ -878,7 +909,6 @@ class TestCorruptModel:
         ("alpha", lambda a: a[:-1]),
         ("chol", lambda a: a[:, :-1]),
         ("X", lambda a: np.column_stack([a, a])),
-        ("residual", lambda a: a[:, None]),
     ])
     def test_missing_or_misshapen_array_exits_3(self, fitted, name, change):
         with np.load(fitted / "model.npz") as npz:
@@ -890,7 +920,7 @@ class TestCorruptModel:
         np.savez(fitted / "model.npz", **arrays)
         assert self._predict(fitted) == 3
 
-    @pytest.mark.parametrize("name", ["alpha", "chol", "X", "residual"])
+    @pytest.mark.parametrize("name", ["alpha", "chol", "X"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_array_exits_3(self, fitted, name, value):
         # a NaN in alpha used to exit 0 and write NaN predictions
@@ -932,10 +962,11 @@ class TestCorruptModel:
 
 
 class TestPredictNarx:
-    def _saved_model(self, tmp_path):
+    @pytest.fixture
+    def saved_model(self, tmp_path, fit_narx):
         from shmgp.kernels import SquaredExponential
-        from shmgp.model_io import save_narx, write_csv
-        from shmgp.narx import NarxConfig, BlackBox, SequenceData, fit_narx
+        from shmgp.model_io import save_narx
+        from shmgp.narx import NarxConfig, BlackBox, SequenceData
 
         rng = np.random.default_rng(0)
         n = 50
@@ -949,10 +980,10 @@ class TestPredictNarx:
         save_narx(model_dir, model, ["U", "Udot"], "y")
         return model_dir, (np.arange(n) * 0.1, U, Ud, yv)
 
-    def test_one_step_ahead_from_csv(self, tmp_path, capsys):
+    def test_one_step_ahead_from_csv(self, tmp_path, saved_model, capsys):
         from shmgp.model_io import write_csv
 
-        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        model_dir, (t, U, Ud, yv) = saved_model
         write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
         out = tmp_path / "osa.csv"
         assert main(["predict", str(model_dir), str(tmp_path / "seq.csv"),
@@ -968,10 +999,10 @@ class TestPredictNarx:
         {"name": "augmented_morison", "drag": 1.0, "inertia": 0.5, "mass": 1.0},
         {"drag": 1.0, "inertia": 0.5},  # no name
     ])
-    def test_bad_saved_mode_exits_3(self, tmp_path, mode):
+    def test_bad_saved_mode_exits_3(self, tmp_path, saved_model, mode):
         from shmgp.model_io import write_csv
 
-        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        model_dir, (t, U, Ud, yv) = saved_model
         doc = json.loads((model_dir / "model.json").read_text())
         doc["narx"]["mode"] = mode
         (model_dir / "model.json").write_text(json.dumps(doc))
@@ -982,10 +1013,10 @@ class TestPredictNarx:
 
     @pytest.mark.parametrize("drag", ["x", [1.0, 2.0]], ids=["string", "list"])
     def test_saved_coefficient_that_is_not_one_number_exits_3_naming_it(
-            self, tmp_path, capsys, drag):
+            self, tmp_path, saved_model, capsys, drag):
         from shmgp.model_io import write_csv
 
-        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        model_dir, (t, U, Ud, yv) = saved_model
         doc = json.loads((model_dir / "model.json").read_text())
         doc["narx"]["mode"] = {"name": "residual_morison", "drag": drag, "inertia": 0.5}
         (model_dir / "model.json").write_text(json.dumps(doc))
@@ -994,14 +1025,76 @@ class TestPredictNarx:
         err = capsys.readouterr().err
         assert "drag takes one finite number" in err and len(err.strip().splitlines()) == 1
 
-    def test_nonuniform_time_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("n_channels, message", [
+        ("x", "n_channels takes a positive integer"), (0, "n_channels takes a positive integer"),
+        (3, "n_channels takes one per input column, got 3")], ids=["string", "zero", "three"])
+    def test_saved_channel_count_that_is_not_the_input_count_exits_3_naming_it(
+            self, tmp_path, saved_model, capsys, n_channels, message):
         from shmgp.model_io import write_csv
 
-        model_dir, (t, U, Ud, yv) = self._saved_model(tmp_path)
+        model_dir, (t, U, Ud, yv) = saved_model
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["narx"]["n_channels"] = n_channels
+        (model_dir / "model.json").write_text(json.dumps(doc))
+        write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
+        assert main(["predict", str(model_dir), str(tmp_path / "seq.csv")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    def test_nonuniform_time_exits_3(self, tmp_path, saved_model):
+        from shmgp.model_io import write_csv
+
+        model_dir, (t, U, Ud, yv) = saved_model
         t = t.copy()
         t[10] += 0.04  # breaks uniform sampling
         write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
         assert main(["predict", str(model_dir), str(tmp_path / "seq.csv")]) == 3
+
+
+class TestEarlierModelDirectory:
+    """Earlier versions also saved the training outputs ``y`` and residuals
+    ``residual`` in model.npz, between X and chol.  Loading reads only X,
+    chol and alpha, so such a directory predicts the same bytes."""
+
+    @pytest.mark.parametrize("kind", ["exact_gp", "narx"])
+    def test_saved_outputs_and_residuals_change_no_prediction_byte(
+            self, tmp_path, capsys, fit_narx, kind):
+        from shmgp import gp
+        from shmgp.kernels import SquaredExponential
+        from shmgp.means import LinearMean
+        from shmgp.model_io import save_exact_gp, save_narx, write_csv
+        from shmgp.narx import NarxConfig, ResidualMean, SequenceData, training_data
+        from shmgp.physics import MorisonMean
+
+        rng = np.random.default_rng(4)
+        t = np.arange(40) * 0.1
+        U = np.sin(0.4 * np.arange(40)) + 0.05 * rng.standard_normal(40)
+        Ud = np.gradient(U, 0.1)
+        yv = U * np.abs(U) + 0.3 * Ud
+        model_dir = tmp_path / "model"
+        if kind == "exact_gp":
+            data = gp.Dataset(np.column_stack([U, Ud]), yv)
+            mean = LinearMean(0.1, [1.0, 0.2])
+            save_exact_gp(model_dir, gp.fit_exact(data, SquaredExponential(1.0, 1.0), mean=mean,
+                                                   noise_var=1e-3), ["U", "Udot"], "y")
+        else:
+            seq = SequenceData(u=np.column_stack([U, Ud]), y=yv, dt=0.1)
+            cfg = NarxConfig(2, 2, ResidualMean(MorisonMean(1.0, 0.3)))
+            data, mean = training_data(seq, cfg)
+            save_narx(model_dir, fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=1e-3),
+                      ["U", "Udot"], "y")
+        write_csv(tmp_path / "seq.csv", ["time", "U", "Udot", "y"], [t, U, Ud, yv])
+        predict = ["predict", str(model_dir), str(tmp_path / "seq.csv"), "-o"]
+        assert main([*predict, str(tmp_path / "now.csv")]) == 0
+
+        with np.load(model_dir / "model.npz") as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        assert list(arrays) == ["X", "chol", "alpha"]
+        np.savez(model_dir / "model.npz", X=arrays["X"], y=data.outputs,
+                 residual=data.outputs - mean(data.inputs), chol=arrays["chol"],
+                 alpha=arrays["alpha"])
+        assert main([*predict, str(tmp_path / "earlier.csv")]) == 0
+        assert (tmp_path / "earlier.csv").read_bytes() == (tmp_path / "now.csv").read_bytes()
 
 
 class TestLatentForceCommand:

@@ -136,11 +136,10 @@ class TestModelPersistence:
         np.testing.assert_array_equal(gp.predict(model, Xs).var,
                                       gp.predict(loaded, Xs).var)
 
-    def test_narx_roundtrip(self, tmp_path):
+    def test_narx_roundtrip(self, tmp_path, fit_narx):
         from shmgp.kernels import SquaredExponential
         from shmgp.model_io import save_narx
-        from shmgp.narx import (NarxConfig, ResidualMean, SequenceData, fit_narx,
-                                predict_osa)
+        from shmgp.narx import NarxConfig, ResidualMean, SequenceData, predict_osa
         from shmgp.physics import MorisonMean
 
         rng = np.random.default_rng(2)

@@ -174,6 +174,13 @@ class TestSimulateSdof:
         ("k3", np.inf, "k3 takes one finite number, got inf"),
         ("m", 0.0, "m takes a positive number, got 0.0"),
         ("c", "x", "c takes one finite number, got 'x'"),
+        ("y0", "x", "y0 takes one finite number, got 'x'"),
+        ("v0", [1, 2], "v0 takes one finite number, got [1, 2]"),
+        ("forcing", "x", "forcing takes one finite number, got 'x'"),
+        ("n_samples", "x", "n_samples takes a positive integer, got 'x'"),
+        ("n_samples", -1, "n_samples takes a positive integer, got -1"),
+        ("n_samples", 0, "n_samples takes a positive integer, got 0"),
+        ("seed", "x", "seed takes a non-negative integer, got 'x'"),
     ])
     def test_a_setting_that_cannot_integrate_names_its_key(self, key, value, message):
         args = {"m": 1.0, "c": 0.5, "k": 10.0, "k3": 1.0, "dt": 0.01, "substeps": 2,

@@ -10,7 +10,6 @@ from shmgp.gp import (
     Dataset,
     chol_with_jitter,
     fit_exact,
-    log_marginal_likelihood,
     predict,
 )
 from shmgp.kernels import SquaredDiffStack, SquaredExponential, build_gram
@@ -175,11 +174,11 @@ class TestLogMarginalLikelihood:
     def test_identity_case(self):
         # n=1, residual 0, K + noise = 1 -> -0.5 log(2 pi)
         model = fit_exact(Dataset([[0.0]], [0.0]), SE(1.0, 1.0), noise_var=0.0)
-        assert log_marginal_likelihood(model) == pytest.approx(-0.9189385, abs=2e-7)
+        assert model.lml == pytest.approx(-0.9189385, abs=2e-7)
 
     def test_unit_variance_residual_two(self):
         model = fit_exact(Dataset([[0.0]], [2.0]), SE(1.0, 1.0), noise_var=0.0)
-        assert log_marginal_likelihood(model) == pytest.approx(
+        assert model.lml == pytest.approx(
             -2.0 - 0.5 * np.log(2 * np.pi), abs=1e-6
         )
 
@@ -189,7 +188,6 @@ class TestLogMarginalLikelihood:
         K = build_gram(kernel, data.inputs) + (noise + model.jitter) * np.eye(15)
         oracle = multivariate_normal.logpdf(data.outputs, mean=np.zeros(15), cov=K)
         assert model.lml == pytest.approx(oracle, rel=1e-10)
-        assert log_marginal_likelihood(model) == model.lml
 
     def test_invariant_to_row_permutation(self):
         data, kernel, noise = _random_problem(12, n=18)

@@ -14,13 +14,13 @@ from shmgp.kernels import (
     FAMILIES,
     GRAM_BLOCK_ENTRIES,
     GRAM_BLOCK_ROWS,
+    Kernel,
     Matern12,
     Matern32,
     SquaredDiffStack,
     SquaredExponential,
     build_gram,
     kernel_eval,
-    kernel_from_dict,
 )
 from shmgp.physics import SdofKernel, sdof_kernel_eval, spectral_density
 from shmgp.pso import decoder, log10_box
@@ -409,12 +409,12 @@ def test_family_contract(family, ard):
     assert type(kernel) is FAMILIES[family]
     doc = json.loads(json.dumps(kernel.to_dict()))
     assert set(doc) == SAVED_KEYS[family] and doc["family"] == family
-    again = kernel_from_dict(doc)
+    again = Kernel.from_dict(doc)
     np.testing.assert_array_equal(build_gram(again, X), build_gram(kernel, X))
     for broken in ({**doc, "extra": 1.0}, {k: v for k, v in doc.items() if k != "family"},
                    {k: v for k, v in list(doc.items())[:-1]}):
         with pytest.raises(ValueError):
-            kernel_from_dict(broken)
+            Kernel.from_dict(broken)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

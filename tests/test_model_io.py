@@ -32,7 +32,6 @@ from shmgp.narx import (
     NarxConfig,
     ResidualMean,
     SequenceData,
-    fit_narx,
     predict_osa,
 )
 from shmgp.physics import MorisonMean
@@ -93,7 +92,7 @@ def test_exact_gp_round_trip(tmp_path_factory, case):
 @ROUND_TRIP
 @given(mode=modes, lags=st.tuples(st.integers(0, 2), st.integers(1, 2)), scale=positive,
        ell=positive, noise_var=noise, seed=seeds)
-def test_narx_round_trip(tmp_path_factory, mode, lags, scale, ell, noise_var, seed):
+def test_narx_round_trip(tmp_path_factory, mode, lags, scale, ell, noise_var, seed, fit_narx):
     tmp_path = tmp_path_factory.mktemp("narx")
     rng = np.random.default_rng(seed)
     U = np.sin(0.4 * np.arange(30)) + 0.1 * rng.standard_normal(30)

@@ -15,7 +15,6 @@ from shmgp.narx import (
     SequenceData,
     build_lag_matrix,
     coverage_metric,
-    fit_narx,
     predict_osa,
     simulate_free_run,
 )
@@ -95,21 +94,21 @@ class TestBuildLagMatrix:
 
 
 class TestFitAndPredict:
-    def test_residual_mode_zero_residual_gives_zero_alpha(self):
+    def test_residual_mode_zero_residual_gives_zero_alpha(self, fit_narx):
         seq = _morison_sequence()
         seq = SequenceData(u=seq.u, y=morison_force(MORISON, seq.u[:, 0], seq.u[:, 1]), dt=seq.dt)
         cfg = NarxConfig(exog_lags=2, auto_lags=1, mode=ResidualMean(MORISON))
         model = fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=0.0)
         np.testing.assert_allclose(model.gp.alpha, 0.0, atol=1e-12)
 
-    def test_blackbox_learns_linear_ar1(self):
+    def test_blackbox_learns_linear_ar1(self, fit_narx):
         seq = _ar1_sequence()
         cfg = NarxConfig(exog_lags=0, auto_lags=1, mode=BlackBox())
         model = fit_narx(seq, cfg, SquaredExponential(5.0, 4.0), noise_var=1e-8)
         mean, _ = predict_osa(model, seq)
         np.testing.assert_allclose(mean, 0.5 * seq.y[:-1], atol=1e-3)
 
-    def test_osa_interpolates_training_sequence(self):
+    def test_osa_interpolates_training_sequence(self, fit_narx):
         seq = _morison_sequence()
         cfg = NarxConfig(exog_lags=2, auto_lags=2)
         model = fit_narx(seq, cfg, SquaredExponential(2.0, 2.0), noise_var=0.0)
@@ -117,7 +116,7 @@ class TestFitAndPredict:
         _, targets = build_lag_matrix(seq, cfg)
         assert nmse(targets, mean) <= 0.1
 
-    def test_residual_mode_with_zero_gp_weight_returns_morison(self):
+    def test_residual_mode_with_zero_gp_weight_returns_morison(self, fit_narx):
         seq = _morison_sequence()
         truth = morison_force(MORISON, seq.u[:, 0], seq.u[:, 1])
         exact = SequenceData(u=seq.u, y=truth, dt=seq.dt)
@@ -126,7 +125,7 @@ class TestFitAndPredict:
         mean, _ = predict_osa(model, exact)
         np.testing.assert_allclose(mean, truth[1:], atol=1e-10)
 
-    def test_osa_matches_gp_predict_composition(self):
+    def test_osa_matches_gp_predict_composition(self, fit_narx):
         seq = _morison_sequence(seed=3)
         cfg = NarxConfig(exog_lags=2, auto_lags=2, mode=ResidualMean(MORISON))
         model = fit_narx(seq, cfg, SquaredExponential(1.5, 1.5), noise_var=1e-4)
@@ -136,7 +135,7 @@ class TestFitAndPredict:
         np.testing.assert_array_equal(mean, pred.mean)
         np.testing.assert_array_equal(var, pred.var)
 
-    def test_residual_mode_equals_manual_residual_fit(self):
+    def test_residual_mode_equals_manual_residual_fit(self, fit_narx):
         seq = _morison_sequence(seed=5)
         cfg = NarxConfig(exog_lags=1, auto_lags=2, mode=ResidualMean(MORISON))
         kernel = SquaredExponential(1.2, 2.0)
@@ -152,21 +151,21 @@ class TestFitAndPredict:
 
 
 class TestFreeRun:
-    def test_geometric_decay_from_seed(self):
+    def test_geometric_decay_from_seed(self, fit_narx):
         seq = _ar1_sequence()
         cfg = NarxConfig(exog_lags=0, auto_lags=1, mode=BlackBox())
         model = fit_narx(seq, cfg, SquaredExponential(5.0, 4.0), noise_var=1e-8)
         traj = simulate_free_run(model, np.zeros((4, 0)), y_init=[8.0])
         np.testing.assert_allclose(traj, [4.0, 2.0, 1.0, 0.5], atol=1e-2)
 
-    def test_zero_response_model_stays_zero(self):
+    def test_zero_response_model_stays_zero(self, fit_narx):
         seq = SequenceData(u=np.zeros((30, 1)), y=np.zeros(30) + 0.0, dt=1.0)
         cfg = NarxConfig(exog_lags=1, auto_lags=1, mode=BlackBox())
         model = fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=0.0)
         traj = simulate_free_run(model, np.zeros((10, 1)), y_init=[0.0])
         np.testing.assert_allclose(traj, 0.0, atol=1e-12)
 
-    def test_free_run_feeds_back_the_posterior_mean(self):
+    def test_free_run_feeds_back_the_posterior_mean(self, fit_narx):
         seq = _morison_sequence(seed=4)
         cfg = NarxConfig(exog_lags=2, auto_lags=2, mode=InputAugmentation(MORISON))
         model = fit_narx(seq, cfg, SquaredExponential(1.5, 1.5), noise_var=1e-4)
@@ -179,7 +178,7 @@ class TestFreeRun:
             history.append(gp.predict(model.gp, row[None]).mean[0])
         np.testing.assert_array_equal(traj, history[2:])
 
-    def test_free_run_matches_osa_on_noise_free_linear_system(self):
+    def test_free_run_matches_osa_on_noise_free_linear_system(self, fit_narx):
         seq = _ar1_sequence(n=40)
         cfg = NarxConfig(exog_lags=0, auto_lags=1, mode=BlackBox())
         model = fit_narx(seq, cfg, SquaredExponential(5.0, 4.0), noise_var=1e-8)
@@ -187,14 +186,14 @@ class TestFreeRun:
         traj = simulate_free_run(model, np.zeros((21, 0)), y_init=[seq.y[0]])
         np.testing.assert_allclose(traj[:20], osa_mean[:20], atol=1e-2)
 
-    def test_trajectory_length(self):
+    def test_trajectory_length(self, fit_narx):
         seq = _morison_sequence(n=50)
         cfg = NarxConfig(exog_lags=3, auto_lags=2)
         model = fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=1e-4)
         traj = simulate_free_run(model, seq.u, y_init=seq.y[1:3])
         assert traj.shape[0] == len(seq) - cfg.exog_lags
 
-    def test_seed_length_mismatch(self):
+    def test_seed_length_mismatch(self, fit_narx):
         seq = _morison_sequence(n=50)
         cfg = NarxConfig(exog_lags=1, auto_lags=3)
         model = fit_narx(seq, cfg, SquaredExponential(1.0, 1.0), noise_var=1e-4)
