@@ -6,13 +6,15 @@ masses under a band-limited force, a bridge-deck style trend series with a
 declining temperature input, and a wave-loading record with amplitude
 regimes of varying severity.
 
-The oscillator and the chain integrate with one fixed-step 4th-order
-Runge-Kutta loop rather than exact discretisation, so their output does not
+The oscillator and the chain integrate with fixed-step 4th-order
+Runge-Kutta rather than exact discretisation, so their output does not
 share error sources with the state-space estimators, and all generators are
 bit-reproducible for a fixed (seed, parameters) pair.  With one degree of
-freedom the loop's state is a Python float rather than a length-1 array;
-every operation, the cube included, rounds as the array route does, so the
-records keep the array route's bits.
+freedom the RK4 state is a Python float rather than a length-1 array; every
+operation, the cube included, rounds as numpy arrays do, so the records keep
+the bits of stage-by-stage RK4 on arrays.  A chain applies the same RK4 as
+its exact per-sample map, which agrees with stage-by-stage stepping to
+rounding (about 1e-13 of each quantity's largest value).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import DataError
 from .gp import Dataset
 from .narx import SequenceData
 from .physics import MorisonMean, morison_force
-from .registry import count, number
+from .registry import count, number, numbers
 from .statespace import StructuralModel
 
 
@@ -51,14 +53,40 @@ def _check_steps(dt, substeps) -> None:
     count("substeps", substeps, least=1)
 
 
+def _rk4_sample(accel, y, v, f0, f1, h, substeps, zoh):
+    """``y, v`` advanced over one sample by ``substeps`` RK4 steps of size h,
+    the force held at ``f0`` (zoh) or linearly interpolated to ``f1``."""
+    fa = fb = fc = f0
+    df = f1 - f0
+    for j in range(substeps):
+        if not zoh:
+            fa = f0 + (j / substeps) * df
+            fb = f0 + ((j + 0.5) / substeps) * df
+            fc = f0 + ((j + 1.0) / substeps) * df
+        k1v = accel(y, v, fa)
+        k1y = v
+        k2y = v + 0.5 * h * k1v
+        k2v = accel(y + 0.5 * h * k1y, k2y, fb)
+        k3y = v + 0.5 * h * k2v
+        k3v = accel(y + 0.5 * h * k2y, k3y, fb)
+        k4y = v + h * k3v
+        k4v = accel(y + h * k3y, k4y, fc)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return y, v
+
+
 def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     """Fixed-step RK4 for M y'' + C y' + K y + k3 y^3 = F(t).
 
     ``force`` is a (T, p) series at the sample times; within a sample step
     it is either held (zoh) or linearly interpolated.  Returns displacement,
     velocity and acceleration arrays of shape (T, p).  With one degree of
-    freedom the state is a Python float, which gives the array state's bits
-    without a numpy call per operation.
+    freedom the state is a Python float, which gives the bits of RK4 on
+    1-element arrays without a numpy call per operation.  A chain (p > 1) is
+    linear, so one sample of the same RK4 is an affine map
+    x+ = Phi x + G0 f_i + G1 f_i+1 of the state x = [y; v]; one
+    :func:`_rk4_sample` on identity columns gives Phi, G0 and G1.
     """
     _check_steps(dt, substeps)
     T, p = force.shape
@@ -66,56 +94,45 @@ def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     y = np.zeros(p) if y0 is None else np.array(y0, dtype=float)
     v = np.zeros(p) if v0 is None else np.array(v0, dtype=float)
     k3 = number("k3", k3)
-
-    if p == 1:
-        minv, c, k, k3 = Minv.item(), C.item(), K.item(), float(k3)
-        y, v, rows = y.item(), v.item(), force[:, 0].tolist()
-        cube, three = np.empty(1), np.array(3.0)
-
-        def accel(yy, vv, ff):
-            # numpy's cube of a one-element array: on some builds it is
-            # neither libm's pow nor yy*yy*yy, and those change the records
-            cube[0] = yy
-            np.power(cube, three, out=cube)
-            # + 0.0 turns -0.0 into 0.0, as the 1x1 matrix product does
-            return minv * (ff - c * vv - k * yy - k3 * cube.item()) + 0.0
-    else:
-        rows = force
-
-        def accel(yy, vv, ff):
-            return Minv @ (ff - C @ vv - K @ yy - k3 * yy**3)
-
-    Y = np.empty((T, p))
-    V = np.empty((T, p))
-    A = np.empty((T, p))
-    Y[0], V[0] = y, v
-    A[0] = accel(y, v, rows[0])
     h = dt / substeps
+    diverged = "simulation diverged; the time step is too large for this system"
+    if p > 1:
+        if k3 != 0.0:
+            raise ValueError(f"a chain of {p} masses takes k3 = 0, got {k3}")
+        E = np.eye(4 * p)  # columns: y, v, f_i, f_i+1
+        step = np.vstack(_rk4_sample(lambda yy, vv, ff: Minv @ (ff - C @ vv - K @ yy),
+                                     E[:p], E[p:2 * p], E[2 * p:3 * p], E[3 * p:],
+                                     h, substeps, zoh))
+        Phi, G0, G1 = step[:, :2 * p], step[:, 2 * p:3 * p], step[:, 3 * p:]
+        X = np.empty((T, 2 * p))
+        X[0] = np.concatenate([y, v])
+        X[1:] = force[:-1] @ G0.T + force[1:] @ G1.T  # the loop adds Phi x_i
+        for i in range(T - 1):
+            X[i + 1] += Phi @ X[i]
+            if not np.abs(X[i + 1, :p]).max() <= 1e12:  # before an overflow; NaN fails too
+                raise DataError(diverged)
+        Y, V = X[:, :p], X[:, p:]
+        return Y, V, (force - V @ C.T - Y @ K.T) @ Minv.T
+
+    minv, c, k, k3 = Minv.item(), C.item(), K.item(), float(k3)
+    y, v, rows = y.item(), v.item(), force[:, 0].tolist()
+    cube, three = np.empty(1), np.array(3.0)
+
+    def accel(yy, vv, ff):
+        # numpy's cube of a one-element array: on some builds it is
+        # neither libm's pow nor yy*yy*yy, and those change the records
+        cube[0] = yy
+        np.power(cube, three, out=cube)
+        # + 0.0 turns -0.0 into 0.0, as the 1x1 matrix product does
+        return minv * (ff - c * vv - k * yy - k3 * cube.item()) + 0.0
+
+    Y, V, A = np.empty((3, T, 1))
+    Y[0], V[0], A[0] = y, v, accel(y, v, rows[0])
     for i in range(T - 1):
-        f0 = fa = fb = fc = rows[i]
-        df = rows[i + 1] - f0
-        for j in range(substeps):
-            if not zoh:
-                a0 = j / substeps
-                a1 = (j + 0.5) / substeps
-                a2 = (j + 1.0) / substeps
-                fa = f0 + a0 * df
-                fb = f0 + a1 * df
-                fc = f0 + a2 * df
-            k1v = accel(y, v, fa)
-            k1y = v
-            k2y = v + 0.5 * h * k1v
-            k2v = accel(y + 0.5 * h * k1y, k2y, fb)
-            k3y = v + 0.5 * h * k2v
-            k3v = accel(y + 0.5 * h * k2y, k3y, fb)
-            k4y = v + h * k3v
-            k4v = accel(y + h * k3y, k4y, fc)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not np.abs(y).max() <= 1e12:  # NaN fails too
-            raise DataError("simulation diverged; the time step is too large for this system")
-        Y[i + 1], V[i + 1] = y, v
-        A[i + 1] = accel(y, v, rows[i + 1])
+        y, v = _rk4_sample(accel, y, v, rows[i], rows[i + 1], h, substeps, zoh)
+        if not abs(y) <= 1e12:  # NaN fails too
+            raise DataError(diverged)
+        Y[i + 1], V[i + 1], A[i + 1] = y, v, accel(y, v, rows[i + 1])
     return Y, V, A
 
 
@@ -151,7 +168,7 @@ def simulate_sdof(
         force = number("forcing", forcing) / np.sqrt(dt) * rng.standard_normal(n_samples)
         zoh = True
     else:
-        force = np.asarray(forcing, dtype=float).reshape(-1)
+        force = numbers("forcing", forcing)
         if force.shape[0] != n_samples:
             raise ValueError("supplied forcing length must equal n_samples")
         zoh = False

@@ -10,7 +10,10 @@ import numpy as np
 
 
 def _array(value) -> np.ndarray:
-    """``value`` as an array; a ragged list as one that no reader takes."""
+    """``value`` as an array; a ragged list, or a list holding a bool, as one
+    that no reader takes (numpy would read a bool as 1 or 0)."""
+    if isinstance(value, list) and any(isinstance(x, bool) for x in value):
+        return np.asarray(None)
     try:
         return np.asarray(value)
     except ValueError:
@@ -21,7 +24,7 @@ def number(name: str, value) -> np.float64:
     """``value`` as a numpy float; ValueError naming ``name`` unless it is one
     finite number."""
     array = _array(value)
-    if array.ndim or array.dtype.kind not in "biuf" or not np.isfinite(array):
+    if array.ndim or array.dtype.kind not in "iuf" or not np.isfinite(array):
         raise ValueError(f"{name} takes one finite number, got {value!r}")
     return np.float64(array)
 
@@ -48,16 +51,20 @@ def store_numbers(obj, *names: str) -> None:
         object.__setattr__(obj, name, number(name, getattr(obj, name)))
 
 
+def numbers(name: str, value) -> np.ndarray:
+    """``value`` as a 1-D float array; ValueError naming ``name`` unless it is
+    one finite number or a list of them."""
+    array = _array(value)
+    if array.ndim > 1 or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError(f"{name} takes one finite number or a list of them, got {value!r}")
+    return np.atleast_1d(np.asarray(array, dtype=float))
+
+
 def store_lists(obj, *names: str) -> None:
     """Store each field ``names`` of the frozen dataclass ``obj`` as a 1-D
-    float array; a value that is not one finite number or a list of them is a
-    ValueError naming its field."""
+    float array (:func:`numbers`)."""
     for name in names:
-        value = getattr(obj, name)
-        array = _array(value)
-        if array.ndim > 1 or array.dtype.kind not in "biuf" or not np.isfinite(array).all():
-            raise ValueError(f"{name} takes one finite number or a list of them, got {value!r}")
-        object.__setattr__(obj, name, np.atleast_1d(np.asarray(array, dtype=float)))
+        object.__setattr__(obj, name, numbers(name, getattr(obj, name)))
 
 
 class Registered:

@@ -214,6 +214,13 @@ class TestGenerate:
                        "n_samples": 200}}, "gen.json")
         assert main(["generate", str(spec), "-o", str(tmp_path / "data")]) == 3
 
+    def test_diverged_chain_exits_3(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "generate_mdof.json").read_text())
+        doc["params"]["dt"] = 1.0
+        spec = _write_config(tmp_path, doc, "gen.json")
+        assert main(["generate", str(spec), "-o", str(tmp_path / "data")]) == 3
+        assert capsys.readouterr().err.startswith("data error: simulation diverged")
+
     def test_output_root_env_used(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SHMGP_OUTPUT_ROOT", str(tmp_path / "root"))
         spec = _write_config(tmp_path, {"generator": "trend",
@@ -308,10 +315,17 @@ class TestFit:
         (FAST_CONFIG, {"noise_var": "x"}, "noise_var"),
         (FAST_TUNED, {"noise_var": [0.1, 0.2]}, "noise_var"),
         (FIELD, {"noise_var": "x"}, "noise_var"),
+        # JSON true and false are not the numbers 1 and 0
+        (FAST_CONFIG, {"noise_var": True}, "noise_var"),
+        (FAST_CONFIG, {"kernel": {"family": "squared_exponential", "signal_scale": 1.0,
+                                  "lengthscales": [True]}}, "lengthscales"),
+        (FAST_CONFIG, {"mean": {"form": "linear", "intercept": 0.0, "slope": [1.0, False]}},
+         "slope"),
     ], ids=["drag-string", "drag-list", "zeta-string", "omega_n-list", "intercept-string",
             "lengthscales-string", "lengthscales-ragged", "slope-string", "sigma-string",
             "sigma-list", "lengthscale-null", "nu-string", "noise_var-string",
-            "noise_var-list-tuned", "reduced_rank-noise_var-string"])
+            "noise_var-list-tuned", "reduced_rank-noise_var-string", "noise_var-true",
+            "lengthscales-true", "slope-false"])
     def test_a_value_that_is_not_one_number_exits_2_naming_its_key(
             self, tmp_path, capsys, base, model, key):
         doc = dict(base, model={**base["model"], **model})
@@ -403,7 +417,8 @@ class TestFit:
          ("latent_force_3dof", "dt", "x"), ("latent_force_3dof", "dt", None)] + [
         ("sdof_kernel_gp", key, value) for key, value in (
             ("y0", "x"), ("v0", [1, 2]), ("forcing", "x"), ("n_samples", "x"),
-            ("n_samples", -1), ("seed", "x"))])
+            ("n_samples", -1), ("seed", "x"), ("y0", True), ("forcing", False),
+            ("forcing", ["x", 1.0]), ("forcing", [1.0, True]))])
     def test_a_step_setting_that_cannot_integrate_exits_2_naming_it(
             self, tmp_path, capsys, name, key, value):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -879,7 +894,8 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert "zeta takes one finite number" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("key, value", [("noise_var", "x"), ("jitter", [1]), ("lml", None)])
+    @pytest.mark.parametrize("key, value", [("noise_var", "x"), ("jitter", [1]), ("lml", None),
+                                            ("noise_var", True)])
     def test_saved_gp_value_that_is_not_one_number_exits_3_naming_its_key(
             self, fitted, capsys, key, value):
         doc = json.loads((fitted / "model.json").read_text())

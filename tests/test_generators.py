@@ -1,6 +1,7 @@
 """Synthetic generators: physical sanity oracles and reproducibility."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from shmgp.errors import DataError
 from shmgp.generators import (
+    _integrate,
     band_limited_force,
     generate_bounded_field,
     generate_trend_series,
@@ -23,8 +25,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _reference_integrate(M, C, K, k3, force, dt, substeps, zoh, y0, v0):
-    """RK4 on numpy arrays for every degree-of-freedom count, stage by stage
-    as the generators have always computed it: the bits they must keep."""
+    """RK4 on numpy arrays for every degree-of-freedom count, stage by stage:
+    the bits a one-mass record must keep, and what a chain must stay within
+    rounding of."""
     T, p = force.shape
     Minv = np.linalg.inv(M)
     y, v = np.array(y0, dtype=float), np.array(v0, dtype=float)
@@ -108,18 +111,53 @@ class TestReferenceBits:
         for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
             _assert_same_bits(got, ref)
 
-    def test_three_mass_chain(self):
-        params = json.loads((CONFIGS / "latent_force_3dof.json").read_text())["data"]["params"]
-        force = band_limited_force(dt=params["dt"], **{**params["force"], "n_samples": 150})
-        sim = simulate_mdof_chain(force=force, **{k: v for k, v in params.items() if k != "force"})
-        F = np.zeros((150, 3))
-        F[:, 0] = force
-        s = sim.structure
-        want = _reference_integrate(s.mass, s.damping, s.stiffness, 0.0, F, params["dt"],
-                                    params["substeps"], False, np.zeros(3), np.zeros(3))
-        for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
-            _assert_same_bits(got, ref)
 
+class TestChainSampleMap:
+    """A chain (p > 1) applies one RK4 sample as an exact affine map of the
+    state and the force rows, so its records agree with stage-by-stage RK4 to
+    rounding: within 1e-13 of the reference's largest value, per quantity."""
+
+    SHIPPED = json.loads((CONFIGS / "latent_force_3dof.json").read_text())["data"]["params"]
+
+    @staticmethod
+    def _assert_close_to_reference(sim, substeps, y0, v0):
+        s, p = sim.structure, sim.structure.ndof
+        F = np.zeros((len(sim.force), p))
+        F[:, s.force_dof] = sim.force
+        want = _reference_integrate(s.mass, s.damping, s.stiffness, 0.0, F, sim.dt, substeps,
+                                    False, y0, v0)
+        for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("start", ["rest", "moving"])
+    def test_shipped_three_mass_chain(self, substeps, start):
+        params = {k: v for k, v in self.SHIPPED.items() if k != "force"}
+        assert params["substeps"] == 4
+        force = band_limited_force(dt=params["dt"], **{**self.SHIPPED["force"], "n_samples": 400})
+        y0, v0 = ([0.0] * 3, [0.0] * 3) if start == "rest" else ([0.02, -0.01, 0.03],
+                                                                  [-0.5, 0.2, 0.1])
+        sim = simulate_mdof_chain(force=force, **{**params, "substeps": substeps},
+                                  y0=y0, v0=v0)
+        self._assert_close_to_reference(sim, substeps, y0, v0)
+
+    def test_two_mass_chain_driven_at_its_tip(self):
+        force = band_limited_force(300, 0.05, seed=4)
+        sim = simulate_mdof_chain([1.0, 1.0], [0.5, 0.5], [8.0, 6.0], force=force, dt=0.05,
+                                  force_dof=1, substeps=2, y0=[0.1, 0.0], v0=[0.0, -0.3])
+        self._assert_close_to_reference(sim, 2, [0.1, 0.0], [0.0, -0.3])
+
+    @pytest.mark.parametrize("dt", [1.0, 50.0])
+    def test_unstable_step_raises_before_any_overflow(self, dt):
+        params = {k: v for k, v in self.SHIPPED.items() if k not in ("force", "dt")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^simulation diverged"):
+                simulate_mdof_chain(force=np.ones(400), dt=dt, **params)
+
+    def test_a_chain_takes_no_cubic_spring(self):
+        with pytest.raises(ValueError, match="^a chain of 2 masses takes k3 = 0, got 1.0$"):
+            _integrate(np.eye(2), np.eye(2), np.eye(2), 1.0, np.zeros((5, 2)), 0.1, 1, False)
 
 
 class TestSimulateSdof:
