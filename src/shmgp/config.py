@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .registry import read_fields
 
 TASKS = ("exact_gp", "narx", "reduced_rank", "latent_force")
 
@@ -35,6 +36,7 @@ class ExperimentConfig:
             raise ConfigError("'data' section must be an object")
         if not isinstance(self.model, dict):
             raise ConfigError("'model' section must be an object")
+        read_fields(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -46,7 +48,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod

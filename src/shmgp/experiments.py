@@ -63,7 +63,7 @@ from .narx import (
 )
 from .pso import PsoConfig, override_box
 from .reduced_rank import DomainSpec, fit_reduced, predict_reduced
-from .registry import flag, number
+from .registry import Positive, number, numbers, reads
 from .statespace import FORCE_BOUNDS, FORCE_TUNED, StructuralModel, estimate_force
 from .tuning import default_bounds, gls_linear_mean, tune_exact_gp, tuned_family
 
@@ -147,15 +147,13 @@ def _noise_var(value) -> float:
     return float(value)
 
 
-def _kernel(optimize=False, **entry):
+@reads
+def _kernel(optimize: bool = False, **entry):
     """model.kernel as (kernel, ard); a kernel to optimize is its family's class."""
     entry = {"family": DEFAULT_FAMILY, **entry}
-    if not flag("optimize", optimize):
+    if not optimize:
         return Kernel.from_dict(entry), False
-    ard = flag("ard", entry.pop("ard", False))
-    if len(entry) > 1:
-        raise ValueError(f"a kernel to optimize takes only 'family' and 'ard', got {sorted(entry)}")
-    return tuned_family(entry["family"], ard), ard
+    return tuned_family(**entry), entry.get("ard", False)
 
 
 def _gp_prior(kernel=EMPTY, noise_var=0.0):
@@ -178,10 +176,10 @@ def _exact_gp_model(mean=EMPTY, **prior):
 def _narx_model(lags=None, mode="blackbox", morison=EMPTY, evaluation="free_run", **prior):
     """The narx model section: (NarxConfig, evaluation, GP prior).  model.morison
     holds the drag/inertia coefficients, which only Morison modes take."""
-    if evaluation not in EVALUATIONS:
+    if not isinstance(evaluation, str) or evaluation not in EVALUATIONS:
         raise ValueError(f"unknown evaluation {evaluation!r}; expected one of "
                          f"{sorted(EVALUATIONS)}")
-    if lags is not None and len(lags) != 2:
+    if lags is not None and (not isinstance(lags, list) or len(lags) != 2):
         raise ValueError(f"lags takes [exogenous, autoregressive] lag counts, got {lags!r}")
     mode = _config_entry(NarxMode, "model.mode/model.morison", mode, morison)
     return NarxConfig(*(lags or ()), mode=mode), evaluation, _gp_prior(**prior)
@@ -194,17 +192,17 @@ def _reduced_rank_model(domain, kernel=EMPTY, noise_var=1e-4):
             _noise_var(noise_var))
 
 
-def _force_model(observed, nu=1.5, sigma=1.0, lengthscale=1.0, noise_var=1e-4):
+@reads
+def _force_model(observed, nu: float = 1.5, sigma: Positive = 1.0, lengthscale: Positive = 1.0,
+                 noise_var=1e-4):
     """The latent_force model section: the Matern force prior of smoothness
     ``nu`` and the noise variance, one value or one per ``observed`` channel."""
     matern = {c.nu: c for c in FAMILIES.values() if hasattr(c, "nu")}
-    nu = float(number("nu", nu))
     if nu not in matern:
-        raise ValueError(f"nu {nu!r} names no Matern family; expected one of {sorted(matern)}")
-    prior = matern[nu](number("sigma", sigma), number("lengthscale", lengthscale))
-    noise_var = np.asarray(noise_var, dtype=float)
-    if (noise_var.shape not in ((), (1,), (len(observed),))
-            or not np.all(np.isfinite(noise_var) & (noise_var >= 0.0))):
+        raise ValueError(f"nu {nu} names no Matern family; expected one of {sorted(matern)}")
+    prior = matern[nu](sigma, lengthscale)
+    noise_var = (numbers if np.ndim(noise_var) else number)("noise_var", noise_var)
+    if np.size(noise_var) not in (1, len(observed)) or np.any(noise_var < 0.0):
         raise ValueError(f"noise_var takes one finite, non-negative value or one per observed "
                          f"channel ({len(observed)}), got {noise_var.tolist()}")
     return prior, noise_var
@@ -223,17 +221,18 @@ def _optimizer(config: ExperimentConfig, box: dict, names=None) -> tuple[dict, d
     return _checked("optimizer", read, config.optimizer or EMPTY)
 
 
-def _head_fraction(n: int, fraction=0.5) -> np.ndarray:
+@reads
+def _head_fraction(n: int, fraction: float = 0.5) -> np.ndarray:
     """Train on the first ``fraction`` of the rows, test on the rest."""
-    k = int(n * float(fraction))
+    k = int(n * fraction)
     if not 1 <= k < n:
         raise ValueError("head_fraction split leaves an empty train or test set")
     return np.arange(n) < k
 
 
-def _stride(n: int, stride=8) -> np.ndarray:
+@reads
+def _stride(n: int, stride: int = 8) -> np.ndarray:
     """Train on every ``stride``-th row from the first, test on the rest."""
-    stride = int(stride)
     if stride < 2:
         raise ValueError("stride split needs stride >= 2")
     return np.arange(n) % stride == 0
@@ -367,7 +366,7 @@ def _load_tabular(config: ExperimentConfig):
 
 def _split(dataset: Dataset, split_cfg: dict | None):
     def train_mask(type="head_fraction", **keys):
-        if type not in SPLITS:
+        if not isinstance(type, str) or type not in SPLITS:
             raise ValueError(f"unknown split type {type!r}; expected one of {sorted(SPLITS)}")
         return SPLITS[type](len(dataset), **keys)
 

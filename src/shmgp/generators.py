@@ -27,13 +27,12 @@ from .errors import DataError
 from .gp import Dataset
 from .narx import SequenceData
 from .physics import MorisonMean, morison_force
-from .registry import count, number, numbers
+from .registry import Count, Floats, Positive, Positives, number, numbers, reads
 from .statespace import StructuralModel
 
 
 def _chain_matrix(values) -> np.ndarray:
     """Tridiagonal chain matrix: element i couples dof i to dof i-1 (ground for i=0)."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
     p = values.shape[0]
     A = np.zeros((p, p))
     for i in range(p):
@@ -43,14 +42,6 @@ def _chain_matrix(values) -> np.ndarray:
             A[i, i + 1] = -values[i + 1]
             A[i + 1, i] = -values[i + 1]
     return A
-
-
-def _check_steps(dt, substeps) -> None:
-    """ValueError naming the key unless ``dt`` is a positive number and
-    ``substeps`` a positive integer."""
-    if not number("dt", dt) > 0.0:
-        raise ValueError(f"dt takes a positive number, got {dt!r}")
-    count("substeps", substeps, least=1)
 
 
 def _rk4_sample(accel, y, v, f0, f1, h, substeps, zoh):
@@ -88,12 +79,10 @@ def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     x+ = Phi x + G0 f_i + G1 f_i+1 of the state x = [y; v]; one
     :func:`_rk4_sample` on identity columns gives Phi, G0 and G1.
     """
-    _check_steps(dt, substeps)
     T, p = force.shape
     Minv = np.linalg.inv(M)
     y = np.zeros(p) if y0 is None else np.array(y0, dtype=float)
     v = np.zeros(p) if v0 is None else np.array(v0, dtype=float)
-    k3 = number("k3", k3)
     h = dt / substeps
     diverged = "simulation diverged; the time step is too large for this system"
     if p > 1:
@@ -136,16 +125,17 @@ def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     return Y, V, A
 
 
+@reads
 def simulate_sdof(
-    m: float,
+    m: Positive,
     c: float,
     k: float,
     k3: float = 0.0,
     forcing=1.0,
-    dt: float = 0.01,
-    n_samples: int = 1000,
+    dt: Positive = 0.01,
+    n_samples: Count = 1000,
     seed: int = 0,
-    substeps: int = 1,
+    substeps: Count = 1,
     y0: float = 0.0,
     v0: float = 0.0,
 ) -> SequenceData:
@@ -158,11 +148,6 @@ def simulate_sdof(
     inside steps).  Returns the force as the exogenous channel and the
     displacement as the target.
     """
-    if not number("m", m) > 0.0:
-        raise ValueError(f"m takes a positive number, got {m!r}")
-    _check_steps(dt, substeps)  # before dt scales the noise
-    count("n_samples", n_samples, least=1)
-    count("seed", seed)
     if np.ndim(forcing) == 0:
         rng = np.random.default_rng(seed)
         force = number("forcing", forcing) / np.sqrt(dt) * rng.standard_normal(n_samples)
@@ -172,11 +157,10 @@ def simulate_sdof(
         if force.shape[0] != n_samples:
             raise ValueError("supplied forcing length must equal n_samples")
         zoh = False
-    M = np.array([[float(m)]])
-    C = np.array([[number("c", c)]])
-    K = np.array([[number("k", k)]])
-    Y, _, _ = _integrate(M, C, K, k3, force[:, None], dt, substeps, zoh,
-                         y0=[number("y0", y0)], v0=[number("v0", v0)])
+    M = np.array([[m]])
+    C = np.array([[c]])
+    K = np.array([[k]])
+    Y, _, _ = _integrate(M, C, K, k3, force[:, None], dt, substeps, zoh, y0=[y0], v0=[v0])
     return SequenceData(u=force[:, None], y=Y[:, 0], dt=dt)
 
 
@@ -194,19 +178,20 @@ class MdofSimulation:
     dt: float
 
 
+@reads
 def simulate_mdof_chain(
-    masses,
-    dampings,
-    stiffnesses,
+    masses: Positives,
+    dampings: Floats,
+    stiffnesses: Positives,
     force: np.ndarray,
-    dt: float,
+    dt: Positive,
     force_dof: int = 0,
     observed: tuple = StructuralModel.observed,
-    noise_std=0.0,
+    noise_std: Floats = 0.0,
     seed: int = 0,
-    substeps: int = 1,
-    y0=None,
-    v0=None,
+    substeps: Count = 1,
+    y0: Floats | None = None,
+    v0: Floats | None = None,
 ) -> MdofSimulation:
     """Chain of masses (tridiagonal stiffness/damping) driven at one dof.
 
@@ -215,9 +200,13 @@ def simulate_mdof_chain(
     ``noise_std`` (scalar or one value per channel) corrupts those channels
     only.  The supplied force series is the ground truth returned for scoring.
     """
-    structure = StructuralModel(np.diag(np.atleast_1d(np.asarray(masses, dtype=float))),
-                                _chain_matrix(dampings), _chain_matrix(stiffnesses),
-                                force_dof, observed)
+    for name, values in dict(dampings=dampings, stiffnesses=stiffnesses, y0=y0, v0=v0).items():
+        if values is not None and len(values) != len(masses):
+            raise ValueError(f"{name} takes one value per entry of masses, got {values.tolist()}")
+    structure = StructuralModel(np.diag(masses), _chain_matrix(dampings),
+                                _chain_matrix(stiffnesses), force_dof, observed)
+    if np.size(noise_std) not in (1, len(structure.observed)):
+        raise ValueError(f"noise_std takes one value or one per channel, got {noise_std.tolist()}")
     force = np.asarray(force, dtype=float).reshape(-1)
     F = np.zeros((force.shape[0], structure.ndof))
     F[:, force_dof] = force
@@ -245,27 +234,31 @@ def simulate_mdof_chain(
     )
 
 
+@reads
 def band_limited_force(
-    n_samples: int,
-    dt: float,
+    n_samples: Count,
+    dt: Positive,
     seed: int = 0,
-    band=(0.5, 4.0),
+    band: Positives = (0.5, 4.0),
     scale: float = 1.0,
-    n_components: int = 40,
+    n_components: Count = 40,
 ) -> np.ndarray:
     """Smooth random series: superposition of cosines with random phases."""
+    if len(band) != 2 or not band[0] < band[1]:
+        raise ValueError(f"band takes a pair 0 < low < high, got {band.tolist()}")
     rng = np.random.default_rng(seed)
     omega = rng.uniform(band[0], band[1], n_components)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_components)
     amp = rng.uniform(0.5, 1.0, n_components)
-    t = np.arange(n_samples) * number("dt", dt)
+    t = np.arange(n_samples) * dt
     series = (amp[:, None] * np.cos(omega[:, None] * t[None, :] + phase[:, None])).sum(axis=0)
     return scale * series / np.std(series)
 
 
+@reads
 def generate_trend_series(
     seed: int = 0,
-    n_samples: int = 504,
+    n_samples: Count = 504,
     hours_per_sample: float = 2.0,
     noise_std: float = 0.15,
     temp_decline: float = 20.0,
@@ -318,10 +311,11 @@ class WaveRecord:
     test_window: slice
 
 
+@reads
 def generate_wave_loading(
     seed: int = 0,
-    dt: float = 0.25,
-    segment: int = 340,
+    dt: Positive = 0.25,
+    segment: Count = 340,
     drag: float = 1.0,
     inertia: float = 0.8,
     noise_std: float = 0.04,
@@ -373,15 +367,16 @@ def generate_wave_loading(
     )
 
 
+@reads
 def generate_bounded_field(
     seed: int = 0,
-    half_widths=(1.0, 1.0),
-    n_modes: int = 4,
-    lengthscale: float = 0.45,
+    half_widths: Positives = (1.0, 1.0),
+    n_modes: Count = 4,
+    lengthscale: Positive = 0.45,
     noise_std: float = 0.02,
-    train_grid: int = 5,
+    train_grid: Count = 5,
     train_extent: float = 0.5,
-    test_grid: int = 21,
+    test_grid: Count = 21,
 ) -> tuple[Dataset, Dataset]:
     """Smooth random field on a rectangle, pinned to zero on the boundary.
 

@@ -28,7 +28,7 @@ from math import gamma as gamma_fn
 
 import numpy as np
 
-from .registry import Registered, store_lists, store_numbers
+from .registry import Positive, Positives, Registered
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -43,17 +43,11 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _require_positive(value: float, name: str) -> None:
-    """``value`` is finite already, read by ``store_numbers`` or ``store_lists``."""
-    if np.any(value <= 0.0):
-        raise ValueError(f"{name} must be strictly positive, got {value!r}")
-
-
 class Kernel(Registered):
     """Interface shared by all covariance functions.
 
     A kernel family is one subclass declared with ``family="name"``; it owns
-    its JSON form (``keys`` lists the entries besides ``family``), spectral
+    its JSON form (its fields are the entries besides ``family``), spectral
     density and the default box of a tune, whose entries are its
     constructor's arguments in order.
 
@@ -116,15 +110,8 @@ class SquaredExponential(Kernel, family="squared_exponential"):
     scales).
     """
 
-    signal_scale: float = 1.0
-    lengthscales: float | np.ndarray = 1.0
-    keys = ("signal_scale", "lengthscales")
-
-    def __post_init__(self):
-        store_numbers(self, "signal_scale")
-        store_lists(self, "lengthscales")
-        _require_positive(self.signal_scale, "signal_scale")
-        _require_positive(self.lengthscales, "lengthscales")
+    signal_scale: Positive = 1.0
+    lengthscales: Positives = 1.0
 
     def check_input_dim(self, d: int) -> None:
         if self.lengthscales.shape[0] not in (1, d):
@@ -167,14 +154,8 @@ class _Matern(Kernel):
     """Matern kernel on Euclidean distance; subclasses set the half-integer
     smoothness ``nu`` and map the unscaled squared distances."""
 
-    signal_scale: float = 1.0
-    lengthscale: float = 1.0
-    keys = ("signal_scale", "lengthscale")
-
-    def __post_init__(self):
-        store_numbers(self, "signal_scale", "lengthscale")
-        _require_positive(self.signal_scale, "signal_scale")
-        _require_positive(self.lengthscale, "lengthscale")
+    signal_scale: Positive = 1.0
+    lengthscale: Positive = 1.0
 
     def spectral_density(self, lam):
         # isotropic: a function of |omega|^2 only

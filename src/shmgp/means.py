@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import Registered, store_lists, store_numbers
+from .registry import Floats, Registered
 
 
 class MeanFunction(Registered):
     """Interface: calling with an (n, d) matrix returns an n-vector.
 
     A mean form is one subclass declared with ``form="name"``; it owns its
-    JSON form (``keys`` lists the entries besides ``form``).
+    JSON form (its fields are the entries besides ``form``).
     """
 
     tag = "form"
@@ -42,12 +42,7 @@ class LinearMean(MeanFunction, form="linear"):
     """Affine prior mean m(x) = intercept + slope . x."""
 
     intercept: float
-    slope: np.ndarray
-    keys = ("intercept", "slope")
-
-    def __post_init__(self):
-        store_numbers(self, "intercept")
-        store_lists(self, "slope")
+    slope: Floats
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

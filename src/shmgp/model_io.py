@@ -159,10 +159,12 @@ def load_model(directory):
 
 
 def _build_model(doc: dict, arrays: dict):
-    kind = doc["type"]
+    kind, columns = doc["type"], doc["input_columns"]
+    if not (isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns)):
+        raise ValueError(f"input_columns takes a list of column names, got {columns!r}")
     kernel = Kernel.from_dict(doc["kernel"])
     if kind in ("exact_gp", "narx"):
-        sizes = {"d": len(doc["input_columns"])} if kind == "exact_gp" else {}
+        sizes = {"d": len(columns)} if kind == "exact_gp" else {}
         gp_model = TrainedGp(
             kernel=kernel,
             mean=MeanFunction.from_dict(doc["mean"]),
@@ -177,7 +179,7 @@ def _build_model(doc: dict, arrays: dict):
         cfg = NarxConfig(exog_lags=spec["exog_lags"], auto_lags=spec["auto_lags"],
                          mode=NarxMode.from_dict(spec["mode"]))
         count("n_channels", spec["n_channels"], least=1)
-        if spec["n_channels"] != len(doc["input_columns"]):
+        if spec["n_channels"] != len(columns):
             raise ValueError(f"n_channels takes one per input column, got {spec['n_channels']}")
         return NarxModel(gp=gp_model, config=cfg, n_channels=spec["n_channels"])
     if kind == "reduced_rank":

@@ -20,7 +20,7 @@ from . import gp
 from .gp import Dataset, TrainedGp
 from .means import MeanFunction, ZeroMean
 from .physics import MorisonMean, morison_force
-from .registry import Registered
+from .registry import Count, Positive, Registered, read_fields
 
 
 class NarxMode(Registered):
@@ -92,17 +92,11 @@ class NarxConfig:
     """
 
     exog_lags: int = 4
-    auto_lags: int = 4
+    auto_lags: Count = 4
     mode: NarxMode = BlackBox()
 
     def __post_init__(self):
-        if not (isinstance(self.exog_lags, int) and isinstance(self.auto_lags, int)):
-            raise ValueError(f"lag counts must be integers, got {self.exog_lags!r} "
-                             f"and {self.auto_lags!r}")
-        if self.exog_lags < 0:
-            raise ValueError("exogenous lag count must be >= 0")
-        if self.auto_lags < 1:
-            raise ValueError("autoregressive lag count must be >= 1")
+        read_fields(self)
 
     @property
     def first_index(self) -> int:
@@ -115,9 +109,10 @@ class SequenceData:
 
     u: np.ndarray
     y: np.ndarray
-    dt: float
+    dt: Positive
 
     def __post_init__(self):
+        read_fields(self)
         u = np.asarray(self.u, dtype=float)
         if u.ndim == 1:
             u = u.reshape(-1, 1)
@@ -126,8 +121,6 @@ class SequenceData:
             raise ValueError(f"series lengths differ: u has {u.shape[0]}, y has {y.shape[0]}")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ValueError("sequence contains non-finite entries")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError(f"sample interval must be positive, got {self.dt!r}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernels import Kernel, companion
 from .means import MeanFunction
-from .registry import store_numbers
+from .registry import Positive, read_fields
 
 
 def sdof_kernel_eval(kernel: SdofKernel, tau) -> float | np.ndarray:
@@ -62,18 +62,13 @@ class SdofKernel(Kernel, family="sdof"):
     """
 
     zeta: float
-    omega_n: float
-    sigma2: float
-    keys = ("zeta", "omega_n", "sigma2")
+    omega_n: Positive
+    sigma2: Positive
 
     def __post_init__(self):
-        store_numbers(self, *self.keys)
+        read_fields(self)
         if not (0.0 < self.zeta < 1.0):
             raise ValueError(f"damping ratio must lie in (0, 1), got {self.zeta!r}")
-        if self.omega_n <= 0.0:
-            raise ValueError(f"natural frequency must be positive, got {self.omega_n!r}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"forcing magnitude sigma2 must be positive, got {self.sigma2!r}")
 
     @property
     def omega_d(self) -> float:
@@ -127,10 +122,6 @@ class MorisonMean(MeanFunction, form="morison"):
 
     drag: float
     inertia: float
-    keys = ("drag", "inertia")
-
-    def __post_init__(self):
-        store_numbers(self, *self.keys)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .registry import count
+from .registry import Count, read_fields
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class PsoConfig:
     """
 
     bounds: tuple
-    particles: int = 30
-    iterations: int = 200
+    particles: Count = 30
+    iterations: Count = 200
     inertia: float = 0.72
     cognitive: float = 1.49
     social: float = 1.49
@@ -43,9 +43,7 @@ class PsoConfig:
             raise ValueError("bounds must be a non-empty sequence of (lower, upper) pairs")
         if not np.all(b[:, 0] < b[:, 1]):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        count("particles", self.particles, least=1)
-        count("iterations", self.iterations, least=1)
-        count("seed", self.seed)
+        read_fields(self)
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
 
 

@@ -24,6 +24,7 @@ from scipy.linalg import cho_solve
 from .errors import DomainError
 from .gp import Dataset, _predict_rows, chol_with_jitter
 from .kernels import Kernel, _as_matrix
+from .registry import Count, Positives, read_fields
 
 
 @dataclass(frozen=True)
@@ -35,24 +36,20 @@ class DomainSpec:
     the smallest eigenvalues.
     """
 
-    half_widths: np.ndarray
+    half_widths: Positives
     boundary: str = "dirichlet"
-    basis_counts: np.ndarray = 32
-    max_total: int | None = None
+    basis_counts: Positives = 32
+    max_total: Count | None = None
 
     def __post_init__(self):
-        L = np.atleast_1d(np.asarray(self.half_widths, dtype=float))
-        if np.any(L <= 0.0) or not np.all(np.isfinite(L)):
-            raise ValueError("half-widths must be positive and finite")
-        m = np.broadcast_to(np.asarray(self.basis_counts, dtype=int), L.shape).copy()
-        if np.any(m < 1):
-            raise ValueError("basis counts must be >= 1 in every dimension")
+        read_fields(self)
+        L, m = self.half_widths, self.basis_counts.astype(int)
+        if len(m) not in (1, len(L)) or np.any(m != self.basis_counts):
+            raise ValueError(f"basis_counts takes one positive integer or one per half-width, "
+                             f"got {self.basis_counts.tolist()}")
         if self.boundary not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.boundary!r}")
-        if self.max_total is not None and self.max_total < 1:
-            raise ValueError("max_total must be >= 1")
-        object.__setattr__(self, "half_widths", L)
-        object.__setattr__(self, "basis_counts", m)
+        object.__setattr__(self, "basis_counts", np.broadcast_to(m, L.shape).copy())
 
     @property
     def dim(self) -> int:

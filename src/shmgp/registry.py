@@ -4,7 +4,13 @@ Kernel families, mean forms and NARX modes are each a group: the group's
 base class sets ``tag``, the JSON key that tells its members apart, and a
 member is declared with that key, as in ``class Matern32(_Matern,
 family="matern32")``, which adds it to the base's ``registry``.
+
+A value's kind is declared by its annotation: :data:`READERS` gives its reader.
 """
+
+import functools
+import inspect
+import typing
 
 import numpy as np
 
@@ -20,21 +26,24 @@ def _array(value) -> np.ndarray:
         return np.asarray(None)
 
 
-def number(name: str, value) -> np.float64:
+def number(name: str, value, positive: bool = False) -> np.float64:
     """``value`` as a numpy float; ValueError naming ``name`` unless it is one
-    finite number."""
+    finite number, and above 0 if ``positive``."""
     array = _array(value)
     if array.ndim or array.dtype.kind not in "iuf" or not np.isfinite(array):
         raise ValueError(f"{name} takes one finite number, got {value!r}")
+    if positive and not array > 0.0:
+        raise ValueError(f"{name} takes a positive number, got {value!r}")
     return np.float64(array)
 
 
-def count(name: str, value, least: int = 0) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer, not a bool,
-    of at least ``least`` (0 or 1)."""
+def count(name: str, value, least: int = 0) -> int:
+    """``value``; ValueError naming ``name`` unless it is an integer, not a
+    bool, of at least ``least`` (0 or 1)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         kind = "a positive" if least else "a non-negative"
         raise ValueError(f"{name} takes {kind} integer, got {value!r}")
+    return value
 
 
 def flag(name: str, value) -> bool:
@@ -44,31 +53,60 @@ def flag(name: str, value) -> bool:
     return value
 
 
-def store_numbers(obj, *names: str) -> None:
-    """Store each field ``names`` of the frozen dataclass ``obj`` as a numpy
-    float (:func:`number`)."""
-    for name in names:
-        object.__setattr__(obj, name, number(name, getattr(obj, name)))
-
-
-def numbers(name: str, value) -> np.ndarray:
+def numbers(name: str, value, positive: bool = False) -> np.ndarray:
     """``value`` as a 1-D float array; ValueError naming ``name`` unless it is
-    one finite number or a list of them."""
+    one finite number or a list of them, each above 0 if ``positive``."""
     array = _array(value)
     if array.ndim > 1 or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ValueError(f"{name} takes one finite number or a list of them, got {value!r}")
+    if positive and not (array > 0.0).all():
+        raise ValueError(f"{name} takes positive numbers, got {value!r}")
     return np.atleast_1d(np.asarray(array, dtype=float))
 
 
-def store_lists(obj, *names: str) -> None:
-    """Store each field ``names`` of the frozen dataclass ``obj`` as a 1-D
-    float array (:func:`numbers`)."""
-    for name in names:
-        object.__setattr__(obj, name, numbers(name, getattr(obj, name)))
+Positive = typing.Annotated[float, "above 0"]
+Count = typing.Annotated[int, "at least 1"]
+Floats = typing.Annotated[np.ndarray, "one number or a list of them"]
+Positives = typing.Annotated[np.ndarray, "one number or a list of them, each above 0"]
+
+READERS = {float: number, Positive: functools.partial(number, positive=True),
+           int: count, Count: functools.partial(count, least=1), bool: flag,
+           Floats: numbers, Positives: functools.partial(numbers, positive=True),
+           Count | None: lambda name, value: value if value is None else count(name, value, 1),
+           Floats | None: lambda name, value: value if value is None else numbers(name, value)}
+
+
+@functools.cache
+def _readers(owner) -> dict:
+    """Name -> reader of each parameter or field of ``owner`` that declares a kind."""
+    kinds = typing.get_type_hints(owner, include_extras=True)
+    return {name: READERS[kind] for name, kind in kinds.items() if kind in READERS}
+
+
+def reads(function):
+    """``function`` with each argument passed read by its parameter's annotation."""
+    signature = inspect.signature(function)
+
+    @functools.wraps(function)
+    def read(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        for name, reader in _readers(function).items():
+            if name in bound.arguments:
+                bound.arguments[name] = reader(name, bound.arguments[name])
+        return function(*bound.args, **bound.kwargs)
+
+    return read
+
+
+def read_fields(obj) -> None:
+    """Store each field of the frozen dataclass ``obj`` as read by its annotation."""
+    for name, read in _readers(type(obj)).items():
+        object.__setattr__(obj, name, read(name, getattr(obj, name)))
 
 
 class Registered:
-    """A member's JSON form is its tag plus one plain value per key."""
+    """A member's JSON form is its tag plus one plain value per key; its keys
+    are its own annotated fields, in order, unless it sets ``keys``."""
 
     tag: str
     registry: dict
@@ -83,6 +121,11 @@ class Registered:
         elif name is not None:
             setattr(cls, cls.tag, name)
             cls.registry[name] = cls
+        if "keys" not in vars(cls) and inspect.get_annotations(cls):
+            cls.keys = tuple(inspect.get_annotations(cls))
+
+    def __post_init__(self):
+        read_fields(self)
 
     def values(self) -> list:
         return [getattr(self, k) for k in self.keys]
@@ -98,7 +141,7 @@ class Registered:
     @classmethod
     def member(cls, name) -> type:
         """The member registered under ``name``; ValueError if none is."""
-        if name not in cls.registry:
+        if not isinstance(name, str) or name not in cls.registry:
             raise ValueError(f"unknown {cls.tag} {name!r}; expected one of {sorted(cls.registry)}")
         return cls.registry[name]
 

@@ -25,6 +25,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from .errors import NumericalError
 from .kernels import Kernel, Matern32, companion
 from .pso import PsoConfig, decoder, log10_box, override_box, pso_minimize
+from .registry import Positive, count, reads
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Largest change of an updated-covariance entry between two updates, relative
@@ -66,10 +67,12 @@ class StructuralModel:
             raise ValueError(f"force_dof {self.force_dof} outside 0..{p - 1}")
         if len(self.observed) == 0:
             raise ValueError("observed lists no (kind, dof) pair; at least one is measured")
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.observed):
+            raise ValueError(f"observed takes [kind, dof] pairs, got {self.observed!r}")
         for kind, dof in self.observed:
             if kind not in ("displacement", "velocity", "acceleration"):
                 raise ValueError(f"unknown observed quantity {kind!r}")
-            if not 0 <= dof < p:
+            if count("observed dof", dof) >= p:
                 raise ValueError(f"observed dof {dof} outside 0..{p - 1}")
         object.__setattr__(self, "mass", M)
         object.__setattr__(self, "damping", C)
@@ -163,15 +166,14 @@ def augment(structural: StructuralModel, force_fragment: StateSpaceModel) -> Sta
                            m0=np.zeros(n), P0=P0, force_index=2 * p)
 
 
-def discretize(model: StateSpaceModel, dt: float) -> StateSpaceModel:
+@reads
+def discretize(model: StateSpaceModel, dt: Positive) -> StateSpaceModel:
     """Exact discrete pair (A_d, Q_d) for a fixed step.
 
     A_d = expm(A dt); Q_d = int_0^dt expm(A s) Lc q Lc' expm(A' s) ds via the
     Van Loan block exponential.  For A = 0 this reduces to A_d = I and
     Q_d = Lc q Lc' dt.
     """
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ValueError(f"time step must be positive and finite, got {dt!r}")
     n = model.state_dim
     Qc = model.q * (model.Lc @ model.Lc.T)
     block = np.zeros((2 * n, 2 * n))

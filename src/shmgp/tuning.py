@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram
 from .means import LinearMean, MeanFunction
 from .pso import PsoConfig, PsoResult, decoder, log10_box, override_box, pso_minimize
+from .registry import reads
 
 
 @dataclass
@@ -61,7 +62,8 @@ def default_bounds(
     return box
 
 
-def tuned_family(family: str, ard: bool) -> type:
+@reads
+def tuned_family(family: str, ard: bool = False) -> type:
     """The class of ``family``.  ``ard`` asks for one lengthscale per input:
     a ValueError for a family whose JSON keys have no ``lengthscales``."""
     cls = Kernel.member(family)

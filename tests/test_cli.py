@@ -446,6 +446,51 @@ class TestFit:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    # values no shipped config carries, each read by the annotation of the
+    # parameter or field that owns its key, and a chain's values, which must
+    # agree with each other: (config, path to the key, value, message)
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("sdof_kernel_gp", ("optimizer", "inertia"), "x", "inertia takes one finite number"),
+        ("sdof_kernel_gp", ("optimizer", "social"), None, "social takes one finite number"),
+        ("sdof_kernel_gp", ("optimizer", "cognitive"), True, "cognitive takes one finite number"),
+        ("reduced_rank_field", ("model", "domain", "max_total"), 2.5,
+         "max_total takes a positive integer"),
+        ("reduced_rank_field", ("model", "domain", "max_total"), "x",
+         "max_total takes a positive integer"),
+        ("trend_zero_mean", ("seed",), "x", "seed takes a non-negative integer"),
+        ("latent_force_3dof", ("data", "params", "y0"), [1.0, 2.0],
+         "y0 takes one value per entry of masses"),
+        ("latent_force_3dof", ("data", "params", "masses"), [1.0, True, 0.9],
+         "masses takes one finite number or a list of them"),
+        ("latent_force_3dof", ("data", "params", "stiffnesses"), [200.0, -180.0, 220.0],
+         "stiffnesses takes positive numbers"),
+        ("latent_force_3dof", ("data", "params", "noise_std"), [1e-4, 1e-4],
+         "noise_std takes one value or one per channel"),
+        ("latent_force_3dof", ("data", "params", "observed"), [["displacement", 0.0]],
+         "observed dof takes a non-negative integer"),
+        ("latent_force_3dof", ("data", "params", "observed"), [["displacement"]],
+         "observed takes [kind, dof] pairs"),
+        ("latent_force_3dof", ("data", "params", "force", "band"), [4.0, 0.5],
+         "band takes a pair 0 < low < high"),
+    ], ids=["inertia-string", "social-null", "cognitive-true", "max_total-fraction",
+            "max_total-string", "seed-string", "y0-two-of-three", "masses-true",
+            "stiffness-negative", "noise_std-two-of-three", "observed-dof-float",
+            "observed-no-dof", "band-reversed"])
+    def test_a_value_no_shipped_config_carries_exits_2_naming_its_key(
+            self, tmp_path, capsys, name, path, value, message):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc.get("optimizer", {}).update(SWARM)
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, change", BAD_GENERATOR_PARAMS)
     def test_bad_generator_params_exit_2(self, tmp_path, spec, change):
         base = FAST_CONFIG if spec is FAST_CONFIG["data"] else FAST_FORCE
@@ -904,6 +949,23 @@ class TestCorruptModel:
         assert self._predict(fitted) == 3
         err = capsys.readouterr().err
         assert f"{key} takes one finite number" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["exact_gp", "reduced_rank"])
+    @pytest.mark.parametrize("columns", [None, -1, True, "temperature", [], ["temperature", 1]],
+                             ids=["null", "negative", "true", "string", "empty", "number"])
+    def test_saved_input_columns_that_are_not_names_exit_3_naming_the_key(
+            self, fitted, tmp_path, capsys, kind, columns):
+        if kind == "reduced_rank":
+            fitted = tmp_path / "field"
+            assert main(["fit", str(_write_config(tmp_path, FIELD)), "-o", str(fitted)]) == 0
+        doc = json.loads((fitted / "model.json").read_text())
+        doc["input_columns"] = columns
+        (fitted / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._predict(fitted) == 3
+        err = capsys.readouterr().err
+        assert "input_columns takes a list of column names" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("mean", [
         {"form": "linear", "intercept": 1.0},  # missing slope
