@@ -318,7 +318,11 @@ def _generate(name, params: dict) -> dict:
                            for stem, ds in (("train", train), ("test", test))},
                 "inputs": inputs, "target": "y", "train": train, "test": test}
     if name == "mdof_chain":
-        force = band_limited_force(dt=params["dt"], **params.pop("force"))
+        force = params.pop("force")
+        if not isinstance(force, dict):
+            raise ValueError(f"force takes an object of band_limited_force parameters, "
+                             f"got {force!r}")
+        force = band_limited_force(dt=params["dt"], **force)
         sim = simulate_mdof_chain(force=force, **params)
         observed = [(f"{kind}_{dof}", column)
                     for (kind, dof), column in zip(sim.structure.observed, sim.observations.T)]
@@ -498,6 +502,8 @@ def _run_latent_force(config: ExperimentConfig):
     if data.get("generator") != "mdof_chain":
         raise ConfigError("latent_force task ingests the 'mdof_chain' generator")
     observed = data["params"].get("observed", StructuralModel.observed)
+    if not isinstance(observed, (list, tuple)):  # the model section counts its channels
+        raise ConfigError(f"data.params: observed takes [kind, dof] pairs, got {observed!r}")
     prior, noise_var = _checked("model", _force_model, config.model, observed=observed)
     bounds, swarm = (_optimizer(config, FORCE_BOUNDS, FORCE_TUNED) if config.optimizer is not None
                      else (None, {}))

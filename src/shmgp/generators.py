@@ -83,7 +83,7 @@ def _integrate(M, C, K, k3, force, dt, substeps, zoh, y0=None, v0=None):
     Minv = np.linalg.inv(M)
     y = np.zeros(p) if y0 is None else np.array(y0, dtype=float)
     v = np.zeros(p) if v0 is None else np.array(v0, dtype=float)
-    h = dt / substeps
+    h = float(dt) / substeps  # a numpy dt would make every step's arithmetic numpy's
     diverged = "simulation diverged; the time step is too large for this system"
     if p > 1:
         if k3 != 0.0:
@@ -391,6 +391,9 @@ def generate_bounded_field(
 
     rng = np.random.default_rng(seed)
     L = np.asarray(half_widths, dtype=float)
+    if L.shape != (2,):
+        raise ValueError(f"half_widths takes two numbers, one per side of the plate, "
+                         f"got {L.tolist()}")
     domain = DomainSpec(half_widths=L, boundary="dirichlet", basis_counts=n_modes)
     basis = spectral_weights(
         eigenpairs(domain), SquaredExponential(signal_scale=1.0, lengthscales=lengthscale)

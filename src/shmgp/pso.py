@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .blas import flush_subnormals
 from .errors import NumericalError
 from .registry import Count, read_fields
 
@@ -113,48 +114,52 @@ def pso_minimize(objective: Callable[[np.ndarray], float], cfg: PsoConfig) -> Ps
     The trace of global-best values is nonincreasing by construction, every
     evaluated position lies inside the box (positions are clamped after each
     velocity step), and runs are deterministic for a fixed seed.  Raises
-    NumericalError when no evaluation is finite.
+    NumericalError when no evaluation is finite.  The swarm runs under
+    :func:`~shmgp.blas.flush_subnormals`, so Gram entries and products below
+    2.2e-308 cost no microcode assists; only its objective values are
+    computed that way, not the model a caller refits from its answer.
     """
-    rng = np.random.default_rng(cfg.seed)
-    bounds = np.asarray(cfg.bounds)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    width = hi - lo
-    vmax = 0.5 * width  # keeps particles from thrashing against the box
+    with flush_subnormals():
+        rng = np.random.default_rng(cfg.seed)
+        bounds = np.asarray(cfg.bounds)
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        width = hi - lo
+        vmax = 0.5 * width  # keeps particles from thrashing against the box
 
-    pos = lo + width * rng.random((cfg.particles, len(lo)))
-    vel = vmax * (2.0 * rng.random((cfg.particles, len(lo))) - 1.0)
-
-    values = np.array([_safe_eval(objective, p) for p in pos])
-    pbest_pos = pos.copy()
-    pbest_val = values.copy()
-    g = int(np.argmin(pbest_val))
-    gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
-
-    trace = np.empty(cfg.iterations)
-    for it in range(cfg.iterations):
-        r1 = rng.random((cfg.particles, len(lo)))
-        r2 = rng.random((cfg.particles, len(lo)))
-        vel = (
-            cfg.inertia * vel
-            + cfg.cognitive * r1 * (pbest_pos - pos)
-            + cfg.social * r2 * (gbest_pos - pos)
-        )
-        np.clip(vel, -vmax, vmax, out=vel)
-        pos = np.clip(pos + vel, lo, hi)
+        pos = lo + width * rng.random((cfg.particles, len(lo)))
+        vel = vmax * (2.0 * rng.random((cfg.particles, len(lo))) - 1.0)
 
         values = np.array([_safe_eval(objective, p) for p in pos])
-        improved = values < pbest_val
-        pbest_pos[improved] = pos[improved]
-        pbest_val[improved] = values[improved]
-        g = int(np.argmin(pbest_val))  # particle-index-ordered, deterministic
-        if pbest_val[g] < gbest_val:
-            gbest_val = float(pbest_val[g])
-            gbest_pos = pbest_pos[g].copy()
-        trace[it] = gbest_val
+        pbest_pos = pos.copy()
+        pbest_val = values.copy()
+        g = int(np.argmin(pbest_val))
+        gbest_pos, gbest_val = pbest_pos[g].copy(), float(pbest_val[g])
 
-    if not np.isfinite(gbest_val):
-        raise NumericalError("no objective evaluation of the swarm was finite")
-    return PsoResult(best_params=gbest_pos, best_value=gbest_val, trace=trace)
+        trace = np.empty(cfg.iterations)
+        for it in range(cfg.iterations):
+            r1 = rng.random((cfg.particles, len(lo)))
+            r2 = rng.random((cfg.particles, len(lo)))
+            vel = (
+                cfg.inertia * vel
+                + cfg.cognitive * r1 * (pbest_pos - pos)
+                + cfg.social * r2 * (gbest_pos - pos)
+            )
+            np.clip(vel, -vmax, vmax, out=vel)
+            pos = np.clip(pos + vel, lo, hi)
+
+            values = np.array([_safe_eval(objective, p) for p in pos])
+            improved = values < pbest_val
+            pbest_pos[improved] = pos[improved]
+            pbest_val[improved] = values[improved]
+            g = int(np.argmin(pbest_val))  # particle-index-ordered, deterministic
+            if pbest_val[g] < gbest_val:
+                gbest_val = float(pbest_val[g])
+                gbest_pos = pbest_pos[g].copy()
+            trace[it] = gbest_val
+
+        if not np.isfinite(gbest_val):
+            raise NumericalError("no objective evaluation of the swarm was finite")
+        return PsoResult(best_params=gbest_pos, best_value=gbest_val, trace=trace)
 
 
 def _safe_eval(objective, params) -> float:

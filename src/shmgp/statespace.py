@@ -65,10 +65,11 @@ class StructuralModel:
             raise ValueError("stiffness matrix must be positive semi-definite")
         if not 0 <= self.force_dof < p:
             raise ValueError(f"force_dof {self.force_dof} outside 0..{p - 1}")
+        if not isinstance(self.observed, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.observed):
+            raise ValueError(f"observed takes [kind, dof] pairs, got {self.observed!r}")
         if len(self.observed) == 0:
             raise ValueError("observed lists no (kind, dof) pair; at least one is measured")
-        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.observed):
-            raise ValueError(f"observed takes [kind, dof] pairs, got {self.observed!r}")
         for kind, dof in self.observed:
             if kind not in ("displacement", "velocity", "acceleration"):
                 raise ValueError(f"unknown observed quantity {kind!r}")

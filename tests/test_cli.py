@@ -58,6 +58,8 @@ BAD_GENERATOR_PARAMS = [
     pytest.param(FAST_FORCE["data"], {"dampings": [0.5]}, id="mdof-one-damper"),
     pytest.param(FAST_FORCE["data"], {"substeps": 0}, id="mdof-substeps-0"),
     pytest.param(FAST_FORCE["data"], {"dt": -0.05}, id="mdof-dt-negative"),
+    pytest.param(FAST_FORCE["data"], {"observed": 5}, id="mdof-observed-not-a-list"),
+    pytest.param(FAST_FORCE["data"], {"force": "x"}, id="mdof-force-not-an-object"),
 ]
 
 TREND = json.loads((CONFIGS / "trend_zero_mean.json").read_text())
@@ -472,10 +474,19 @@ class TestFit:
          "observed takes [kind, dof] pairs"),
         ("latent_force_3dof", ("data", "params", "force", "band"), [4.0, 0.5],
          "band takes a pair 0 < low < high"),
+        ("reduced_rank_field", ("data", "params", "half_widths"), [1.0],
+         "data.params of generator 'bounded_field': ValueError: half_widths takes two"),
+        ("reduced_rank_field", ("data", "params", "half_widths"), [1.0, 1.0, 1.0],
+         "data.params of generator 'bounded_field': ValueError: half_widths takes two"),
+        ("latent_force_3dof", ("data", "params", "observed"), 5,
+         "data.params: observed takes [kind, dof] pairs"),
+        ("latent_force_3dof", ("data", "params", "force"), "x",
+         "data.params of generator 'mdof_chain': ValueError: force takes an object"),
     ], ids=["inertia-string", "social-null", "cognitive-true", "max_total-fraction",
             "max_total-string", "seed-string", "y0-two-of-three", "masses-true",
             "stiffness-negative", "noise_std-two-of-three", "observed-dof-float",
-            "observed-no-dof", "band-reversed"])
+            "observed-no-dof", "band-reversed", "half_widths-one", "half_widths-three",
+            "observed-not-a-list", "force-not-an-object"])
     def test_a_value_no_shipped_config_carries_exits_2_naming_its_key(
             self, tmp_path, capsys, name, path, value, message):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())

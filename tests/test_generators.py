@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shmgp import generators
 from shmgp.errors import DataError
 from shmgp.generators import (
     _integrate,
@@ -110,6 +111,20 @@ class TestReferenceBits:
                                     0.0, force[:, None], 0.01, 1, False, [-0.0], [-0.0])
         for got, ref in zip((sim.displacements, sim.velocities, sim.accelerations), want):
             _assert_same_bits(got, ref)
+
+    def test_numpy_step_gives_the_python_float_steps_bytes(self, monkeypatch):
+        """The ``Positive`` reader hands ``dt`` on as a numpy float; the
+        one-mass loop still steps in Python floats, with the same bytes."""
+        steps = []
+        rk4 = generators._rk4_sample
+        monkeypatch.setattr(generators, "_rk4_sample",
+                            lambda *args: steps.append(type(args[5])) or rk4(*args))
+        force = band_limited_force(300, 0.02, seed=5, band=(0.5, 3.0), scale=20.0)[:, None]
+        system = (np.array([[1.3]]), np.array([[0.4]]), np.array([[6.0]]), 50.0, force)
+        records = [np.array(_integrate(*system, dt, 2, False, [0.1], [-0.2]))
+                   for dt in (np.float64(0.02), 0.02)]
+        assert records[0].tobytes() == records[1].tobytes()
+        assert set(steps) == {float}
 
 
 class TestChainSampleMap:

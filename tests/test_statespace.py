@@ -181,6 +181,10 @@ class TestAugment:
         with pytest.raises(ValueError, match="observed"):
             StructuralModel(mass=[[1.0]], damping=[[0.1]], stiffness=[[1.0]], observed=())
 
+    def test_observed_that_is_not_a_list_rejected(self):
+        with pytest.raises(ValueError, match=r"observed takes \[kind, dof\] pairs, got 5"):
+            StructuralModel(mass=[[1.0]], damping=[[0.1]], stiffness=[[1.0]], observed=5)
+
 
 class TestDiscretize:
     def test_zero_drift_limit(self):

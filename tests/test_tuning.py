@@ -1,9 +1,11 @@
 """Hyperparameter search wrappers: bounds, profiled means, fixed noise."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from shmgp import blas, gp, tuning
+from shmgp import blas, gp, pso, tuning
 from shmgp.gp import Dataset, fit_exact
 from shmgp.kernels import FAMILIES, Matern32, SquaredExponential, build_gram
 from shmgp.pso import log10_box
@@ -121,6 +123,44 @@ def test_tune_fits_on_one_blas_thread(monkeypatch, two_threads):
     assert len(seen) == 2 * (3 * (2 + 1) + 1)  # a GLS profile and a fit per evaluation
     assert all(counts == [1] * two_threads for counts in seen)
     assert [get() for get, _ in blas._openblas()] == [2] * two_threads
+
+
+def _subnormal_gram_tune(monkeypatch, flush):
+    """An SE-ARD tune at d = 3 whose small lengthscales put Gram entries below
+    the smallest normal float, with the flush scope kept or made a no-op: its
+    swarm result and the number of subnormal entries of each Gram build, the
+    refit's last.  The entries are told by their bits (a zero exponent and a
+    non-zero fraction), since flushed arithmetic would read them as zero."""
+    built = []
+
+    def spy(*args, **kwargs):
+        K = real(*args, **kwargs)
+        bits = np.ascontiguousarray(K).view(np.uint64)
+        built.append(int(np.count_nonzero((bits >> 52 & 0x7FF == 0) & (bits << 12 != 0))))
+        return K
+
+    real = gp.build_gram
+    monkeypatch.setattr(gp, "build_gram", spy)
+    if not flush:
+        monkeypatch.setattr(pso, "flush_subnormals", contextlib.nullcontext)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, size=(40, 3))
+    data = Dataset(X, np.sin(X).sum(axis=1) + 0.05 * rng.standard_normal(40))
+    result = tune_exact_gp(data, "squared_exponential", ard=True, particles=6, iterations=5,
+                           seed=0)
+    monkeypatch.undo()
+    return result.pso, built
+
+
+def test_flushed_swarm_gives_the_bits_of_default_arithmetic(monkeypatch):
+    plain, plain_built = _subnormal_gram_tune(monkeypatch, flush=False)
+    flushed, flushed_built = _subnormal_gram_tune(monkeypatch, flush=True)
+    assert sum(n > 0 for n in plain_built[:-1]) >= 20  # of the swarm's 36 Gram builds
+    np.testing.assert_array_equal(flushed.trace, plain.trace)
+    np.testing.assert_array_equal(flushed.best_params, plain.best_params)
+    assert flushed.best_value == plain.best_value
+    if blas._fenv() is not None:  # the flush was on in the swarm, and off for the refit
+        assert not any(flushed_built[:-1]) and flushed_built[-1] == plain_built[-1] > 0
 
 
 @pytest.mark.parametrize("family", ["matern12", "matern32", "sdof"])
