@@ -94,12 +94,15 @@ def run_experiment(config, output_dir=None) -> MetricsReport:
         config = ExperimentConfig.from_json(config)
     out = resolve_output_dir(config.output_dir, output_dir, default_name)
 
-    runner = {
-        "exact_gp": _run_exact_gp,
-        "narx": _run_narx,
-        "reduced_rank": _run_reduced_rank,
-        "latent_force": _run_latent_force,
+    runner, sections = {  # the task's runner and the optional sections it reads
+        "exact_gp": (_run_exact_gp, ("split", "optimizer")),
+        "narx": (_run_narx, ("optimizer",)),
+        "reduced_rank": (_run_reduced_rank, ("split",)),
+        "latent_force": (_run_latent_force, ("optimizer",)),
     }[config.task]
+    for name in ("split", "optimizer"):
+        if name not in sections and getattr(config, name) is not None:
+            raise ConfigError(f"{name}: a {config.task} config takes no {name} section")
 
     start = time.perf_counter()
     report, artifacts = runner(config)
@@ -291,8 +294,7 @@ def _generate(name, params: dict) -> dict:
     """The frame of generator ``name``: under ``tables``, each CSV table that
     ``shmgp generate`` writes, as file stem -> (header, columns); the model's
     default ``inputs`` and ``target`` columns where it has them; and the
-    objects tasks read: the wave ``record``, the chain ``sim`` and the field's
-    ``train`` and ``test`` datasets."""
+    objects tasks read: the wave ``record`` and the chain ``sim``."""
     if name == "trend":
         ds = generate_trend_series(**params)
         inputs = ["temperature", "sin_daily", "cos_daily"]
@@ -316,7 +318,7 @@ def _generate(name, params: dict) -> dict:
         return {"tables": {stem: _table(("index", np.arange(len(ds), dtype=float)),
                                         *zip(inputs, ds.inputs.T), ("y", ds.outputs))
                            for stem, ds in (("train", train), ("test", test))},
-                "inputs": inputs, "target": "y", "train": train, "test": test}
+                "inputs": inputs, "target": "y"}
     if name == "mdof_chain":
         force = params.pop("force")
         if not isinstance(force, dict):
@@ -333,10 +335,13 @@ def _generate(name, params: dict) -> dict:
 
 
 def _load_tabular(config: ExperimentConfig):
-    """Dataset from a generator's ``data`` table or a CSV file, with the columns
-    data.inputs (a list of names) and data.target (one name); returns (dataset,
-    input names, target, name of the first column, which holds the timestamps).
-    A column a generator does not make, or a name of another type, is a
+    """The training and test sets of a tabular task, with the columns
+    data.inputs (a list of names) and data.target (one name) of a generator's
+    tables or a CSV file; returns (train, test, input names, target, name of
+    the first column, which holds the timestamps).  One ``data`` table, or the
+    file, is split by config.split; a generator's ``train`` and ``test`` tables
+    are its own split, so a split section next to them is a ConfigError.  A
+    column a generator does not make, or a name of another type, is a
     ConfigError; a column a CSV file lacks is a DataError."""
     data = _data(config, inputs=None, target=None)
     inputs, target = data["inputs"], data["target"]
@@ -346,26 +351,32 @@ def _load_tabular(config: ExperimentConfig):
                           f"data.target one name, got {inputs!r} and {target!r}")
     if "generator" in data:
         frame = _generated_frame(data)
-        if "data" not in frame["tables"] or "target" not in frame:
+        if "target" not in frame:
             raise ConfigError("generator does not produce tabular data for this task")
-        header, columns = frame["tables"]["data"]
-        table = np.column_stack(columns)
+        header = next(iter(frame["tables"].values()))[0]  # the field's two tables share it
+        tables = {stem: np.column_stack(columns) for stem, (_, columns) in frame["tables"].items()}
         inputs = frame["inputs"] if inputs is None else inputs
         target = frame["target"] if target is None else target
     else:
         header, table = model_io.read_csv(data["path"])
+        tables = {"data": table}
         target = "y" if target is None else target
         if inputs is None:
             inputs = [h for h in header[1:] if h != target]
     try:
-        X = np.column_stack([table[:, header.index(c)] for c in inputs])
-        y = table[:, header.index(target)]
+        sets = {stem: Dataset(np.column_stack([table[:, header.index(c)] for c in inputs]),
+                              table[:, header.index(target)], timestamps=table[:, 0])
+                for stem, table in tables.items()}
     except ValueError as exc:
         if "generator" in data:
             raise ConfigError(f"data.inputs and data.target name columns out of "
                               f"{sorted(header)}: {type(exc).__name__}: {exc}") from exc
         raise DataError(f"column missing from {data['path']}: {exc}") from exc
-    return Dataset(X, y, timestamps=table[:, 0]), inputs, target, header[0]
+    if "data" in sets:
+        sets["train"], sets["test"] = _split(sets["data"], config.split)
+    elif config.split is not None:
+        raise ConfigError(f"split: generator {data['generator']!r} makes its own split")
+    return sets["train"], sets["test"], inputs, target, header[0]
 
 
 def _split(dataset: Dataset, split_cfg: dict | None):
@@ -403,7 +414,7 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None
                   profile_mean=False):
     kernel, ard, noise_var = prior
     # an optimizer section next to a fixed kernel is unused, but held to the same checks
-    bounds, swarm = _optimizer(config, default_bounds(kernel.family, train, ard, dt))
+    bounds, swarm = _optimizer(config, default_bounds(kernel.family, train, ard, dt, noise_var))
     if isinstance(kernel, Kernel):
         if profile_mean:
             mean = gls_linear_mean(train, kernel, noise_var)
@@ -415,14 +426,14 @@ def _fit_gp_model(config: ExperimentConfig, train: Dataset, prior, mean, dt=None
 
 def _run_exact_gp(config: ExperimentConfig):
     prior, mean, profile_mean = _checked("model", _exact_gp_model, config.model)
-    dataset, input_cols, target, index_col = _load_tabular(config)
-    train, test = _split(dataset, config.split)
+    train, test, input_cols, target, index_col = _load_tabular(config)
     if mean is not None:
         try:
             mean(train.inputs)
         except ValueError as exc:
             raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
-    dt = float(np.median(np.diff(np.sort(dataset.timestamps)))) if len(dataset) > 1 else None
+    # the median time step of every row, not only of the training rows
+    dt = float(np.median(np.diff(np.sort(np.concatenate([train.timestamps, test.timestamps])))))
     model, params = _fit_gp_model(config, train, prior, mean, dt=dt, profile_mean=profile_mean)
 
     pred = gp.predict(model, test.inputs)
@@ -476,22 +487,14 @@ def _run_narx(config: ExperimentConfig):
 
 def _run_reduced_rank(config: ExperimentConfig):
     domain, kernel, noise_var = _checked("model", _reduced_rank_model, config.model)
-    if config.data.get("generator") == "bounded_field":
-        frame = _generated_frame(_data(config))
-        train, test = frame["train"], frame["test"]
-        input_cols, target = frame["inputs"], frame["target"]
-        index = ("index", np.arange(len(test), dtype=float))
-    else:
-        dataset, input_cols, target, index_col = _load_tabular(config)
-        train, test = _split(dataset, config.split)
-        index = (index_col, test.timestamps)
+    train, test, input_cols, target, index_col = _load_tabular(config)
     if domain.dim != train.inputs.shape[1]:
         raise ConfigError(f"model.domain is {domain.dim}-D but data.inputs have dimension "
                           f"{train.inputs.shape[1]}")
     model = fit_reduced(train, domain, kernel, noise_var)
     mean_pred, var_pred = predict_reduced(model, test.inputs)
     return _run_record(
-        index, "y", test.outputs, mean_pred, var_pred,
+        (index_col, test.timestamps), "y", test.outputs, mean_pred, var_pred,
         {"task": "reduced_rank", "basis_size": model.basis.size},
         save_model=lambda out: model_io.save_reduced_rank(out, model, input_cols, target),
         coverage_percent=coverage_metric(train, test))

@@ -51,14 +51,16 @@ def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
 
 
 def default_bounds(
-    family: str, data: gp.Dataset, ard: bool = False, dt: float | None = None
+    family: str, data: gp.Dataset, ard: bool = False, dt: float | None = None,
+    noise_var: float | None = None,
 ) -> dict:
     """Likely hyperparameter ranges for a family, derived from the data: the
     family's box, whose entries are its constructor's arguments in order,
-    then ``noise_var``."""
+    then ``noise_var`` unless the noise is fixed at a given ``noise_var``."""
     y_var = max(float(np.var(data.outputs)), 1e-12)
     box = Kernel.member(family).default_bounds(data.inputs, y_var, ard, dt)
-    box["noise_var"] = (1e-8 * y_var, y_var)
+    if noise_var is None:
+        box["noise_var"] = (1e-8 * y_var, y_var)
     return box
 
 
@@ -93,7 +95,8 @@ def tune_exact_gp(
     lengthscale per input (:func:`tuned_family`).
     ``noise_var`` fixes the observation noise when given; when None it is
     optimised alongside the kernel.  ``bounds`` override the defaults by
-    name, as :func:`pso.override_box` allows.
+    name, as :func:`pso.override_box` allows; a given ``noise_var`` is no
+    row of the box, so a bound on it is a ValueError.
     With ``profile_linear_mean`` the affine prior-mean coefficients are
     profiled out by GLS at every objective evaluation instead of being
     supplied through ``mean``.  The other swarm settings (``particles``,
@@ -108,9 +111,7 @@ def tune_exact_gp(
     The caller's thread counts come back when the tune returns or raises.
     """
     cls = tuned_family(family, ard)
-    box = override_box(default_bounds(family, data, ard=ard, dt=dt), bounds)
-    if noise_var is not None:
-        del box["noise_var"]
+    box = override_box(default_bounds(family, data, ard, dt, noise_var), bounds)
     cfg = PsoConfig(bounds=log10_box(box), iterations=iterations, **swarm)
     decode = decoder(box)
 

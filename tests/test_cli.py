@@ -64,6 +64,7 @@ BAD_GENERATOR_PARAMS = [
 
 TREND = json.loads((CONFIGS / "trend_zero_mean.json").read_text())
 FIELD = json.loads((CONFIGS / "reduced_rank_field.json").read_text())
+FIELD_GP = json.loads((CONFIGS / "field_exact_gp.json").read_text())
 FAST_TUNED = dict(FAST_CONFIG, optimizer={"particles": 2, "iterations": 1},
                   model={"kernel": {"family": "squared_exponential", "optimize": True},
                          "noise_var": 0.5})
@@ -72,6 +73,22 @@ FAST_TUNED = dict(FAST_CONFIG, optimizer={"particles": 2, "iterations": 1},
 def _with(doc, section, **changes):
     return {**doc, section: {**doc[section], **changes}}
 
+
+# a section the task does not read, and a bound on a noise variance that is
+# not tuned, as id -> (config, the key its one-line message names)
+UNUSED_SECTIONS = {
+    "narx-split": (dict(FAST_NARX, split={"type": "bogus"}), "split"),
+    "latent_force-split": (dict(FAST_FORCE, split={"type": "bogus"}), "split"),
+    "reduced_rank-optimizer": (dict(FIELD, optimizer={"particles": 0}), "optimizer"),
+    # the field's own train and test tables are its split
+    "bounded_field-reduced_rank-split": (dict(FIELD, split={"type": "head_fraction"}), "split"),
+    "bounded_field-exact_gp-split": (dict(FIELD_GP, split={"type": "head_fraction"}), "split"),
+    "bounds-noise_var-fixed-noise": (
+        _with(_with(TREND, "model", noise_var=0.01), "optimizer",
+              bounds={"noise_var": [1e-3, 0.1]}), "noise_var"),
+    "bounds-noise_var-fixed-kernel": (
+        dict(FAST_CONFIG, optimizer={"bounds": {"noise_var": [1e-3, 0.1]}}), "noise_var"),
+}
 
 # configs with one malformed section; each must exit 2 before any fit
 MALFORMED_SECTIONS = [
@@ -120,9 +137,10 @@ MALFORMED_SECTIONS = [
     pytest.param(_with(FAST_NARX, "data", bogus=1), id="narx-data-unknown-key"),
     pytest.param(_with(FAST_NARX, "data", inputs=["U"]), id="narx-data-inputs"),
     pytest.param(_with(FIELD, "data", bogus=1), id="reduced_rank-data-unknown-key"),
-    pytest.param(_with(FIELD, "data", target="y"), id="bounded_field-data-target"),
+    pytest.param(_with(FIELD, "data", target="nope"), id="bounded_field-data-target"),
     pytest.param(_with(FAST_FORCE, "data", bogus=1), id="latent_force-data-unknown-key"),
     pytest.param(_with(FAST_FORCE, "data", params=[1]), id="data-params-not-object"),
+    *(pytest.param(doc, id=name) for name, (doc, _) in UNUSED_SECTIONS.items()),
 ]
 
 
@@ -381,6 +399,15 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
         assert not fits
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(UNUSED_SECTIONS))
+    def test_an_unused_section_exits_2_naming_it(self, tmp_path, capsys, name):
+        doc, key = UNUSED_SECTIONS[name]
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("tuned", [False, True])
@@ -646,8 +673,7 @@ class TestFit:
         assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("data", [FAST_FORCE["data"], FIELD["data"]],
-                             ids=["mdof_chain", "bounded_field"])
+    @pytest.mark.parametrize("data", [FAST_FORCE["data"]], ids=["mdof_chain"])
     def test_generator_without_a_table_exits_2_before_any_fit(
             self, tmp_path, monkeypatch, capsys, data):
         from shmgp import gp
@@ -860,6 +886,25 @@ class TestRunRecord:
         assert main(["predict", str(run), str(data / "test.csv"), "-o", str(pred)]) == 0
         # the index column keeps the table's name, index, as the fit's file does
         assert pred.read_bytes() == (run / "predictions.csv").read_bytes()
+
+    def test_field_exact_gp_scores_the_reduced_rank_test_points(self, tmp_path, capsys):
+        # the unconstrained baseline of reduced_rank_field, on the field's own tables
+        runs = {}
+        for name in ("field_exact_gp", "reduced_rank_field"):
+            runs[name] = tmp_path / name
+            assert main(["fit", str(CONFIGS / f"{name}.json"), "-o", str(runs[name])]) == 0
+        assert json.loads((runs["field_exact_gp"] / "metrics.json").read_text())["n_test"] == 441
+        header, gp_table = read_csv(runs["field_exact_gp"] / "predictions.csv")
+        assert header == ["index", "y_true", "y_mean", "y_var"]
+        rr_table = read_csv(runs["reduced_rank_field"] / "predictions.csv")[1]
+        np.testing.assert_array_equal(gp_table[:, :2], rr_table[:, :2])
+        data = tmp_path / "data"
+        assert main(["generate", str(_write_config(tmp_path, FIELD_GP["data"], "gen.json")),
+                     "-o", str(data)]) == 0
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", str(runs["field_exact_gp"]), str(data / "test.csv"),
+                     "-o", str(pred)]) == 0
+        assert pred.read_bytes() == (runs["field_exact_gp"] / "predictions.csv").read_bytes()
 
 
 class TestPredictAndEval:

@@ -217,6 +217,14 @@ def test_unknown_bound_name_rejected(bounds):
         tune_exact_gp(_dataset(), "squared_exponential", bounds=bounds, particles=2, iterations=1)
 
 
+def test_a_bound_on_a_fixed_noise_rejected():
+    # a fixed noise variance is no row of the box, so no bound can name it
+    assert "noise_var" not in default_bounds("squared_exponential", _dataset(), noise_var=0.01)
+    with pytest.raises(ValueError, match=r"bounds names \['noise_var'\]"):
+        tune_exact_gp(_dataset(), "squared_exponential", noise_var=0.01,
+                      bounds={"noise_var": (1e-3, 0.1)}, particles=2, iterations=1)
+
+
 @pytest.mark.parametrize("bounds, name", [
     ({"noise_var": (0.0, 1.0)}, "noise_var"),
     ({"lengthscales": [(0.1, 1.0), (0.1, 1.0)]}, "lengthscales"),  # two pairs, one input
