@@ -432,8 +432,8 @@ def _run_exact_gp(config: ExperimentConfig):
             mean(train.inputs)
         except ValueError as exc:
             raise ConfigError(f"model.mean does not fit data.inputs: {exc}") from exc
-    # the median time step of every row, not only of the training rows
-    dt = float(np.median(np.diff(np.sort(np.concatenate([train.timestamps, test.timestamps])))))
+    # the median step of the kernel's (first) input over every row, not only the training rows
+    dt = float(np.median(np.diff(np.sort(np.concatenate([train.inputs[:, 0], test.inputs[:, 0]])))))
     model, params = _fit_gp_model(config, train, prior, mean, dt=dt, profile_mean=profile_mean)
 
     pred = gp.predict(model, test.inputs)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram, _as_matrix
@@ -85,30 +86,33 @@ class Prediction(NamedTuple):
 def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A with an escalating diagonal jitter.
 
-    The jitter starts at 1e-10 mean(diag A) and grows tenfold up to
-    1e-4 mean(diag A); failure beyond that signals genuinely
-    ill-conditioned hyperparameters rather than roundoff.  ``A`` itself is
-    left unchanged; a non-finite entry raises ``ValueError``.  With
+    The jitter starts at 1e-10 mean(diag A) and grows tenfold up to 1e-4
+    mean(diag A); failure beyond that signals ill-conditioned hyperparameters
+    rather than roundoff.  Each rung copies A straight into one C-ordered
+    buffer, adds the jitter and runs LAPACK's potrf in place on its
+    transpose, which reads A's upper triangle: A must be exactly symmetric,
+    as a :func:`build_gram` matrix plus a diagonal term or ``B.T @ B`` is.
+    ``A`` is left unchanged; the factor is Fortran-ordered, zero above the
+    diagonal.  A non-finite entry raises ``ValueError``; with
     ``check_finite=False`` only the diagonal is scanned, for a caller whose
-    other entries are known finite: a :func:`build_gram` matrix plus a
-    diagonal term.
+    other entries are known finite.
     """
-    if not np.all(np.isfinite(A if check_finite else np.diag(A))):
+    if not np.all(np.isfinite(A if check_finite else A.diagonal())):
         raise ValueError("array must not contain infs or NaNs")
-    base = float(np.mean(np.diag(A)))
+    base = float(np.mean(A.diagonal()))
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jitter = JITTER_START * base
-    # LAPACK's layout, so the factorisation runs in place on this copy
-    work = np.empty(A.shape, order="F")
+    work = np.empty(A.shape)
     while jitter <= JITTER_MAX * base * (1.0 + 1e-12):
-        work[...] = A
+        np.copyto(work, A)
         add_to_diag(work, jitter)
-        try:
-            L = cholesky(work, lower=True, overwrite_a=True, check_finite=False)
+        L, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        if info < 0:
+            raise ValueError(f"LAPACK potrf: illegal value in argument {-info}")
+        jitter *= 10.0  # a leading minor is not positive definite
     raise NumericalError(
         f"Cholesky factorisation failed with jitter up to {JITTER_MAX:g} * mean diagonal"
     )
@@ -147,8 +151,8 @@ def fit_exact(
     K = build_gram(kernel, X if stack is None else stack)
     add_to_diag(K, noise_var)
     L, jitter = chol_with_jitter(K, check_finite=False)  # build_gram scanned K
-    alpha = cho_solve((L, True), residual, check_finite=False)
-    lml = float(-0.5 * residual @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * len(data) * LOG_2PI)
+    alpha = dpotrs(L, residual, lower=1)[0]  # info flags only an illegal argument
+    lml = float(-0.5 * residual @ alpha - np.sum(np.log(L.diagonal())) - 0.5 * len(data) * LOG_2PI)
     return TrainedGp(
         kernel=kernel,
         mean=mean,

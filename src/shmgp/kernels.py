@@ -347,7 +347,7 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
         Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
     K = np.empty((n, m))
     # one buffer for every block: the first is the largest
-    work = np.empty(d * min(n, _block_rows(d, m)) * m)
+    work = np.empty((d + 1) * min(n, _block_rows(d, m)) * m)
     for i, (start, stop, first) in enumerate(_row_blocks(d, n, m, X2 is X)):
         out = K[start:stop, first:]
         if i < len(cached) and values is not None:
@@ -357,11 +357,14 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
             if i < len(cached):
                 np.matmul(w, cached[i][2], out=work[: out.size])
             else:
-                diffs = work[: d * out.size].reshape((d,) + out.shape)
+                # the d terms follow the block; at d = 1 the one term is the block
+                diffs = work[out.size * (d > 1) :][: d * out.size].reshape((d,) + out.shape)
                 np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=diffs)
                 np.square(diffs, out=diffs)
-                for k in range(1, d):
-                    block += diffs[k]
+                if d > 1 and out.size > 1:  # in dimension order
+                    np.add.reduce(diffs, axis=0, out=block)
+                elif d > 1:  # numpy sums a reduction to one entry pairwise
+                    block[...] = np.add.accumulate(diffs, axis=0)[-1]
             spec.sqdist_map(block)
             out[...] = block
         if first:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DomainError
 from .gp import Dataset, _predict_rows, chol_with_jitter
@@ -170,18 +170,18 @@ def fit_reduced(
     root_S = np.sqrt(basis.weights)
     B = basis.evaluate(data.inputs) * root_S  # (n, M), whitened features
     Z = B.T @ B + noise_var * np.eye(basis.size)
-    L, _ = chol_with_jitter(Z)
-    u_mean = cho_solve((L, True), B.T @ data.outputs)
+    L, _ = chol_with_jitter(Z)  # its scan finds a non-finite entry of B; B'y may overflow
+    u_mean = dpotrs(L, np.asarray_chkfinite(B.T @ data.outputs), lower=1)[0]
     weight_mean = root_S * u_mean
     if noise_var > 0.0:
-        inv_Z = cho_solve((L, True), np.eye(basis.size))
+        inv_Z = dpotrs(L, np.eye(basis.size), lower=1)[0]
         weight_cov = noise_var * (root_S[:, None] * inv_Z * root_S[None, :])
     elif len(data) < basis.size:
         # noise-free with fewer points than modes: the data pin only the row
         # space of B, so the whitened covariance is the projector onto its
         # complement, I - B'(BB')^-1 B
         L_rows, _ = chol_with_jitter(B @ B.T)
-        projector = np.eye(basis.size) - B.T @ cho_solve((L_rows, True), B)
+        projector = np.eye(basis.size) - B.T @ dpotrs(L_rows, B, lower=1)[0]
         weight_cov = root_S[:, None] * projector * root_S[None, :]
     else:
         # noise-free with at least as many points as modes: coefficients are pinned

@@ -293,9 +293,9 @@ def kalman_filter(model: StateSpaceModel, observations: np.ndarray) -> FilterRes
         loglik += -0.5 * (v @ S_inv @ v + v.size * LOG_2PI) - half_logdet
         means[t], covs[t] = m, P
 
-        # |dP_ij| <= tol sqrt(P_ii P_jj), squared: no state's scale hides another's
-        converged = (STEADY_RTOL > 0.0 and full[t] and P_prev is not None and np.all(
-            np.square(P - P_prev) <= STEADY_RTOL**2 * np.outer(P.diagonal(), P.diagonal())))
+        d = P.diagonal()  # |dP_ij| <= tol sqrt(P_ii P_jj), squared: no scale hides another's
+        converged = (STEADY_RTOL > 0.0 and full[t] and P_prev is not None
+                     and (np.square(P - P_prev) <= STEADY_RTOL**2 * (d[:, None] * d)).all())
         P_prev = P if full[t] else None
         t += 1
         if not converged:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from . import blas, gp
 from .errors import NumericalError
@@ -45,7 +44,7 @@ def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
     gp.add_to_diag(K, noise_var)
     L, _ = gp.chol_with_jitter(K, check_finite=False)  # build_gram scanned K
     A = np.column_stack([np.ones(len(data)), X])
-    W = cho_solve((L, True), A, check_finite=False)
+    W = dpotrs(L, A, lower=1)[0]
     theta = np.linalg.solve(A.T @ W, W.T @ y)
     return LinearMean(intercept=float(theta[0]), slope=theta[1:])
 

@@ -89,6 +89,22 @@ class TestRunExperiment:
         report = run_experiment(cfg, output_dir=tmp_path / "out")
         assert report.nmse_percent < 5.0
 
+    def test_sdof_box_takes_the_time_step_of_the_kernel_input(self, tmp_path):
+        # the first column is an index, so its step of 1 would cap omega_n at pi
+        t = np.arange(400) * 0.025
+        y = np.sin(9.4 * t) + 0.01 * np.random.default_rng(3).standard_normal(400)
+        write_csv(tmp_path / "data.csv", ["index", "time", "y"], [np.arange(400.0), t, y])
+        cfg = ExperimentConfig.from_dict({
+            "task": "exact_gp",
+            "data": {"path": str(tmp_path / "data.csv"), "inputs": ["time"]},
+            "split": {"type": "stride", "stride": 8},
+            "model": {"kernel": {"family": "sdof", "optimize": True}, "noise_var": 1e-4},
+            "optimizer": {"particles": 8, "iterations": 10, "seed": 1},
+        })
+        run_experiment(cfg, output_dir=tmp_path / "out")
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["hyperparameters"]["omega_n"] > np.pi
+
     @pytest.mark.parametrize("inputs, error", [(["z"], DataError), (5, ConfigError)],
                              ids=["column-missing", "inputs-not-a-list"])
     def test_csv_columns_that_cannot_be_read(self, tmp_path, inputs, error):

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 from scipy.stats import multivariate_normal
 
 from shmgp.errors import NumericalError
 from shmgp.gp import (
     JITTER_START,
     Dataset,
+    add_to_diag,
     chol_with_jitter,
     fit_exact,
     predict,
 )
 from shmgp.kernels import SquaredDiffStack, SquaredExponential, build_gram
 from shmgp.means import LinearMean, ZeroMean
+from shmgp.physics import SdofKernel
+from shmgp.reduced_rank import DomainSpec, eigenpairs, fit_reduced, spectral_weights
 
 SE = SquaredExponential
 
@@ -108,6 +112,96 @@ class TestFit:
         fit = fit_exact(data, kernel, noise_var=noise, stack=SquaredDiffStack(data.inputs))
         np.testing.assert_allclose(fit.lml, fit_exact(data, kernel, noise_var=noise).lml,
                                    rtol=1e-12)
+
+
+def _scipy_ladder(A):
+    """scipy's ``cholesky`` of A + jitter I up the same ladder: the
+    reference that the direct LAPACK calls must match bit for bit."""
+    jitter = JITTER_START * float(np.mean(np.diag(A)))
+    while True:
+        try:
+            return cholesky(A + jitter * np.eye(len(A)), lower=True), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+
+
+def _se_ard_problem():
+    """A NARX-like SE-ARD fit at d = 14."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(120, 14))
+    kernel = SE(1.4, np.linspace(0.8, 4.0, 14))
+    return Dataset(X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(120)), kernel, 1e-2
+
+
+def _sdof_problem():
+    """sdof_kernel_gp's 150 training times, fit through the swarm's stack."""
+    t = (np.arange(1200) * 0.025)[::8]
+    y = np.sin(9.4 * t) * np.exp(-0.05 * t)
+    return Dataset(t, y), SdofKernel(zeta=0.053, omega_n=9.59, sigma2=1.82), 1e-4
+
+
+def _reduced_rank_problem(n=60):
+    """A 2-D field inside its box, and its whitened features B."""
+    rng = np.random.default_rng(22)
+    X = rng.uniform(-0.95, 0.95, size=(n, 2))
+    domain = DomainSpec(half_widths=[1.0, 1.0], basis_counts=8)
+    spec = SE(1.0, 0.4)
+    basis = spectral_weights(eigenpairs(domain), spec)
+    B = basis.evaluate(X) * np.sqrt(basis.weights)
+    data = Dataset(X, np.cos(2.0 * X[:, 0]) * X[:, 1] + 0.01 * rng.standard_normal(n))
+    return data, domain, spec, B, np.sqrt(basis.weights)
+
+
+class TestFactor:
+    """The factor and the solves call LAPACK's potrf and potrs directly; the
+    bits are those of scipy's ``cholesky`` and ``cho_solve``."""
+
+    def _check_factor(self, A):
+        before = A.copy()
+        L, jitter = chol_with_jitter(A)
+        L_ref, jitter_ref = _scipy_ladder(A)
+        np.testing.assert_array_equal(A, before)  # A itself is never written
+        np.testing.assert_array_equal(L, L_ref)
+        assert jitter == jitter_ref
+        assert L.flags.f_contiguous and not np.triu(L, 1).any()
+        return L_ref
+
+    @pytest.mark.parametrize("problem", [_se_ard_problem, _sdof_problem],
+                             ids=["se_ard_d14", "sdof_stack_n150"])
+    def test_exact_fit_matches_scipy(self, problem):
+        data, kernel, noise = problem()
+        stack = SquaredDiffStack(data.inputs)
+        K = build_gram(kernel, stack)
+        add_to_diag(K, noise)
+        L_ref = self._check_factor(K)
+        model = fit_exact(data, kernel, noise_var=noise, stack=stack)
+        np.testing.assert_array_equal(model.chol, L_ref)
+        np.testing.assert_array_equal(model.alpha, cho_solve((L_ref, True), data.outputs))
+
+    def test_reduced_rank_fit_matches_scipy(self):
+        data, domain, spec, B, root_S = _reduced_rank_problem()
+        Z = B.T @ B + 1e-3 * np.eye(B.shape[1])
+        L_ref = self._check_factor(Z)
+        model = fit_reduced(data, domain, spec, noise_var=1e-3)
+        np.testing.assert_array_equal(
+            model.weight_mean, root_S * cho_solve((L_ref, True), B.T @ data.outputs))
+
+    def test_first_rung_failure_matches_scipy(self):
+        # duplicate inputs at zero noise give a singular Gram matrix; shifted
+        # 3e-10 mean(diag) below it, the first rung fails and the second holds
+        x = np.random.default_rng(23).uniform(-2.0, 2.0, 40)
+        K = build_gram(SE(1.0, 0.7), np.concatenate([x, x]))
+        add_to_diag(K, -3.0 * JITTER_START * float(np.mean(np.diag(K))))
+        self._check_factor(K)
+        assert chol_with_jitter(K)[1] == 10.0 * JITTER_START * float(np.mean(np.diag(K)))
+
+    @pytest.mark.parametrize("n", [20, 60, 200])
+    def test_reduced_rank_products_are_exactly_symmetric(self, n):
+        # potrf reads the upper triangle, so fit_reduced's B'B and BB' must be
+        # symmetric bit for bit, as numpy's syrk path makes them
+        B = _reduced_rank_problem(n)[3]
+        for Z in (B.T @ B, B @ B.T):
+            np.testing.assert_array_equal(Z, Z.T)
 
 
 class TestPredict:

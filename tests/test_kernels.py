@@ -170,6 +170,23 @@ def test_gram_matches_per_dimension_loop(family, n, m, d):
     np.testing.assert_array_equal(K, _per_dimension_gram(spec, X, X2))
 
 
+@pytest.mark.parametrize("shape", [(14, 1, 336), (14, 13, 336), (3, 64, 126), (2, 5, 1),
+                                   (20, 1, 2), (20, 2, 1), (2, 64, 25)])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_dimension_sum_matches_dimension_loop(shape, strided):
+    """build_gram sums a fresh block's squared differences over dimensions in
+    one ``np.add.reduce``: for more than one entry numpy adds them in
+    dimension order, as a loop over dimensions does, whatever the output's
+    strides."""
+    diffs = np.square(np.random.default_rng(12).normal(size=shape))
+    loop = diffs[0].copy()
+    for k in range(1, shape[0]):
+        loop += diffs[k]
+    out = np.empty((shape[1], 3 * shape[2]))[:, 1::3] if strided else np.empty(shape[1:])
+    np.add.reduce(diffs, axis=0, out=out)
+    np.testing.assert_array_equal(out, loop)
+
+
 @pytest.mark.parametrize("d", [8, 14, 20])
 @pytest.mark.parametrize("family", sorted(ORACLE_SPECS))
 def test_point_pair_gram_matches_per_dimension_loop(family, d):

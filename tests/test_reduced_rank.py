@@ -138,6 +138,16 @@ class TestFitPredict:
         y = np.sin(4.0 * X[:, 0]) + noise * rng.standard_normal(n)
         return Dataset(X, y)
 
+    @pytest.mark.parametrize("spec, scale", [(SE(1e200, 0.3), 1.0), (SE(1.0, 0.3), 1e308)],
+                             ids=["infinite-weights", "overflowing-projection"])
+    def test_nonfinite_system_raises_value_error(self, spec, scale):
+        # infinite spectral weights make B, so Z, non-finite, which the factor's
+        # scan finds; outputs near the largest float overflow B'y, which is checked
+        data = self._problem()
+        data = Dataset(data.inputs, scale * np.sign(data.outputs))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            fit_reduced(data, DomainSpec([1.0], basis_counts=12), spec, 1e-3)
+
     def test_zero_targets_give_zero_weights(self):
         data = Dataset(np.linspace(-0.5, 0.5, 10).reshape(-1, 1), np.zeros(10))
         model = fit_reduced(data, DomainSpec([2.0], basis_counts=16), SE(1.0, 0.4), 0.01)
