@@ -97,9 +97,10 @@ def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarr
     ``check_finite=False`` only the diagonal is scanned, for a caller whose
     other entries are known finite.
     """
-    if not np.all(np.isfinite(A if check_finite else A.diagonal())):
+    diag = A.diagonal()
+    if not np.isfinite(A if check_finite else diag).all():
         raise ValueError("array must not contain infs or NaNs")
-    base = float(np.mean(A.diagonal()))
+    base = float(diag.sum() / len(diag))  # np.mean's sum and division
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jitter = JITTER_START * base
@@ -119,8 +120,9 @@ def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarr
 
 
 def add_to_diag(A: np.ndarray, value: float) -> None:
-    """A += value * I, in place."""
-    A.flat[:: A.shape[0] + 1] += value
+    """A += value * I, in place, through a writable view of the diagonal."""
+    diag = np.einsum("ii->i", A)
+    diag += value
 
 
 def fit_exact(
@@ -152,7 +154,7 @@ def fit_exact(
     add_to_diag(K, noise_var)
     L, jitter = chol_with_jitter(K, check_finite=False)  # build_gram scanned K
     alpha = dpotrs(L, residual, lower=1)[0]  # info flags only an illegal argument
-    lml = float(-0.5 * residual @ alpha - np.sum(np.log(L.diagonal())) - 0.5 * len(data) * LOG_2PI)
+    lml = float(-0.5 * residual @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(data) * LOG_2PI)
     return TrainedGp(
         kernel=kernel,
         mean=mean,

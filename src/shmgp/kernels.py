@@ -17,8 +17,9 @@ tune, whose inputs stay fixed while the hyperparameters move, takes the
 leading blocks of those squared differences once into a
 :class:`SquaredDiffStack` of bounded size; each cached block's scaled
 squared distance is then one matrix-vector product.  A 1-D stack keeps each
-distinct squared lag once, so a build maps each lag once and fills its
-cached blocks by index: times on a grid repeat few lags.
+distinct squared lag once, and an index into them for every entry of its
+leading rows, so a build maps each lag once and fills those rows with one
+gather: times on a grid repeat few lags.
 """
 
 from __future__ import annotations
@@ -237,19 +238,22 @@ class SquaredDiffStack:
 
     Built once from inputs X (n, d) that stay fixed while the hyperparameters
     change, as over a tune's swarm, and passed to :func:`build_gram` in
-    place of X for the square Gram matrix.  ``blocks`` holds the leading
-    square blocks of :func:`_row_blocks` as (start, stop, D_b), each from
-    its diagonal to the right: D_b is a C-ordered (d, rows * (n - start))
-    array, so a weighted sum over dimensions is one matrix-vector product.
-    It keeps the leading blocks whose total fits ``STACK_BYTES`` (all of
-    them come to about d/2 Gram matrices); the Gram build computes the rest
-    afresh.
+    place of X for the square Gram matrix.  It covers the leading ``rows``
+    rows, in whole blocks of :func:`_row_blocks` whose total fits
+    ``STACK_BYTES``; the Gram build computes the other rows afresh.
+
+    At d > 1 ``blocks`` holds those square blocks as (start, stop, D_b),
+    each from its diagonal to the right: D_b is a C-ordered
+    (d, rows * (n - start)) array, so a weighted sum over dimensions is one
+    matrix-vector product.  All of them come to about d/2 Gram matrices.
 
     In one dimension, where inputs on a grid repeat few lags, ``values``
-    (1, u) holds each distinct squared difference of the cached blocks once,
-    sorted, and D_b is instead the (rows, n - start) array of each entry's
-    index into it; at d > 1 ``values`` is None.  An entry then costs one
-    index and at most one value, and both count toward ``STACK_BYTES``.
+    (1, u) holds each distinct squared difference of the covered rows once,
+    sorted, and ``index`` (rows, n) the index into it of every entry of
+    those rows, on both sides of the diagonal, so it is exactly symmetric
+    where both entries are covered; ``blocks`` is empty.  A row i costs n
+    indices and at most n - i new values, and both count toward
+    ``STACK_BYTES``.  At d > 1, or with no row covered, both are None.
     """
 
     def __init__(self, X):
@@ -258,14 +262,25 @@ class SquaredDiffStack:
         Z = np.ascontiguousarray(self.inputs.T)
         layout, room = [], STACK_BYTES
         for start, stop, _ in _row_blocks(d, n, n, True):
-            # at d = 1 an entry is one index and at most one distinct value
-            room -= 8 * max(d, 2) * (stop - start) * (n - start)
+            room -= 8 * (stop - start) * (d * (n - start) if d > 1 else 2 * n - start)
             if room < 0:
                 break
             layout.append((start, stop))
-        # every cached block is a view of one buffer: at d = 1, of all the lags
+        self.rows = layout[-1][1] if layout else 0
+        self.blocks, self.values, self.index = [], None, None
+        if d == 1:
+            if self.rows:
+                # a sorted copy gives the distinct values, then each lag's
+                # place among them: about two copies of the lags at the peak
+                lags = np.square(np.subtract.outer(Z[0, : self.rows], Z[0]))
+                flat = np.sort(lags, axis=None)
+                values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+                del flat
+                self.values, self.index = values[None], np.searchsorted(values, lags)
+            return
+        # every cached block is a view of one buffer
         flat = np.empty(d * sum((stop - start) * (n - start) for start, stop in layout))
-        self.blocks, offset = [], 0
+        offset = 0
         for start, stop in layout:
             size = d * (stop - start) * (n - start)
             block = flat[offset : offset + size].reshape(d, stop - start, n - start)
@@ -273,16 +288,6 @@ class SquaredDiffStack:
             np.square(block, out=block)
             self.blocks.append((start, stop, block.reshape(d, -1)))
             offset += size
-        self.values = None
-        if d == 1 and self.blocks:
-            # a sorted copy gives the distinct values, then each lag's place
-            # among them: about three copies of the lags at the peak
-            lags = np.sort(flat)
-            values = lags[np.concatenate(([True], lags[1:] != lags[:-1]))]
-            del lags
-            self.values = values[None]
-            self.blocks = [(start, stop, np.searchsorted(values, D[0]).reshape(stop - start, -1))
-                           for start, stop, D in self.blocks]
 
 
 # family name -> class; importing the package imports every module that
@@ -313,20 +318,22 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     hyperparameters and finite inputs.
 
     A block of squared distances is either the stack's cached block weighted
-    by w = 1/scale^2, one BLAS product (at d = 1, the stack's distinct
-    values weighted and mapped once, then taken by index), or the squared
-    differences of the scaled inputs summed in dimension order.  The latter
-    gives each entry the same sum in the same order whichever block it falls
-    in, so ``X2`` passed as a copy of ``X`` gives the same bits as ``X``; the
-    former is within 1e-13 relative of it.  In the square case the entries
-    left of a block's diagonal mirror blocks already built, since
-    (a - b)^2 == (b - a)^2 exactly.
+    by w = 1/scale^2, one BLAS product, or the squared differences of the
+    scaled inputs summed in dimension order.  The latter gives each entry
+    the same sum in the same order whichever block it falls in, so ``X2``
+    passed as a copy of ``X`` gives the same bits as ``X``; the former is
+    within 1e-13 relative of it.  In the square case the entries left of a
+    block's diagonal mirror blocks already built, since (a - b)^2 ==
+    (b - a)^2 exactly.  A 1-D stack's rows come whole instead: its distinct
+    values are weighted and mapped once, with the bits each entry would get
+    on its own, and one gather fills every covered row; the remaining
+    blocks mirror those rows.
     """
-    cached, values = [], None
+    stack = None
     if isinstance(X, SquaredDiffStack):
         if X_prime is not None:
             raise ValueError("a difference stack gives only the square Gram matrix")
-        cached, values, X = X.blocks, X.values, X.inputs
+        stack, X = X, X.inputs
         X2 = X
     else:
         X = _as_matrix(X)
@@ -336,39 +343,45 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     (n, d), m = X.shape, X2.shape[0]
     spec.check_input_dim(d)
     ell = spec.sqdist_scale
+    cached = 0 if stack is None else stack.rows
     if cached:
         w = np.empty(d)
         w[...] = 1.0 / np.square(ell)
-        if values is not None:  # each distinct squared lag mapped once
-            mapped = np.matmul(w, values)
-            spec.sqdist_map(mapped)
-    if not cached or cached[-1][1] < n:  # some blocks afresh
+    if cached < n:  # some rows afresh
         Z = np.ascontiguousarray((X / ell).T)
         Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
     K = np.empty((n, m))
-    # one buffer for every block: the first is the largest
-    work = np.empty((d + 1) * min(n, _block_rows(d, m)) * m)
+    # rows 0..done are complete; the map of a 1-D stack's values is scanned
+    # in their place
+    done, finite = 0, True
+    if cached and stack.index is not None:  # each distinct squared lag mapped once
+        mapped = np.matmul(w, stack.values)
+        spec.sqdist_map(mapped)
+        finite = np.isfinite(mapped).all()
+        done = cached
+        np.take(mapped, stack.index, out=K[:done], mode="clip")  # unbuffered; indices in range
+    # one buffer for every fresh block: the first is the largest
+    work = np.empty((d + 1) * min(n - done, _block_rows(d, m)) * m)
     for i, (start, stop, first) in enumerate(_row_blocks(d, n, m, X2 is X)):
+        if stop <= done:
+            continue
         out = K[start:stop, first:]
-        if i < len(cached) and values is not None:
-            np.take(mapped, cached[i][2], out=out, mode="clip")  # unbuffered; indices in range
+        block = work[: out.size].reshape(out.shape)
+        if stop <= cached:
+            np.matmul(w, stack.blocks[i][2], out=work[: out.size])
         else:
-            block = work[: out.size].reshape(out.shape)
-            if i < len(cached):
-                np.matmul(w, cached[i][2], out=work[: out.size])
-            else:
-                # the d terms follow the block; at d = 1 the one term is the block
-                diffs = work[out.size * (d > 1) :][: d * out.size].reshape((d,) + out.shape)
-                np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=diffs)
-                np.square(diffs, out=diffs)
-                if d > 1 and out.size > 1:  # in dimension order
-                    np.add.reduce(diffs, axis=0, out=block)
-                elif d > 1:  # numpy sums a reduction to one entry pairwise
-                    block[...] = np.add.accumulate(diffs, axis=0)[-1]
-            spec.sqdist_map(block)
-            out[...] = block
+            # the d terms follow the block; at d = 1 the one term is the block
+            diffs = work[out.size * (d > 1) :][: d * out.size].reshape((d,) + out.shape)
+            np.subtract(Z[:, start:stop, None], Z2[:, None, first:], out=diffs)
+            np.square(diffs, out=diffs)
+            if d > 1 and out.size > 1:  # in dimension order
+                np.add.reduce(diffs, axis=0, out=block)
+            elif d > 1:  # numpy sums a reduction to one entry pairwise
+                block[...] = np.add.accumulate(diffs, axis=0)[-1]
+        spec.sqdist_map(block)
+        out[...] = block
         if first:
             K[start:stop, :first] = K[:first, start:stop].T
-    if not np.all(np.isfinite(K)):
+    if not (finite and np.isfinite(K[done:]).all()):
         raise ValueError("kernel evaluation produced non-finite entries")
     return K

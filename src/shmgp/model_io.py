@@ -34,23 +34,41 @@ GP_ARRAYS = {"X": ("n", "d"), "chol": ("n", "n"), "alpha": ("n",)}
 REDUCED_RANK_ARRAYS = {"weight_mean": ("M",), "weight_cov": ("M", "M")}
 
 
+# rows of a CSV formatted at a time, so that the text of one chunk, not of
+# the whole table, is held in memory
+CSV_CHUNK_ROWS = 2048
+
+
+def _tmp_path(path: Path) -> Path:
+    """The temporary sibling a file is written to before it is renamed."""
+    return path.with_name(path.name + f".tmp-{os.getpid()}")
+
+
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp = _tmp_path(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp = _tmp_path(path)
     tmp.write_bytes(payload)
     os.replace(tmp, path)
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """The columns under ``header``, one ``repr`` a value, written to the
+    temporary sibling ``CSV_CHUNK_ROWS`` rows at a time and renamed into
+    place."""
+    path = Path(path)
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows.tolist()]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    tmp = _tmp_path(path)
+    with open(tmp, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start : start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in chunk]))
+    os.replace(tmp, path)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -12,6 +12,7 @@ hyperparameter combinations are simply avoided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -165,4 +166,4 @@ def pso_minimize(objective: Callable[[np.ndarray], float], cfg: PsoConfig) -> Ps
 def _safe_eval(objective, params) -> float:
     value = objective(np.asarray(params, dtype=float))
     value = float(value)
-    return value if np.isfinite(value) else np.inf
+    return value if math.isfinite(value) else math.inf

@@ -10,6 +10,7 @@ A value's kind is declared by its annotation: :data:`READERS` gives its reader.
 
 import functools
 import inspect
+import math
 import typing
 
 import numpy as np
@@ -30,7 +31,7 @@ def number(name: str, value, positive: bool = False) -> np.float64:
     """``value`` as a numpy float; ValueError naming ``name`` unless it is one
     finite number, and above 0 if ``positive``."""
     array = _array(value)
-    if array.ndim or array.dtype.kind not in "iuf" or not np.isfinite(array):
+    if array.ndim or array.dtype.kind not in "iuf" or not math.isfinite(array):
         raise ValueError(f"{name} takes one finite number, got {value!r}")
     if positive and not array > 0.0:
         raise ValueError(f"{name} takes a positive number, got {value!r}")

@@ -195,6 +195,25 @@ class TestFactor:
         self._check_factor(K)
         assert chol_with_jitter(K)[1] == 10.0 * JITTER_START * float(np.mean(np.diag(K)))
 
+    def test_jitter_base_is_the_mean_of_the_diagonal(self):
+        # one 1 and fifteen 2^-53: added in order the sum stays 1, while
+        # numpy's eight running sums keep 7 ulp of the small ones
+        diag = np.full(16, 2.0**-53)
+        diag[0] = 1.0
+        assert sum(diag.tolist()) == 1.0 != np.sum(diag)
+        assert chol_with_jitter(np.diag(diag))[1] == JITTER_START * np.mean(diag)
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_add_to_diag_writes_the_diagonal_in_place(self, layout):
+        M = np.random.default_rng(24).normal(size=(10, 10))
+        base = np.asfortranarray(M) if layout == "fortran" else M.copy()
+        A = base[::2, ::2] if layout == "strided" else base
+        expected = base.copy()
+        rows = np.arange(0, 10, 2) if layout == "strided" else np.arange(10)
+        expected[rows, rows] += 0.25
+        add_to_diag(A, 0.25)
+        np.testing.assert_array_equal(base, expected)
+
     @pytest.mark.parametrize("n", [20, 60, 200])
     def test_reduced_rank_products_are_exactly_symmetric(self, n):
         # potrf reads the upper triangle, so fit_reduced's B'B and BB' must be

@@ -245,9 +245,11 @@ def test_stack_holds_the_upper_triangle_by_row_block():
 
 
 def _kept_bytes(stack):
-    """Bytes a stack holds: its cached blocks and, at d = 1, their values."""
-    kept = sum(block.nbytes for *_, block in stack.blocks)
-    return kept + (0 if stack.values is None else stack.values.nbytes)
+    """Bytes a stack holds: its cached blocks or, at d = 1, its row indices
+    and their distinct values."""
+    if stack.index is not None:
+        return stack.index.nbytes + stack.values.nbytes
+    return sum(block.nbytes for *_, block in stack.blocks)
 
 
 def _square_layout(n, d):
@@ -259,19 +261,25 @@ def _square_layout(n, d):
 def test_stack_keeps_the_leading_blocks_that_fit(monkeypatch, kept):
     """A budget one double short of the next block keeps exactly the blocks
     before it, though a later, narrower block would fit the rest; the Gram
-    build computes the missing blocks afresh.  A 1-D stack's blocks are
-    indices into its distinct squared lags, one per entry, so an entry is
-    budgeted at one index and at most one distinct value."""
+    build computes the missing rows afresh.  A 1-D stack keeps whole rows of
+    indices into its distinct squared lags, both sides of the diagonal, so a
+    row i is budgeted at n indices and at most n - i distinct values."""
     n = 150
     for d in (1, 3):
         X = np.random.default_rng(6).normal(size=(n, d))
         layout = _square_layout(n, d)
         assert len(layout) == 3
-        sizes = [8 * max(d, 2) * (e - s) * (n - s) for s, e in layout]
+        sizes = [8 * (e - s) * (d * (n - s) if d > 1 else 2 * n - s) for s, e in layout]
         budget = sum(sizes[:kept]) + (sizes[kept] - 8 if kept < len(sizes) else 0)
         monkeypatch.setattr(kernels, "STACK_BYTES", budget)
         stack = SquaredDiffStack(X)
-        assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
+        rows = ([0] + [e for _, e in layout])[kept]
+        assert stack.rows == rows
+        if d == 1:
+            assert not stack.blocks
+            assert (stack.index is None) if not kept else stack.index.shape == (rows, n)
+        else:
+            assert [(s, e) for s, e, _ in stack.blocks] == layout[:kept]
         assert _kept_bytes(stack) <= budget
         specs = [ORACLE_SPECS[family](d) for family in sorted(ORACLE_SPECS)]
         for spec in specs + [SDOF] * (d == 1):
@@ -319,29 +327,68 @@ def test_root_of_a_rounded_square_is_the_magnitude(magnitude, negative):
 
 def test_one_dimensional_stack_keeps_each_squared_lag_once():
     """The shipped grid's 11,325 upper entries hold 479 distinct squared lags:
-    the stack keeps those once, sorted, and each cached block indexes them."""
+    the stack keeps those once, sorted, and an index for every entry of every
+    row, symmetric as the lags are, so one gather gives the whole matrix."""
     n = len(SHIPPED_GRID)
     stack = SquaredDiffStack(SHIPPED_GRID)
     values = stack.values[0]
-    upper = np.square(np.subtract.outer(SHIPPED_GRID, SHIPPED_GRID))[np.triu_indices(n)]
-    assert upper.size == 11325 and values.size == 479
-    np.testing.assert_array_equal(values, np.unique(upper))
-    assert [(s, e) for s, e, _ in stack.blocks] == _square_layout(n, 1)
-    for start, stop, index in stack.blocks:
-        np.testing.assert_array_equal(
-            values[index], np.square(np.subtract.outer(SHIPPED_GRID[start:stop],
-                                                       SHIPPED_GRID[start:])))
+    lags = np.square(np.subtract.outer(SHIPPED_GRID, SHIPPED_GRID))
+    assert lags[np.triu_indices(n)].size == 11325 and values.size == 479
+    np.testing.assert_array_equal(values, np.unique(lags[np.triu_indices(n)]))
+    assert stack.rows == n and not stack.blocks
+    assert stack.index.shape == (n, n) and stack.index.dtype == np.intp
+    np.testing.assert_array_equal(stack.index, stack.index.T)
+    np.testing.assert_array_equal(values[stack.index], lags)
+    K = build_gram(SDOF, stack)
+    np.testing.assert_array_equal(K, sdof_kernel_eval(SDOF, np.subtract.outer(SHIPPED_GRID,
+                                                                              SHIPPED_GRID)))
+    np.testing.assert_array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_one_dimensional_stack_gathers_its_leading_rows(monkeypatch, blocks):
+    """With only the first rows cached, those rows come from one gather and
+    the rest from the plain blocks, mirrored from the complete rows above:
+    entries in or facing the cached rows are the whole stack's, the fresh
+    square is the plain build's, and the matrix is exactly symmetric."""
+    t = np.random.default_rng(15).uniform(0.0, 6.0, 150)
+    whole = SquaredDiffStack(t)
+    rows = 64 * blocks
+    # a row i costs n = 150 indices and at most n - i values; 64 rows a block
+    budget = sum(8 * 64 * (300 - start) for start in range(0, rows, 64))
+    monkeypatch.setattr(kernels, "STACK_BYTES", budget)
+    stack = SquaredDiffStack(t)
+    assert stack.rows == rows
+    for spec in [ORACLE_SPECS[family](1) for family in sorted(ORACLE_SPECS)] + [SDOF]:
+        K, K_whole, K_plain = build_gram(spec, stack), build_gram(spec, whole), build_gram(spec, t)
+        np.testing.assert_array_equal(K, K.T)
+        np.testing.assert_array_equal(K[:rows], K_whole[:rows])
+        np.testing.assert_array_equal(K[:, :rows], K_whole[:, :rows])
+        np.testing.assert_array_equal(K[rows:, rows:], K_plain[rows:, rows:])
+        if spec is SDOF:
+            np.testing.assert_array_equal(K, K_plain)
 
 
 @pytest.mark.parametrize("budget", [155_000, 200_000])
 def test_one_dimensional_stack_keeps_its_values_within_the_budget(monkeypatch, budget):
     """Times that share no lags have a distinct squared lag for nearly every
-    entry, so the values cost as much as the indices: both count."""
+    entry, so the values cost nearly as much as the indices: both count."""
     t = np.cumsum(np.random.default_rng(14).uniform(0.5, 1.5, 150))
     monkeypatch.setattr(kernels, "STACK_BYTES", budget)
     stack = SquaredDiffStack(t)
-    assert stack.blocks and _kept_bytes(stack) <= budget
+    assert stack.rows == 64 and _kept_bytes(stack) <= budget
     np.testing.assert_array_equal(build_gram(SDOF, stack), build_gram(SDOF, t))
+
+
+def test_one_dimensional_stack_scans_its_mapped_lags():
+    """An overflowing kernel gives non-finite entries: the gathered rows are
+    refused from their mapped distinct lags, as the plain build refuses them."""
+    t = np.random.default_rng(16).uniform(0.0, 3.0, 40)
+    spec = SquaredExponential(signal_scale=1e200, lengthscales=0.5)
+    with np.errstate(all="ignore"):
+        for X in (t, SquaredDiffStack(t)):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                build_gram(spec, X)
 
 
 def test_stack_serves_only_square_squared_distance_grams():

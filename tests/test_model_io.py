@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shmgp import gp
+from shmgp import gp, model_io
 from shmgp.errors import DataError
 from shmgp.kernels import SquaredExponential
 from shmgp.means import LinearMean, ZeroMean
@@ -161,6 +161,17 @@ def test_csv_writer_edge_shapes_match_the_per_value_writer(tmp_path, columns):
     header = [f"c{k}" for k in range(len(columns))]
     write_csv(tmp_path / "out.csv", header, columns)
     assert (tmp_path / "out.csv").read_bytes() == _per_value_bytes(header, columns)
+
+
+@pytest.mark.parametrize("n_rows", [7, 8, 9, 25])
+def test_csv_writer_writes_row_chunks_with_the_per_value_bytes(tmp_path, monkeypatch, n_rows):
+    # chunks of 4 rows: the last one row short, whole, one row long, and many
+    monkeypatch.setattr(model_io, "CSV_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(4)
+    columns = [np.arange(float(n_rows)), rng.standard_normal(n_rows) * 1e-300]
+    write_csv(tmp_path / "out.csv", ["t", "y"], columns)
+    assert (tmp_path / "out.csv").read_bytes() == _per_value_bytes(["t", "y"], columns)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_csv_reader_reads_the_bits_of_the_per_value_reader(tmp_path):
