@@ -4,7 +4,7 @@ Fitting conditions a GP prior (kernel + mean function) on training data.
 Nonzero prior means are handled by regressing on the residuals y - m(X) and
 adding m(X*) back at prediction time, which is algebraically identical to a
 GP with that prior mean.  A fitted model holds only what prediction reads,
-plus its lml; it is immutable and safe to share across threads.
+plus its lml; one not fit in a :class:`Workspace` is immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -77,25 +77,36 @@ class TrainedGp:
     lml: float
 
 
+class Workspace(NamedTuple):
+    """A tune's n x n Gram and factor buffers, and a fixed mean's residual or
+    the GLS design.  A fit's chol is the factor buffer, unclean, till the next."""
+
+    K: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    residual: np.ndarray | None = None
+    design: np.ndarray | None = None
+
+
 class Prediction(NamedTuple):
     mean: np.ndarray
     var: np.ndarray
     cov: np.ndarray | None
 
 
-def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarray, float]:
+def chol_with_jitter(A: np.ndarray, check_finite=True, work=None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A with an escalating diagonal jitter.
 
     The jitter starts at 1e-10 mean(diag A) and grows tenfold up to 1e-4
     mean(diag A); failure beyond that signals ill-conditioned hyperparameters
     rather than roundoff.  Each rung copies A straight into one C-ordered
-    buffer, adds the jitter and runs LAPACK's potrf in place on its
-    transpose, which reads A's upper triangle: A must be exactly symmetric,
-    as a :func:`build_gram` matrix plus a diagonal term or ``B.T @ B`` is.
-    ``A`` is left unchanged; the factor is Fortran-ordered, zero above the
-    diagonal.  A non-finite entry raises ``ValueError``; with
-    ``check_finite=False`` only the diagonal is scanned, for a caller whose
-    other entries are known finite.
+    buffer, ``work`` if given (of A's shape), adds the jitter and runs
+    LAPACK's potrf in place on its transpose, which reads A's upper
+    triangle: A must be exactly symmetric, as a :func:`build_gram` matrix
+    plus a diagonal term or ``B.T @ B`` is.  ``A`` is left unchanged; the
+    factor is Fortran-ordered and zero above the diagonal, or, in ``work``,
+    keeps A there, which potrs and the lml never read.  A non-finite entry
+    raises ``ValueError``; with ``check_finite=False`` only the diagonal is
+    scanned, for a caller whose other entries are known finite.
     """
     diag = A.diagonal()
     if not np.isfinite(A if check_finite else diag).all():
@@ -104,11 +115,11 @@ def chol_with_jitter(A: np.ndarray, check_finite: bool = True) -> tuple[np.ndarr
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jitter = JITTER_START * base
-    work = np.empty(A.shape)
+    clean, work = (1, np.empty(A.shape)) if work is None else (0, work)
     while jitter <= JITTER_MAX * base * (1.0 + 1e-12):
         np.copyto(work, A)
         add_to_diag(work, jitter)
-        L, info = dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        L, info = dpotrf(work.T, lower=1, clean=clean, overwrite_a=1)
         if info == 0:
             return L, jitter
         if info < 0:
@@ -125,18 +136,28 @@ def add_to_diag(A: np.ndarray, value: float) -> None:
     diag += value
 
 
+def residual(data: Dataset, mean: MeanFunction) -> np.ndarray:
+    """y - m(X), the outputs less the prior mean; a ValueError if not finite."""
+    r = data.outputs - mean(data.inputs)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("prior mean is not finite at the training inputs")
+    return r
+
+
 def fit_exact(
     data: Dataset,
     kernel: Kernel,
     mean: MeanFunction | None = None,
     noise_var: float = 0.0,
     stack: SquaredDiffStack | None = None,
+    workspace: Workspace | None = None,
 ) -> TrainedGp:
     """Condition a GP prior on the dataset.
 
     ``stack``, which must be built from ``data.inputs``, gives the Gram
     matrix through :func:`build_gram`'s stack path, within 1e-13 of the
-    plain one; the caller owns that pairing, as a tune does.  Raises
+    plain one; the caller owns that pairing, as a tune does, and a
+    ``workspace``'s, whose residual, if any, must be this mean's.  Raises
     ``ValueError`` for an empty dataset or negative noise variance and
     ``NumericalError`` if factorisation fails after the jitter ladder.
     """
@@ -145,16 +166,15 @@ def fit_exact(
     if noise_var < 0.0 or not np.isfinite(noise_var):
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_var!r}")
     mean = mean if mean is not None else ZeroMean()
+    work = workspace or Workspace()
 
     X = data.inputs
-    residual = data.outputs - mean(X)
-    if not np.all(np.isfinite(residual)):
-        raise ValueError("prior mean is not finite at the training inputs")
-    K = build_gram(kernel, X if stack is None else stack)
+    r = residual(data, mean) if work.residual is None else work.residual
+    K = build_gram(kernel, X if stack is None else stack, out=work.K)
     add_to_diag(K, noise_var)
-    L, jitter = chol_with_jitter(K, check_finite=False)  # build_gram scanned K
-    alpha = dpotrs(L, residual, lower=1)[0]  # info flags only an illegal argument
-    lml = float(-0.5 * residual @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(data) * LOG_2PI)
+    L, jitter = chol_with_jitter(K, check_finite=False, work=work.factor)  # build_gram scanned K
+    alpha = dpotrs(L, r, lower=1)[0]  # info flags only an illegal argument
+    lml = float(-0.5 * r @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(data) * LOG_2PI)
     return TrainedGp(
         kernel=kernel,
         mean=mean,

@@ -309,13 +309,14 @@ def kernel_eval(spec: Kernel, x, x_prime) -> float:
     return float(build_gram(spec, x.reshape(1, -1), x_prime.reshape(1, -1))[0, 0])
 
 
-def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
+def build_gram(spec: Kernel, X, X_prime=None, out=None) -> np.ndarray:
     """Covariance matrix K[i, j] = k(X[i], X_prime[j]).
 
     With ``X_prime`` omitted, the (symmetric) training Gram matrix is
     returned.  ``X`` may be a :class:`SquaredDiffStack` of the inputs, for
     the square matrix.  Entries are finite by construction for valid
-    hyperparameters and finite inputs.
+    hyperparameters and finite inputs.  A C-ordered ``out`` is filled with
+    the bits of a fresh build and returned.
 
     A block of squared distances is either the stack's cached block weighted
     by w = 1/scale^2, one BLAS product, or the squared differences of the
@@ -350,7 +351,9 @@ def build_gram(spec: Kernel, X, X_prime=None) -> np.ndarray:
     if cached < n:  # some rows afresh
         Z = np.ascontiguousarray((X / ell).T)
         Z2 = Z if X2 is X else np.ascontiguousarray((X2 / ell).T)
-    K = np.empty((n, m))
+    K = np.empty((n, m)) if out is None else out
+    if K.shape != (n, m) or K.dtype != float or not K.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered float array of shape {(n, m)}")
     # rows 0..done are complete; the map of a 1-D stack's values is scanned
     # in their place
     done, finite = 0, True

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpotrs
 from . import blas, gp
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram
-from .means import LinearMean, MeanFunction
+from .means import LinearMean, MeanFunction, ZeroMean
 from .pso import PsoConfig, PsoResult, decoder, log10_box, override_box, pso_minimize
 from .registry import reads
 
@@ -29,23 +29,34 @@ class TuneResult:
     pso: PsoResult
 
 
+def linear_design(X: np.ndarray) -> np.ndarray:
+    """[1, X], the design of an affine mean; a NumericalError names the inputs
+    that leave it rank-deficient, each one whose column can go at that rank."""
+    A, rank = np.column_stack([np.ones(len(X)), X]), np.linalg.matrix_rank
+    if rank(A) < A.shape[1]:
+        bad = [j for j in range(X.shape[1]) if rank(np.delete(A, j + 1, 1)) == rank(A)]
+        raise NumericalError(f"the linear_fit mean cannot be identified: input columns {bad} are "
+                             f"constant or collinear on the training rows")
+    return A
+
+
 def gls_linear_mean(data: gp.Dataset, kernel: Kernel, noise_var: float,
-                    stack: SquaredDiffStack | None = None) -> LinearMean:
+                    stack: SquaredDiffStack | None = None, workspace=None) -> LinearMean:
     """Affine mean with coefficients profiled by generalised least squares.
 
     Weighting the regression by the inverse GP covariance discounts
     kernel-correlated deviations, so the recovered line tracks the global
     trend instead of absorbing local structure (ordinary least squares would
     bias the slope whenever the residual process correlates with an input).
-    ``stack`` is as in :func:`gp.fit_exact`.
+    ``stack`` and ``workspace``, with its design, are as in :func:`gp.fit_exact`.
     """
     X, y = data.inputs, data.outputs
-    K = build_gram(kernel, X if stack is None else stack)
+    work = workspace or gp.Workspace(design=linear_design(X))
+    K = build_gram(kernel, X if stack is None else stack, out=work.K)
     gp.add_to_diag(K, noise_var)
-    L, _ = gp.chol_with_jitter(K, check_finite=False)  # build_gram scanned K
-    A = np.column_stack([np.ones(len(data)), X])
-    W = dpotrs(L, A, lower=1)[0]
-    theta = np.linalg.solve(A.T @ W, W.T @ y)
+    L, _ = gp.chol_with_jitter(K, check_finite=False, work=work.factor)  # build_gram scanned K
+    W = dpotrs(L, work.design, lower=1)[0]
+    theta = np.linalg.solve(work.design.T @ W, W.T @ y)
     return LinearMean(intercept=float(theta[0]), slope=theta[1:])
 
 
@@ -102,38 +113,44 @@ def tune_exact_gp(
     ``seed``, ...) go to :class:`PsoConfig`, whose defaults they take.
 
     The swarm's fits take the inputs' squared differences from one
-    :class:`SquaredDiffStack`, built here once for every family; the model
-    returned is refit without it, so it is :func:`gp.fit_exact`'s at the
-    tuned values on one BLAS thread, bit for bit.  The swarm, its GLS
-    profiles and the refit all run in :func:`blas.single_thread`: the fits
-    are many small serial BLAS calls, which a second thread makes no faster.
-    The caller's thread counts come back when the tune returns or raises.
+    :class:`SquaredDiffStack`, built here once for every family, and one
+    :class:`gp.Workspace`; the model returned is refit without either, so it
+    is :func:`gp.fit_exact`'s at the tuned values on one BLAS thread, bit
+    for bit.  The swarm, its GLS profiles and the refit all run in
+    :func:`blas.single_thread`: the fits are many small serial BLAS calls,
+    which a second thread makes no faster.  The caller's thread counts come
+    back when the tune returns or raises.
     """
     cls = tuned_family(family, ard)
     box = override_box(default_bounds(family, data, ard, dt, noise_var), bounds)
     cfg = PsoConfig(bounds=log10_box(box), iterations=iterations, **swarm)
     decode = decoder(box)
 
-    def fit_at(stack=None, noise_var=noise_var, **kernel_args) -> gp.TrainedGp:
+    def fit_at(stack=None, work=None, noise_var=noise_var, **kernel_args) -> gp.TrainedGp:
         # the box's other entries are the kernel's arguments, in order
         sigma_n2 = float(noise_var)
         kernel = cls(*kernel_args.values())
-        mean_fn = (gls_linear_mean(data, kernel, sigma_n2, stack) if profile_linear_mean
+        mean_fn = (gls_linear_mean(data, kernel, sigma_n2, stack, work) if profile_linear_mean
                    else mean)
-        return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2, stack=stack)
+        return gp.fit_exact(data, kernel, mean=mean_fn, noise_var=sigma_n2, stack=stack,
+                            workspace=work)
 
     # built from the very inputs the swarm fits, outside the objective, so no
-    # stack fault can hide among its inf scores
+    # stack or workspace fault can hide among its inf scores
     stack = SquaredDiffStack(data.inputs)
+    work = gp.Workspace(*np.empty((2, len(data), len(data))))
+    work = (work._replace(design=linear_design(data.inputs)) if profile_linear_mean
+            else work._replace(residual=gp.residual(data, mean or ZeroMean())))
 
     def objective(position: np.ndarray) -> float:
         try:
-            return -fit_at(stack, **decode(position)).lml
+            return -fit_at(stack, work, **decode(position)).lml
         except (NumericalError, ValueError):
             return np.inf
 
     with blas.single_thread():
         result = pso_minimize(objective, cfg)
+        del work  # its buffers go before the refit makes its own
         best = decode(result.best_params)
         model = fit_at(**best)
     # a list of pairs under lengthscales gives lengthscale_0, lengthscale_1, ...

@@ -739,6 +739,38 @@ class TestFit:
         omega_n = json.loads((out / "metrics.json").read_text())["hyperparameters"]["omega_n"]
         assert 0.1 <= omega_n <= np.pi / (2.0 / 39)
 
+    @pytest.mark.parametrize("kernel", [
+        {"family": "squared_exponential", "optimize": True},
+        {"family": "squared_exponential", "signal_scale": 1.0, "lengthscales": 2.0},
+    ], ids=["tuned", "fixed"])
+    @pytest.mark.parametrize("inputs, constant, named", [
+        (["temperature"], True, "[0]"),
+        (["temperature", "temperature"], False, "[0, 1]"),
+        (["time", "temperature", "temperature"], False, "[1, 2]"),
+    ], ids=["constant", "repeated", "repeated-after-time"])
+    def test_linear_fit_mean_the_inputs_cannot_identify_exits_4(
+            self, tmp_path, capsys, kernel, inputs, constant, named):
+        from shmgp.model_io import write_csv
+
+        # a constant training input used to give an intercept and slope no data
+        # identify, and exit 0; a repeated one, "Singular matrix" or a swarm
+        # with no finite evaluation
+        t = np.arange(40.0)
+        temperature = np.full(40, 20.0) if constant else 20.0 + np.cos(0.3 * t)
+        write_csv(tmp_path / "data.csv", ["time", "temperature", "y"],
+                  [t, temperature, np.sin(0.2 * t) + 0.01 * temperature])
+        doc = {"task": "exact_gp", "seed": 0,
+               "data": {"path": str(tmp_path / "data.csv"), "inputs": inputs},
+               "model": {"kernel": kernel, "mean": {"form": "linear_fit"}, "noise_var": 0.1},
+               "optimizer": {"particles": 2, "iterations": 1}}
+        out = tmp_path / "out"
+        assert main(["fit", str(_write_config(tmp_path, doc)), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the linear_fit mean cannot be identified")
+        assert f"input columns {named} are constant or collinear" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["csv", "generator"])
     @pytest.mark.parametrize("columns", [{"inputs": "xy"}, {"target": ["y"]}, {"inputs": []}],
                              ids=["inputs-string", "target-list", "inputs-empty"])

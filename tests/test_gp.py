@@ -195,6 +195,34 @@ class TestFactor:
         self._check_factor(K)
         assert chol_with_jitter(K)[1] == 10.0 * JITTER_START * float(np.mean(np.diag(K)))
 
+    @pytest.mark.parametrize("rungs", [0, 1, 3])
+    def test_work_buffer_gives_the_factor_without_it(self, rungs):
+        """Given ``work``, the factor is that buffer's transpose: its lower
+        triangle and the jitter are the call's without it, A is unchanged,
+        and above the diagonal it keeps A.  A retry starts from A again over
+        the buffer the failed rung left."""
+        if rungs == 0:
+            data, kernel, noise = _sdof_problem()
+            A = build_gram(kernel, SquaredDiffStack(data.inputs))
+            add_to_diag(A, noise)
+        else:  # a least eigenvalue 3e-10 or 3e-8 mean(diag) below zero: the first rungs fail
+            Q, _ = np.linalg.qr(np.random.default_rng(25).normal(size=(40, 40)))
+            A = (Q * np.linspace(0.0, 2.0, 40)) @ Q.T
+            A = 0.5 * (A + A.T)
+            add_to_diag(A, -3.0 * 10.0 ** (rungs - 1) * JITTER_START * np.mean(np.diag(A)))
+        before = A.copy()
+        L_ref, jitter_ref = chol_with_jitter(A)
+        work = np.full(A.shape, np.nan)
+        L, jitter = chol_with_jitter(A, work=work)
+        assert jitter == jitter_ref
+        assert jitter == pytest.approx(10.0**rungs * JITTER_START * np.mean(np.diag(A)), rel=1e-9)
+        np.testing.assert_array_equal(A, before)
+        assert L.flags.f_contiguous and np.shares_memory(L, work)
+        np.testing.assert_array_equal(np.tril(L), L_ref)
+        np.testing.assert_array_equal(np.triu(L, 1), np.triu(A, 1))
+        # the buffer comes back dirty from that call: the next one gives the same
+        np.testing.assert_array_equal(np.tril(chol_with_jitter(A, work=work)[0]), L_ref)
+
     def test_jitter_base_is_the_mean_of_the_diagonal(self):
         # one 1 and fifteen 2^-53: added in order the sum stays 1, while
         # numpy's eight running sums keep 7 ulp of the small ones

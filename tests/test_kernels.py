@@ -400,6 +400,40 @@ def test_stack_serves_only_square_squared_distance_grams():
         build_gram(SquaredExponential(1.0, [1.0, 2.0]), stack)
 
 
+@pytest.mark.parametrize("case", ["whole_1d_stack", "partial_1d_stack", "stack_d3", "plain",
+                                  "plain_cross"])
+def test_gram_fills_the_given_buffer_with_the_fresh_build(monkeypatch, case):
+    """``out`` comes back itself, every entry overwritten with the bits of a
+    fresh build, whatever it held: on each path of the build."""
+    rng = np.random.default_rng(17)
+    X = rng.uniform(0.0, 6.0, (150, 3 if case == "stack_d3" else 1))
+    if case == "partial_1d_stack":  # the first of three blocks cached, as above
+        monkeypatch.setattr(kernels, "STACK_BYTES", 8 * 64 * 300)
+    args = {"plain": (X,), "plain_cross": (X, X[:70] + 0.1)}.get(case) or (SquaredDiffStack(X),)
+    if case == "partial_1d_stack":
+        assert args[0].rows == 64
+    for spec in [ORACLE_SPECS[family](X.shape[1]) for family in sorted(ORACLE_SPECS)] + (
+            [SDOF] if X.shape[1] == 1 else []):
+        fresh = build_gram(spec, *args)
+        out = np.full(fresh.shape, np.nan)
+        assert build_gram(spec, *args, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        out[...] = rng.normal(size=out.shape)  # a buffer left dirty by the last build
+        build_gram(spec, *args, out=out)
+        np.testing.assert_array_equal(out, fresh)
+
+
+@pytest.mark.parametrize("out", [np.empty((20, 21)), np.empty((21, 20)), np.empty(400),
+                                 np.empty((20, 20), order="F"), np.empty((20, 40))[:, ::2],
+                                 np.empty((20, 20), dtype=np.float32)],
+                         ids=["wide", "tall", "flat", "fortran", "strided", "float32"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_gram_refuses_a_buffer_of_the_wrong_shape_or_order(out, stacked):
+    X = np.random.default_rng(18).normal(size=(20, 1))
+    with pytest.raises(ValueError, match="C-ordered float array of shape"):
+        build_gram(SPECS[0], SquaredDiffStack(X) if stacked else X, out=out)
+
+
 def test_gram_single_point_is_signal_variance():
     spec = SquaredExponential(signal_scale=2.0, lengthscales=1.0)
     K = build_gram(spec, [[0.4]], [[0.4]])

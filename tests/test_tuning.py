@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from shmgp import blas, gp, pso, tuning
+from shmgp.errors import NumericalError
 from shmgp.gp import Dataset, fit_exact
-from shmgp.kernels import FAMILIES, Matern32, SquaredExponential, build_gram
+from shmgp.kernels import FAMILIES, Matern32, SquaredDiffStack, SquaredExponential, build_gram
+from shmgp.means import LinearMean
 from shmgp.pso import log10_box
 from shmgp.tuning import default_bounds, gls_linear_mean, tune_exact_gp
 
@@ -106,6 +108,61 @@ def test_tuned_model_is_the_plain_fit_at_the_tuned_values(monkeypatch, family, a
     for field in ("chol", "alpha"):
         np.testing.assert_array_equal(getattr(result.model, field), getattr(plain, field))
     assert result.model.lml == plain.lml and result.model.jitter == plain.jitter
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("mean", ["zero", "fixed", "gls"])
+def test_swarm_objective_is_the_fit_without_a_workspace(monkeypatch, mean, d, seed):
+    """The swarm's fits share one workspace: Gram and factor buffers, and the
+    fixed mean's residual or the GLS design made once.  Every objective value
+    is -lml of fit_exact on the same stack without it, bit for bit, and the
+    refit's factor is clean."""
+    rng = np.random.default_rng(10)
+    t = np.arange(60) * 0.1
+    X = t[:, None] if d == 1 else np.column_stack([t, rng.uniform(-1, 1, 60)])
+    data = Dataset(X, 1.0 + np.sin(3 * t) + 0.3 * X[:, -1] + 0.05 * rng.standard_normal(60))
+    fixed = LinearMean(0.4, [0.2] * d) if mean == "fixed" else None
+    decode, stack = pso.decoder(default_bounds("squared_exponential", data)), SquaredDiffStack(X)
+
+    def plain(position):
+        args = decode(position)
+        noise = float(args.pop("noise_var"))
+        kernel = SquaredExponential(*args.values())
+        prior = gls_linear_mean(data, kernel, noise, stack) if mean == "gls" else fixed
+        try:
+            return -fit_exact(data, kernel, mean=prior, noise_var=noise, stack=stack).lml
+        except (NumericalError, ValueError):
+            return np.inf
+
+    pairs, workspaces = [], []
+    swarm, fit = tuning.pso_minimize, gp.fit_exact
+    monkeypatch.setattr(tuning, "pso_minimize", lambda objective, cfg: swarm(
+        lambda p: pairs.append((objective(p), plain(p))) or pairs[-1][0], cfg))
+    monkeypatch.setattr(gp, "fit_exact", lambda *a, workspace=None, **k:
+                        workspaces.append(workspace) or fit(*a, workspace=workspace, **k))
+    result = tune_exact_gp(data, "squared_exponential", mean=fixed,
+                           profile_linear_mean=mean == "gls", particles=6, iterations=4, seed=seed)
+    values = np.array(pairs)
+    assert len(values) == 6 * (4 + 1) and np.isfinite(values).mean() > 0.5
+    assert values[:, 0].tobytes() == values[:, 1].tobytes()
+    # one workspace for every swarm fit, holding what the mean keeps fixed; none for the refit
+    work = workspaces[0]
+    assert all(w is work for w in workspaces[:-1]) and workspaces[-1] is None
+    assert (work.design is None) == (mean != "gls") and (work.residual is None) == (mean == "gls")
+    L = result.model.chol
+    assert L.flags.f_contiguous and not np.triu(L, 1).any()
+
+
+def test_fixed_mean_not_finite_at_the_inputs_stops_the_tune_before_the_swarm(monkeypatch):
+    """The workspace tests the fixed mean's residual once, before any fit; a
+    swarm used to score every position inf and end with no finite evaluation."""
+    fits = []
+    monkeypatch.setattr(gp, "fit_exact", lambda *a, **k: fits.append(1))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="prior mean is not finite"):
+        tune_exact_gp(_dataset(), "squared_exponential", mean=LinearMean(1e308, [1e308]),
+                      particles=2, iterations=1)
+    assert not fits
 
 
 def test_tune_fits_on_one_blas_thread(monkeypatch, two_threads):
