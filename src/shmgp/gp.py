@@ -5,6 +5,7 @@ Nonzero prior means are handled by regressing on the residuals y - m(X) and
 adding m(X*) back at prediction time, which is algebraically identical to a
 GP with that prior mean.  A fitted model holds only what prediction reads,
 plus its lml; one not fit in a :class:`Workspace` is immutable and thread-safe.
+A fit in a workspace is a score: its lml, with no posterior weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NumericalError
 from .kernels import Kernel, SquaredDiffStack, build_gram, _as_matrix
@@ -63,8 +64,8 @@ class TrainedGp:
 
     ``chol`` is the lower-triangular factor of K(X, X) + noise_var I +
     jitter I, ``alpha`` solves that matrix against the mean-subtracted
-    outputs, and ``lml`` is the log marginal likelihood at the fitted
-    hyperparameters.
+    outputs (None for a fit in a :class:`Workspace`), and ``lml`` is the
+    log marginal likelihood at the fitted hyperparameters.
     """
 
     kernel: Kernel
@@ -72,7 +73,7 @@ class TrainedGp:
     noise_var: float
     X: np.ndarray
     chol: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray | None
     jitter: float
     lml: float
 
@@ -104,7 +105,7 @@ def chol_with_jitter(A: np.ndarray, check_finite=True, work=None) -> tuple[np.nd
     triangle: A must be exactly symmetric, as a :func:`build_gram` matrix
     plus a diagonal term or ``B.T @ B`` is.  ``A`` is left unchanged; the
     factor is Fortran-ordered and zero above the diagonal, or, in ``work``,
-    keeps A there, which potrs and the lml never read.  A non-finite entry
+    keeps A there, which potrs and trtrs never read.  A non-finite entry
     raises ``ValueError``; with ``check_finite=False`` only the diagonal is
     scanned, for a caller whose other entries are known finite.
     """
@@ -157,7 +158,9 @@ def fit_exact(
     ``stack``, which must be built from ``data.inputs``, gives the Gram
     matrix through :func:`build_gram`'s stack path, within 1e-13 of the
     plain one; the caller owns that pairing, as a tune does, and a
-    ``workspace``'s, whose residual, if any, must be this mean's.  Raises
+    ``workspace``'s, whose residual, if any, must be this mean's.  The lml
+    reads z = L^-1 r, since r' K^-1 r = z'z; a fit in a ``workspace`` is a
+    score for a swarm, with ``alpha`` None, and other fits solve for it.  Raises
     ``ValueError`` for an empty dataset or negative noise variance and
     ``NumericalError`` if factorisation fails after the jitter ladder.
     """
@@ -173,8 +176,9 @@ def fit_exact(
     K = build_gram(kernel, X if stack is None else stack, out=work.K)
     add_to_diag(K, noise_var)
     L, jitter = chol_with_jitter(K, check_finite=False, work=work.factor)  # build_gram scanned K
-    alpha = dpotrs(L, r, lower=1)[0]  # info flags only an illegal argument
-    lml = float(-0.5 * r @ alpha - np.log(L.diagonal()).sum() - 0.5 * len(data) * LOG_2PI)
+    z = dtrtrs(L, r, lower=1)[0]  # info flags only an illegal argument or a zero pivot
+    alpha = dpotrs(L, r, lower=1)[0] if workspace is None else None
+    lml = float(-0.5 * z @ z - np.log(L.diagonal()).sum() - 0.5 * len(data) * LOG_2PI)
     return TrainedGp(
         kernel=kernel,
         mean=mean,

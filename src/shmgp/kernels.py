@@ -363,6 +363,8 @@ def build_gram(spec: Kernel, X, X_prime=None, out=None) -> np.ndarray:
         finite = np.isfinite(mapped).all()
         done = cached
         np.take(mapped, stack.index, out=K[:done], mode="clip")  # unbuffered; indices in range
+        if finite and done == n:  # every row gathered; a non-finite map raises below
+            return K
     # one buffer for every fresh block: the first is the largest
     work = np.empty((d + 1) * min(n - done, _block_rows(d, m)) * m)
     for i, (start, stop, first) in enumerate(_row_blocks(d, n, m, X2 is X)):

@@ -30,6 +30,8 @@ def _array(value) -> np.ndarray:
 def number(name: str, value, positive: bool = False) -> np.float64:
     """``value`` as a numpy float; ValueError naming ``name`` unless it is one
     finite number, and above 0 if ``positive``."""
+    if type(value) is np.float64 and math.isfinite(value) and (value > 0.0 or not positive):
+        return value  # a swarm's value, read at every evaluation
     array = _array(value)
     if array.ndim or array.dtype.kind not in "iuf" or not math.isfinite(array):
         raise ValueError(f"{name} takes one finite number, got {value!r}")
@@ -57,6 +59,9 @@ def flag(name: str, value) -> bool:
 def numbers(name: str, value, positive: bool = False) -> np.ndarray:
     """``value`` as a 1-D float array; ValueError naming ``name`` unless it is
     one finite number or a list of them, each above 0 if ``positive``."""
+    if (type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64
+            and np.isfinite(value).all() and (not positive or (value > 0.0).all())):
+        return value  # as below, which returns such an array itself
     array = _array(value)
     if array.ndim > 1 or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ValueError(f"{name} takes one finite number or a list of them, got {value!r}")

@@ -9,10 +9,12 @@ from shmgp.errors import NumericalError
 from shmgp.gp import (
     JITTER_START,
     Dataset,
+    Workspace,
     add_to_diag,
     chol_with_jitter,
     fit_exact,
     predict,
+    residual,
 )
 from shmgp.kernels import SquaredDiffStack, SquaredExponential, build_gram
 from shmgp.means import LinearMean, ZeroMean
@@ -112,6 +114,22 @@ class TestFit:
         fit = fit_exact(data, kernel, noise_var=noise, stack=SquaredDiffStack(data.inputs))
         np.testing.assert_allclose(fit.lml, fit_exact(data, kernel, noise_var=noise).lml,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("mean", [None, LinearMean(0.5, [1.0, -1.0])], ids=["zero", "linear"])
+    def test_workspace_fit_is_a_score(self, stacked, mean):
+        """A fit in a workspace has no posterior weights, and its lml is the
+        plain fit's at the same kernel and noise, bit for bit: both read
+        z = L^-1 r.  The plain fit still solves for alpha."""
+        data, kernel, noise = _random_problem(6)
+        stack = SquaredDiffStack(data.inputs) if stacked else None
+        n = len(data)
+        work = Workspace(*np.empty((2, n, n)), residual=residual(data, mean or ZeroMean()))
+        score = fit_exact(data, kernel, mean=mean, noise_var=noise, stack=stack, workspace=work)
+        plain = fit_exact(data, kernel, mean=mean, noise_var=noise, stack=stack)
+        assert score.alpha is None and plain.alpha is not None
+        assert score.lml == plain.lml and score.jitter == plain.jitter
+        np.testing.assert_array_equal(np.tril(score.chol), plain.chol)
 
 
 def _scipy_ladder(A):

@@ -391,6 +391,31 @@ def test_one_dimensional_stack_scans_its_mapped_lags():
                 build_gram(spec, X)
 
 
+def test_whole_one_dimensional_stack_returns_after_its_gather(monkeypatch):
+    """A stack that covers every row is done after one gather: no fresh
+    block is walked.  A map that yields NaN is still refused, as the plain
+    build refuses it, from the mapped lags."""
+    t = np.random.default_rng(19).uniform(0.0, 3.0, 150)
+    stack = SquaredDiffStack(t)
+    assert stack.rows == len(t)
+    walked = []
+    row_blocks = kernels._row_blocks
+    monkeypatch.setattr(kernels, "_row_blocks", lambda *a: walked.append(a) or row_blocks(*a))
+    np.testing.assert_array_equal(build_gram(SDOF, stack), build_gram(SDOF, t))
+    assert len(walked) == 1  # the plain build's
+
+    def nan_at_one_entry(self, S):
+        sqdist_map(self, S)
+        S.flat[np.argmax(S)] = np.nan
+
+    sqdist_map = SquaredExponential.sqdist_map
+    monkeypatch.setattr(SquaredExponential, "sqdist_map", nan_at_one_entry)
+    spec = SquaredExponential(signal_scale=1.0, lengthscales=0.5)
+    for X in (t, stack):
+        with pytest.raises(ValueError, match="^kernel evaluation produced non-finite entries$"):
+            build_gram(spec, X)
+
+
 def test_stack_serves_only_square_squared_distance_grams():
     X = np.random.default_rng(4).normal(size=(6, 1))
     stack = SquaredDiffStack(X)
